@@ -5,6 +5,14 @@
 // binary CSR dump loads orders of magnitude faster. Format: magic +
 // version + dimensions, then the raw CSR arrays, little-endian,
 // validated on load.
+//
+// Validation is one O(|E| + n) merge (Graph/BipartiteGraph::validate):
+// with both ptr arrays monotone from 0, the rows are swept in ascending
+// order and each edge (r, v) must be the next unused entry of opposite
+// list v, with every opposite list used up at the end. Ascending rows
+// and strictly ascending lists make that hold exactly when the opposite
+// side is the transpose, which is the same verdict as binary-searching
+// every edge in the other side in both directions, without the log d.
 #pragma once
 
 #include <iosfwd>

@@ -61,7 +61,9 @@ class BipartiteGraph {
 
   [[nodiscard]] vid_t max_vertex_degree() const;
 
-  /// Consistency check between the two CSR halves (tests, loaders).
+  /// Consistency check between the two CSR halves (tests, loaders):
+  /// monotone ptrs, strictly ascending in-range lists, and the net side
+  /// exactly the transpose of the vertex side. O(|E| + n).
   [[nodiscard]] bool validate() const;
 
   [[nodiscard]] const std::vector<eid_t>& vptr() const { return vptr_; }

@@ -41,7 +41,8 @@ class Graph {
   [[nodiscard]] const std::vector<vid_t>& adj() const { return adj_; }
 
   /// Structural sanity check used by tests and the MatrixMarket loader:
-  /// sorted adjacency, no self loops, symmetric, in-range ids.
+  /// monotone ptr, sorted adjacency, no self loops, symmetric, in-range
+  /// ids. O(|E| + n).
   [[nodiscard]] bool validate() const;
 
  private:

@@ -74,19 +74,15 @@ std::vector<T> read_vec(std::istream& in, std::uint64_t max_len) {
   return v;
 }
 
-/// Structural pre-check of one CSR half. BipartiteGraph/Graph::validate
-/// assumes the ptr array is monotone and in-range when it builds spans,
-/// so corrupted offsets must be rejected BEFORE construction — after
-/// it, they are undefined behavior, not a detectable error.
+/// Pre-check of one CSR half: the length and endpoint invariants the
+/// graph constructors would otherwise reject with an untyped exception.
+/// Monotonicity and everything else is validate()'s job.
 void check_csr_half(const std::vector<eid_t>& ptr, std::size_t expected_len,
                     std::size_t adj_size) {
   if (ptr.size() != expected_len)
     fail(ErrorCode::kCorruptHeader, "ptr array length mismatch");
   if (ptr.front() != 0 || ptr.back() != static_cast<eid_t>(adj_size))
     fail(ErrorCode::kBadInput, "ptr endpoints inconsistent with adjacency");
-  for (std::size_t i = 1; i < ptr.size(); ++i)
-    if (ptr[i - 1] > ptr[i])
-      fail(ErrorCode::kBadInput, "ptr array not monotone");
 }
 
 void check_magic(std::istream& in, const char (&magic)[8]) {

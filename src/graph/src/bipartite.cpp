@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "csr_check.hpp"
+
 namespace gcol {
 
 BipartiteGraph::BipartiteGraph(vid_t num_vertices, vid_t num_nets,
@@ -39,27 +41,9 @@ vid_t BipartiteGraph::max_vertex_degree() const {
 }
 
 bool BipartiteGraph::validate() const {
-  for (vid_t u = 0; u < num_vertices_; ++u) {
-    const auto ns = nets(u);
-    for (std::size_t i = 0; i < ns.size(); ++i) {
-      const vid_t v = ns[i];
-      if (v < 0 || v >= num_nets_) return false;
-      if (i > 0 && ns[i - 1] >= v) return false;
-      const auto back = vtxs(v);
-      if (!std::binary_search(back.begin(), back.end(), u)) return false;
-    }
-  }
-  for (vid_t v = 0; v < num_nets_; ++v) {
-    const auto vs = vtxs(v);
-    for (std::size_t i = 0; i < vs.size(); ++i) {
-      const vid_t u = vs[i];
-      if (u < 0 || u >= num_vertices_) return false;
-      if (i > 0 && vs[i - 1] >= u) return false;
-      const auto fwd = nets(u);
-      if (!std::binary_search(fwd.begin(), fwd.end(), v)) return false;
-    }
-  }
-  return true;
+  return detail::ptr_is_valid(vptr_) && detail::ptr_is_valid(nptr_) &&
+         detail::is_strict_transpose(vptr_, vadj_, nptr_, nadj_,
+                                     /*no_self_loops=*/false);
 }
 
 }  // namespace gcol

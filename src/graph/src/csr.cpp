@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "csr_check.hpp"
+
 namespace gcol {
 
 Graph::Graph(vid_t n, std::vector<eid_t> ptr, std::vector<vid_t> adj)
@@ -21,21 +23,9 @@ vid_t Graph::max_degree() const {
 }
 
 bool Graph::validate() const {
-  for (vid_t v = 0; v < n_; ++v) {
-    if (ptr_[static_cast<std::size_t>(v)] >
-        ptr_[static_cast<std::size_t>(v) + 1])
-      return false;
-    const auto nb = neighbors(v);
-    for (std::size_t i = 0; i < nb.size(); ++i) {
-      const vid_t u = nb[i];
-      if (u < 0 || u >= n_ || u == v) return false;
-      if (i > 0 && nb[i - 1] >= u) return false;  // sorted, unique
-      // symmetry: v must appear in adj(u)
-      const auto back = neighbors(u);
-      if (!std::binary_search(back.begin(), back.end(), v)) return false;
-    }
-  }
-  return true;
+  return detail::ptr_is_valid(ptr_) &&
+         detail::is_strict_transpose(ptr_, adj_, ptr_, adj_,
+                                     /*no_self_loops=*/true);
 }
 
 }  // namespace gcol

@@ -39,12 +39,13 @@ namespace obs {
 class MetricsRegistry;
 class Tracer;
 
-/// FNV-1a over the CSR arrays + dimensions: a stable content hash for
-/// "same graph bytes" checks across runs (and the cache key the service
-/// front-end will want). Not cryptographic.
+/// FNV-1a over the dimensions and CSR arrays, one 64-bit word per step
+/// (not byte-wise FNV-1a, hence the "fnv1a64w:" prefix): a stable
+/// content hash for "same graph" checks across runs (and the cache key
+/// the service front-end will want). Not cryptographic.
 [[nodiscard]] std::uint64_t fingerprint(const BipartiteGraph& g);
 [[nodiscard]] std::uint64_t fingerprint(const Graph& g);
-/// "fnv1a64:<16 hex digits>" as written into reports.
+/// "fnv1a64w:<16 hex digits>" as written into reports.
 [[nodiscard]] std::string fingerprint_string(const BipartiteGraph& g);
 [[nodiscard]] std::string fingerprint_string(const Graph& g);
 

@@ -20,11 +20,11 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
+// FNV-1a over 64-bit words rather than bytes: one xor-multiply per CSR
+// entry instead of eight dependent ones.
 void fnv_u64(std::uint64_t& h, std::uint64_t v) {
-  for (int byte = 0; byte < 8; ++byte) {
-    h ^= (v >> (byte * 8)) & 0xffu;
-    h *= kFnvPrime;
-  }
+  h ^= v;
+  h *= kFnvPrime;
 }
 
 template <typename T>
@@ -35,7 +35,7 @@ void fnv_vec(std::uint64_t& h, const std::vector<T>& vec) {
 
 std::string hex16(std::uint64_t h) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "fnv1a64:%016llx",
+  std::snprintf(buf, sizeof(buf), "fnv1a64w:%016llx",
                 static_cast<unsigned long long>(h));
   return buf;
 }

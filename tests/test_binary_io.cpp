@@ -162,6 +162,62 @@ TEST(BinaryIoHardening, EveryPrefixFailsTypedNotFatally) {
   }
 }
 
+/// Overwrite each entry of the adjacency array whose length prefix sits
+/// at `len_offset` in turn with an out-of-range, a negative and a
+/// different in-range id (ids range over [0, universe)), and require
+/// `read` to reject every result with kBadInput.
+template <typename Read>
+void expect_every_adjacency_patch_rejected(const std::string& bytes,
+                                           std::size_t len_offset,
+                                           vid_t universe, Read read) {
+  std::uint64_t len = 0;
+  std::memcpy(&len, &bytes[len_offset], sizeof(len));
+  ASSERT_GT(len, 0u);
+  for (std::size_t i = 0; i < len; ++i) {
+    const std::size_t at = len_offset + sizeof(len) + i * sizeof(vid_t);
+    vid_t old = 0;
+    std::memcpy(&old, &bytes[at], sizeof(old));
+    for (const vid_t id : {universe, vid_t{-1}, (old + 1) % universe}) {
+      std::istringstream in(patched<vid_t>(bytes, at, id), std::ios::binary);
+      try {
+        (void)read(in);
+        ADD_FAILURE() << "patch accepted: entry " << i << " = " << id;
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kBadInput)
+            << "entry " << i << " = " << id << ": " << e.what();
+      }
+    }
+  }
+}
+
+TEST(BinaryIoHardening, PatchedAdjacencyIsTypedBadInput) {
+  // disjoint_nets(3, 3): 9 vertices, 3 nets, 9 edges. Layout: magic |
+  // nv | nn | vptr len + 10 x i64 | vadj len + 9 x i32 | nptr len +
+  // 4 x i64 | nadj len + 9 x i32.
+  constexpr std::size_t kVadjLenOffset = kVptrLenOffset + 8 + 10 * 8;
+  constexpr std::size_t kNadjLenOffset = kVadjLenOffset + 8 + 9 * 4 + 8 + 4 * 8;
+  const std::string bytes = valid_bipartite_bytes();
+  ASSERT_EQ(bytes.size(), kNadjLenOffset + 8 + 9 * 4);
+  expect_every_adjacency_patch_rejected(
+      bytes, kVadjLenOffset, 3,
+      [](std::istream& in) { return read_binary_bipartite(in); });
+  expect_every_adjacency_patch_rejected(
+      bytes, kNadjLenOffset, 9,
+      [](std::istream& in) { return read_binary_bipartite(in); });
+}
+
+TEST(BinaryIoHardening, PatchedGraphAdjacencyIsTypedBadInput) {
+  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
+  write_binary(buf, build_graph(testing::cycle_coo(6)));
+  // Layout: magic | n | ptr len + 7 x i64 | adj len + 12 x i32.
+  constexpr std::size_t kAdjLenOffset = 16 + 8 + 7 * 8;
+  const std::string bytes = buf.str();
+  ASSERT_EQ(bytes.size(), kAdjLenOffset + 8 + 12 * 4);
+  expect_every_adjacency_patch_rejected(
+      bytes, kAdjLenOffset, 6,
+      [](std::istream& in) { return read_binary_graph(in); });
+}
+
 TEST(BinaryIo, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "gcol_binary_test.bin";
   const BipartiteGraph g = testing::disjoint_nets(5, 4);

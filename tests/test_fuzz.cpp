@@ -209,6 +209,10 @@ constexpr FaultScenario kKernelScenarios[] = {
     {"stall-deadline", "seed=9,stale=0.2,delay-rounds=4,delay-ms=3", 0, 0.004},
 };
 
+// gtest would otherwise print the raw bytes of the param, pointers
+// included, into the discovered test name — a different name every run.
+void PrintTo(const FaultScenario& s, std::ostream* os) { *os << s.name; }
+
 class FaultMatrix : public ::testing::TestWithParam<FaultScenario> {};
 
 TEST_P(FaultMatrix, BgpcPresetsAlwaysEndValid) {
@@ -266,6 +270,8 @@ constexpr DistScenario kDistScenarios[] = {
     {"drop_reorder", "seed=17,drop=0.2,reorder=0.2", 0.0},
     {"drop_deadline", "seed=19,drop=0.8", 1e-6},
 };
+
+void PrintTo(const DistScenario& s, std::ostream* os) { *os << s.name; }
 
 class DistFaultMatrix : public ::testing::TestWithParam<DistScenario> {};
 

@@ -274,7 +274,24 @@ TEST(RunReport, FingerprintIsStableAndContentSensitive) {
       build_bipartite(gen_clique_union(600, 250, 2, 40, 1.8, 18));
   EXPECT_EQ(fingerprint(a), fingerprint(b));
   EXPECT_NE(fingerprint(a), fingerprint(c));
-  EXPECT_EQ(fingerprint_string(a).rfind("fnv1a64:", 0), 0u);
+  const std::string fp = fingerprint_string(a);
+  EXPECT_EQ(fp.size(), 25u) << fp;
+  EXPECT_EQ(fp.rfind("fnv1a64w:", 0), 0u) << fp;
+  EXPECT_EQ(fp.find_first_not_of("0123456789abcdef", 9), std::string::npos)
+      << fp;
+}
+
+// Pinned values: any change to the hash (word order, seed, prime, the
+// arrays it covers) must show up here and be made on purpose.
+TEST(RunReport, FingerprintValuesArePinned) {
+  // Vertex 0 in net 0, vertex 1 in nets 0 and 1.
+  const BipartiteGraph b(2, 2, {0, 1, 3}, {0, 0, 1}, {0, 2, 3}, {0, 1, 1});
+  ASSERT_TRUE(b.validate());
+  EXPECT_EQ(fingerprint_string(b), "fnv1a64w:142acd77c8ff6f2b");
+  // The path 0-1-2.
+  const Graph p(3, {0, 1, 3, 4}, {1, 0, 2, 1});
+  ASSERT_TRUE(p.validate());
+  EXPECT_EQ(fingerprint_string(p), "fnv1a64w:8529f1f391fbabbe");
 }
 
 TEST(RunReport, EnvelopeCarriesSections) {
@@ -301,7 +318,7 @@ TEST(RunReport, EnvelopeCarriesSections) {
        {"\"options\"", "\"graph\"", "\"totals\"", "\"rounds\"",
         "\"degradation\"", "\"metrics\"", "\"trace\""})
     EXPECT_NE(json.find(section), std::string::npos) << section;
-  EXPECT_NE(json.find("\"fingerprint\": \"fnv1a64:"), std::string::npos);
+  EXPECT_NE(json.find("\"fingerprint\": \"fnv1a64w:"), std::string::npos);
 }
 
 }  // namespace

@@ -58,10 +58,10 @@ esac
 python3 tools/gcol_sa --compile-commands build/compile_commands.json \
   --verify-race-surface --jobs "$JOBS"
 
-# The default suite's perf label just regenerated BENCH_kernels.json;
+# The default suite's perf label just wrote build/BENCH_kernels.json;
 # gate it at the strict band the CI perf job uses.
 step "bench gate"
-python3 tools/bench_gate.py BENCH_kernels.json
+python3 tools/bench_gate.py build/BENCH_kernels.json
 
 # The default suite's obs label already ran the traced color_tool runs;
 # add the traced chaos sweep + artifact validation the obs CI job does.

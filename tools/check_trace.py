@@ -28,7 +28,7 @@ With --report FILE also validates the run-report envelope:
                      object (rounds: array); metrics values are
                      non-negative integers.
   R3 fingerprint     graph.fingerprint (when present) matches
-                     fnv1a64:<16 hex digits>.
+                     fnv1a64w:<16 hex digits>.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 unreadable or
 unparsable input / usage error.
@@ -50,7 +50,7 @@ ROUND_NAMES = {"bgpc.round", "d2gc.round", "dist.superstep"}
 COLOR_NAMES = {"bgpc.color", "d2gc.color", "dist.speculate"}
 CONFLICT_NAMES = {"bgpc.conflict", "d2gc.conflict", "dist.conflict"}
 
-FINGERPRINT_RE = re.compile(r"^fnv1a64:[0-9a-f]{16}$")
+FINGERPRINT_RE = re.compile(r"fnv1a64w:[0-9a-f]{16}")
 
 
 def load(path: str) -> dict:
@@ -186,9 +186,9 @@ def check_report(path: str, failures: list[str]) -> None:
                             "not a non-negative integer")
     fp = data.get("graph", {}).get("fingerprint")
     if fp is not None and not (isinstance(fp, str)
-                               and FINGERPRINT_RE.match(fp)):
+                               and FINGERPRINT_RE.fullmatch(fp)):
         failures.append(f"R3 fingerprint: {fp!r} does not match "
-                        "fnv1a64:<16 hex digits>")
+                        "fnv1a64w:<16 hex digits>")
 
 
 def main() -> int:
