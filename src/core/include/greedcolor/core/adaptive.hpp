@@ -45,6 +45,7 @@
 #include <cstddef>
 
 #include "greedcolor/core/options.hpp"
+#include "greedcolor/util/simd.hpp"
 #include "greedcolor/util/types.hpp"
 
 namespace gcol {
@@ -68,8 +69,11 @@ struct AdaptiveFsThresholds {
   /// running color bound is at or below this (the forbidden words stay
   /// L1-resident; at larger L the dedup's narrowed read window costs
   /// extra conflict rounds and the gather slows down — see the header
-  /// comment's copapers_s numbers).
-  color_t vertex_bitmap_max_l = 256;
+  /// comment's copapers_s numbers). Empty (0) where the stamped walk is
+  /// vectorized (kVectorGather): the AVX-512 gather/scatter walk beats
+  /// the bitmap's one-entry-at-a-time dedup loop on every
+  /// micro_forbidden_set kernel row (DESIGN.md §8).
+  color_t vertex_bitmap_max_l = kVectorGather ? 0 : 256;
   double vertex_bitmap_min_colored_frac = 0.55;
 
   /// Vertex-based coloring goes two-level regardless of the colored

@@ -37,10 +37,7 @@ void sequential_cleanup(const BipartiteGraph& g, color_t* c,
     if (detail::load_color(c, w) != kNoColor) continue;
     forbidden.clear();
     for (const vid_t v : g.nets(w))
-      for (const vid_t u : g.vtxs(v)) {
-        const color_t cu = detail::load_color(c, u);
-        if (u != w && cu != kNoColor) forbidden.insert(cu);
-      }
+      detail::forbid_colors(c, g.vtxs(v), w, forbidden);
     detail::store_color(c, w, detail::pick_up(forbidden, 0, probes));
   }
 }
@@ -312,12 +309,9 @@ ColoringResult color_bgpc_sequential(const BipartiteGraph& g,
   for (const vid_t w : base) {
     forbidden.clear();
     for (const vid_t v : g.nets(w)) {
-      for (const vid_t u : g.vtxs(v)) {
-        GCOL_COUNT(++stats.color_counters.edges_visited);
-        if (u == w) continue;
-        const color_t cu = result.colors[static_cast<std::size_t>(u)];
-        if (cu != kNoColor) forbidden.insert(cu);
-      }
+      const auto vs = g.vtxs(v);
+      GCOL_COUNT(stats.color_counters.edges_visited += vs.size());
+      detail::forbid_colors(result.colors.data(), vs, w, forbidden);
     }
     result.colors[static_cast<std::size_t>(w)] =
         detail::pick_up(forbidden, 0, probes);

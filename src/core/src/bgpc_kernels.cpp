@@ -11,8 +11,9 @@ namespace {
 
 // Every kernel is instantiated over the balance policy (compile-time
 // branch in the color pick) and the ForbiddenSet policy FS (stamped =
-// paper-faithful probe loops, bitmap = word-parallel scans + visited-set
-// neighbor dedup). `edges_visited` keeps its "one per adjacency entry"
+// paper-faithful probe loops with the distance-2 walk going through
+// the forbid_colors / first_lower_clash seam, bitmap = word-parallel
+// scans + visited-set neighbor dedup). `edges_visited` keeps its "one per adjacency entry"
 // meaning in every mode — dedup skips the color load and marker work,
 // not the traversal count — so the counter-pinning tests and the
 // cross-mode comparisons in BENCH_kernels.json stay apples-to-apples.
@@ -43,23 +44,21 @@ void color_vertex_impl(const BipartiteGraph& g, const std::vector<vid_t>& w,
       }
       for (const vid_t v : g.nets(wv)) {
         const auto vs = g.vtxs(v);
-        const std::size_t deg = vs.size();
-        for (std::size_t j = 0; j < deg; ++j) {
-          // The distance-2 gather is the random-access hot spot: hint
-          // the color word a few entries ahead so the load below hits.
-          if (j + kColorPrefetchDist < deg)
-            prefetch_color(c, vs[j + kColorPrefetchDist]);
-          const vid_t u = vs[j];
-          GCOL_COUNT(++local.edges_visited);
-          if constexpr (FS::kDedupNeighbors) {
+        GCOL_COUNT(local.edges_visited += vs.size());
+        if constexpr (FS::kDedupNeighbors) {
+          const std::size_t deg = vs.size();
+          for (std::size_t j = 0; j < deg; ++j) {
+            if (j + kColorPrefetchDist < deg)
+              prefetch_color(c, vs[j + kColorPrefetchDist]);
+            const vid_t u = vs[j];
             // Each distance-2 neighbor contributes one color no matter
             // how many nets it shares with wv.
             if (visited.test_and_set(u)) continue;
-          } else {
-            if (u == wv) continue;
+            const color_t cu = load_color(c, u);
+            if (cu != kNoColor) f.insert(cu);
           }
-          const color_t cu = load_color(c, u);
-          if (cu != kNoColor) f.insert(cu);
+        } else {
+          forbid_colors(c, vs, wv, f);
         }
       }
       const color_t col = pick_vertex_color<B>(st, f, wv, local.color_probes);
@@ -200,22 +199,24 @@ void conflict_vertex_impl(const BipartiteGraph& g, const std::vector<vid_t>& w,
       bool conflicted = false;
       for (const vid_t v : g.nets(wv)) {
         const auto vs = g.vtxs(v);
-        const std::size_t deg = vs.size();
-        for (std::size_t j = 0; j < deg; ++j) {
-          if (j + kColorPrefetchDist < deg)
-            prefetch_color(c, vs[j + kColorPrefetchDist]);
-          const vid_t u = vs[j];
-          GCOL_COUNT(++local.edges_visited);
-          if constexpr (FS::kDedupNeighbors) {
+        if constexpr (FS::kDedupNeighbors) {
+          const std::size_t deg = vs.size();
+          for (std::size_t j = 0; j < deg; ++j) {
+            if (j + kColorPrefetchDist < deg)
+              prefetch_color(c, vs[j + kColorPrefetchDist]);
+            const vid_t u = vs[j];
+            GCOL_COUNT(++local.edges_visited);
             if (visited.test_and_set(u)) continue;
-          } else {
-            if (u == wv) continue;
+            // Tie-break (Alg. 3 line 4): the larger id loses.
+            if (load_color(c, u) == cw && wv > u) {
+              conflicted = true;
+              break;
+            }
           }
-          // Tie-break (Alg. 3 line 4): the larger id loses.
-          if (load_color(c, u) == cw && wv > u) {
-            conflicted = true;
-            break;
-          }
+        } else {
+          const ClashScan scan = first_lower_clash(c, vs, wv, cw);
+          GCOL_COUNT(local.edges_visited += scan.visited);
+          conflicted = scan.clash;
         }
         if (conflicted) break;
       }

@@ -36,10 +36,7 @@ void sequential_cleanup(const Graph& g, color_t* c,
     for (const vid_t u : g.neighbors(w)) {
       const color_t cu = detail::load_color(c, u);
       if (cu != kNoColor) forbidden.insert(cu);
-      for (const vid_t x : g.neighbors(u)) {
-        const color_t cx = detail::load_color(c, x);
-        if (x != w && cx != kNoColor) forbidden.insert(cx);
-      }
+      detail::forbid_colors(c, g.neighbors(u), w, forbidden);
     }
     detail::store_color(c, w, detail::pick_up(forbidden, 0, probes));
   }
@@ -284,12 +281,9 @@ ColoringResult color_d2gc_sequential(const Graph& g,
       GCOL_COUNT(++stats.color_counters.edges_visited);
       const color_t cu = result.colors[static_cast<std::size_t>(u)];
       if (cu != kNoColor) forbidden.insert(cu);
-      for (const vid_t x : g.neighbors(u)) {
-        GCOL_COUNT(++stats.color_counters.edges_visited);
-        if (x == w) continue;
-        const color_t cx = result.colors[static_cast<std::size_t>(x)];
-        if (cx != kNoColor) forbidden.insert(cx);
-      }
+      const auto xs = g.neighbors(u);
+      GCOL_COUNT(stats.color_counters.edges_visited += xs.size());
+      detail::forbid_colors(result.colors.data(), xs, w, forbidden);
     }
     result.colors[static_cast<std::size_t>(w)] =
         detail::pick_up(forbidden, 0, probes);

@@ -10,7 +10,8 @@ namespace gcol::detail {
 
 namespace {
 
-// Same policy structure as bgpc_kernels.cpp. In the dedup (bitmap)
+// Same policy structure as bgpc_kernels.cpp (the stamped distance-2
+// walks go through the kernels_common.hpp seam). In the dedup (bitmap)
 // mode the visited set suppresses repeated color loads for vertices
 // reached through several shared neighbors, but a distance-1 neighbor's
 // adjacency list is always walked — its neighbors are the distance-2
@@ -49,20 +50,20 @@ void color_vertex_impl(const Graph& g, const std::vector<vid_t>& w,
           if (cu != kNoColor) f.insert(cu);  // distance-1 neighbor
         }
         const auto xs = g.neighbors(u);
-        const std::size_t deg = xs.size();
-        for (std::size_t j = 0; j < deg; ++j) {
-          // Distance-2 gather: random color loads; hint a few ahead.
-          if (j + kColorPrefetchDist < deg)
-            prefetch_color(c, xs[j + kColorPrefetchDist]);
-          const vid_t x = xs[j];
-          GCOL_COUNT(++local.edges_visited);
-          if constexpr (FS::kDedupNeighbors) {
+        GCOL_COUNT(local.edges_visited += xs.size());
+        if constexpr (FS::kDedupNeighbors) {
+          const std::size_t deg = xs.size();
+          for (std::size_t j = 0; j < deg; ++j) {
+            // Distance-2 gather: random color loads; hint a few ahead.
+            if (j + kColorPrefetchDist < deg)
+              prefetch_color(c, xs[j + kColorPrefetchDist]);
+            const vid_t x = xs[j];
             if (visited.test_and_set(x)) continue;  // also skips x == wv
-          } else {
-            if (x == wv) continue;
+            const color_t cx = load_color(c, x);
+            if (cx != kNoColor) f.insert(cx);  // distance-2 neighbor
           }
-          const color_t cx = load_color(c, x);
-          if (cx != kNoColor) f.insert(cx);  // distance-2 neighbor
+        } else {
+          forbid_colors(c, xs, wv, f);  // distance-2 neighbors
         }
       }
       const color_t col = pick_vertex_color<B>(st, f, wv, local.color_probes);
@@ -167,21 +168,23 @@ void conflict_vertex_impl(const Graph& g, const std::vector<vid_t>& w,
           break;
         }
         const auto xs = g.neighbors(u);
-        const std::size_t deg = xs.size();
-        for (std::size_t j = 0; j < deg; ++j) {
-          if (j + kColorPrefetchDist < deg)
-            prefetch_color(c, xs[j + kColorPrefetchDist]);
-          const vid_t x = xs[j];
-          GCOL_COUNT(++local.edges_visited);
-          if constexpr (FS::kDedupNeighbors) {
+        if constexpr (FS::kDedupNeighbors) {
+          const std::size_t deg = xs.size();
+          for (std::size_t j = 0; j < deg; ++j) {
+            if (j + kColorPrefetchDist < deg)
+              prefetch_color(c, xs[j + kColorPrefetchDist]);
+            const vid_t x = xs[j];
+            GCOL_COUNT(++local.edges_visited);
             if (visited.test_and_set(x)) continue;  // also skips x == wv
-          } else {
-            if (x == wv) continue;
+            if (load_color(c, x) == cw && wv > x) {  // distance-2 clash
+              conflicted = true;
+              break;
+            }
           }
-          if (load_color(c, x) == cw && wv > x) {  // distance-2 clash
-            conflicted = true;
-            break;
-          }
+        } else {
+          const ClashScan scan = first_lower_clash(c, xs, wv, cw);
+          GCOL_COUNT(local.edges_visited += scan.visited);
+          conflicted = scan.clash;
         }
         if (conflicted) break;
       }

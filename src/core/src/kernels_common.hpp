@@ -1,10 +1,14 @@
 // Internal helpers shared by the BGPC and D2GC kernel translation units:
 // relaxed atomic access to the shared color array (speculative phases
-// race on it by design) and the color-selection policies of Algorithms
-// 2 (first-fit), 8 (reverse first-fit), 11 (B1) and 12 (B2).
+// race on it by design), the distance-2 walk over one adjacency list
+// (scalar, or AVX-512 gather/scatter where GCOL_VECTOR_GATHER allows),
+// and the color-selection policies of Algorithms 2 (first-fit), 8
+// (reverse first-fit), 11 (B1) and 12 (B2).
 #pragma once
 
 #include <atomic>
+#include <bit>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -13,9 +17,14 @@
 #include "greedcolor/core/options.hpp"
 #include "greedcolor/util/counters.hpp"
 #include "greedcolor/util/marker_set.hpp"
+#include "greedcolor/util/simd.hpp"
 #include "greedcolor/util/types.hpp"
 
 #include "greedcolor/util/parallel.hpp"
+
+#if GCOL_VECTOR_GATHER
+#include <immintrin.h>
+#endif
 
 // Speculative-race audit hooks. GCOL_AUDIT builds route every color
 // load/store through the active AuditContext's per-thread ledgers (see
@@ -121,6 +130,144 @@ inline void prefetch_color(const color_t* c, vid_t v) {
 #endif
 }
 
+// --- The distance-2 walk over one adjacency list -------------------------
+//
+// Every stamped-policy vertex kernel (and the sequential baselines)
+// spends its time here: Θ(Σ|vtxs(v)|²) color loads and forbidden-set
+// inserts. Each helper has a scalar body (the reference, and the only
+// body in GCOL_AUDIT / GCOL_MC / TSan builds, which must see every
+// color access through load_color) and, under GCOL_VECTOR_GATHER, an
+// AVX-512 body that handles 16 entries per step and hands lists
+// shorter than 16 and the tail of longer ones to the scalar body. Both
+// produce the same set and the same counts (tests/test_color_seam.cpp).
+
+/// Scalar body of forbid_colors.
+inline void forbid_colors_scalar(color_t* c, const vid_t* ids, std::size_t n,
+                                 vid_t self, MarkerSet& f) {
+  for (std::size_t j = 0; j < n; ++j) {
+    // The distance-2 gather is the random-access hot spot: hint the
+    // color word a few entries ahead so the load below hits.
+    if (j + kColorPrefetchDist < n)
+      prefetch_color(c, ids[j + kColorPrefetchDist]);
+    const vid_t u = ids[j];
+    if (u == self) continue;
+    const color_t cu = load_color(c, u);
+    if (cu != kNoColor) f.insert(cu);
+  }
+}
+
+/// Outcome of a conflict scan over one list.
+struct ClashScan {
+  bool clash = false;
+  std::size_t visited = 0;  // entries examined, the clash entry included
+};
+
+/// Scalar body of first_lower_clash.
+inline ClashScan first_lower_clash_scalar(color_t* c, const vid_t* ids,
+                                          std::size_t n, vid_t w,
+                                          color_t cw) {
+  for (std::size_t j = 0; j < n; ++j) {
+    if (j + kColorPrefetchDist < n)
+      prefetch_color(c, ids[j + kColorPrefetchDist]);
+    const vid_t u = ids[j];
+    if (u == w) continue;
+    // Tie-break (Alg. 3 line 4): the larger id loses.
+    if (load_color(c, u) == cw && w > u) return {true, j + 1};
+  }
+  return {false, n};
+}
+
+#if GCOL_VECTOR_GATHER
+/// F's capacity in all 16 lanes, for an unsigned compare against
+/// colors. Colors are < 2^31, so the clamp keeps the compare exact.
+inline __m512i capacity_lanes(const MarkerSet& f) {
+  return _mm512_set1_epi32(static_cast<int>(
+      std::min<std::size_t>(f.capacity(), std::size_t{1} << 31)));
+}
+
+/// AVX-512 body of forbid_colors: vpgatherdd fetches 16 neighbor
+/// colors, one unmasked vpscatterdd stamps them into F. kNoColor lanes
+/// (-1) and the vertex's own lane land on F's sink slot (slots()[-1]),
+/// so no mask is needed. A block holding a color at or beyond F's
+/// capacity goes through the scalar body, whose insert grows F.
+inline void forbid_colors_vector(color_t* c, const vid_t* ids, std::size_t n,
+                                 vid_t self, MarkerSet& f) {
+  const __m512i self_v = _mm512_set1_epi32(self);
+  const __m512i sink_v = _mm512_set1_epi32(kNoColor);
+  const __m512i stamp_v = _mm512_set1_epi32(static_cast<int>(f.stamp()));
+  __m512i cap_v = capacity_lanes(f);
+  std::size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    const __m512i idx = _mm512_loadu_si512(ids + j);
+    // Full-mask form of vpgatherdd: the unmasked intrinsic's undefined
+    // pass-through trips GCC's -Wmaybe-uninitialized.
+    const __m512i col = _mm512_mask_i32gather_epi32(
+        _mm512_setzero_si512(), static_cast<__mmask16>(0xFFFF), idx, c, 4);
+    const __mmask16 own = _mm512_cmpeq_epi32_mask(idx, self_v);
+    const __mmask16 live = _mm512_mask_cmpneq_epi32_mask(
+        static_cast<__mmask16>(~own), col, sink_v);
+    if (_mm512_mask_cmpge_epu32_mask(live, col, cap_v) != 0) {
+      forbid_colors_scalar(c, ids + j, 16, self, f);
+      cap_v = capacity_lanes(f);
+      continue;
+    }
+    _mm512_i32scatter_epi32(f.slots(), _mm512_mask_mov_epi32(col, own, sink_v),
+                            stamp_v, 4);
+  }
+  forbid_colors_scalar(c, ids + j, n - j, self, f);
+}
+
+/// AVX-512 body of first_lower_clash: a masked vpgatherdd loads only
+/// the lanes with id < w and compares them with cw. Alg. 5's tie-break
+/// means a larger id can never make w lose, so those colors are never
+/// loaded; the first hit's lane gives the scalar loop's exact count.
+inline ClashScan first_lower_clash_vector(color_t* c, const vid_t* ids,
+                                          std::size_t n, vid_t w,
+                                          color_t cw) {
+  const __m512i w_v = _mm512_set1_epi32(w);
+  const __m512i cw_v = _mm512_set1_epi32(cw);
+  std::size_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    const __m512i idx = _mm512_loadu_si512(ids + j);
+    const __mmask16 lower = _mm512_cmplt_epi32_mask(idx, w_v);
+    const __m512i col =
+        _mm512_mask_i32gather_epi32(_mm512_setzero_si512(), lower, idx, c, 4);
+    const __mmask16 hit = _mm512_mask_cmpeq_epi32_mask(lower, col, cw_v);
+    if (hit != 0)
+      return {true, j + static_cast<std::size_t>(std::countr_zero(
+                            static_cast<unsigned>(hit))) +
+                        1};
+  }
+  ClashScan tail = first_lower_clash_scalar(c, ids + j, n - j, w, cw);
+  tail.visited += j;
+  return tail;
+}
+#endif
+
+/// Alg. 4's distance-2 gather over one list: insert into F the color of
+/// every ids[j] other than `self`, skipping uncolored ones. The caller
+/// counts ids.size() visited entries, as the scalar loop always did.
+inline void forbid_colors(color_t* c, std::span<const vid_t> ids, vid_t self,
+                          MarkerSet& f) {
+#if GCOL_VECTOR_GATHER
+  forbid_colors_vector(c, ids.data(), ids.size(), self, f);
+#else
+  forbid_colors_scalar(c, ids.data(), ids.size(), self, f);
+#endif
+}
+
+/// Alg. 5's distance-2 test over one list: does some ids[j] < w hold
+/// w's color cw? `visited` is the entry count the scalar loop adds to
+/// edges_visited: up to and including the clash, or the whole list.
+inline ClashScan first_lower_clash(color_t* c, std::span<const vid_t> ids,
+                                   vid_t w, color_t cw) {
+#if GCOL_VECTOR_GATHER
+  return first_lower_clash_vector(c, ids.data(), ids.size(), w, cw);
+#else
+  return first_lower_clash_scalar(c, ids.data(), ids.size(), w, cw);
+#endif
+}
+
 /// Smallest color >= start not in F (plain first-fit).
 inline color_t pick_up(const MarkerSet& f, color_t start,
                        std::uint64_t& probes) {
@@ -173,10 +320,12 @@ inline color_t pick_down(const TwoLevelBitMarkerSet& f, color_t start,
 /// and whether they deduplicate distance-2 neighbors through the
 /// workspace's visited set. The stamped policy is byte-for-byte the
 /// paper's behavior (no dedup — the Θ(Σ|vtxs(v)|²) walk is part of what
-/// the reproduction measures); the word-parallel policies dedup through
-/// the workspace's bit-packed visited set. kAdaptive is resolved to one
-/// of these per phase by the drivers (AdaptiveFsEngine) and never
-/// reaches the kernel templates.
+/// the reproduction measures), and its vertex kernels walk each list
+/// through forbid_colors / first_lower_clash; the word-parallel
+/// policies dedup through the workspace's bit-packed visited set, one
+/// entry at a time. kAdaptive is resolved to one of these per phase by
+/// the drivers (AdaptiveFsEngine) and never reaches the kernel
+/// templates.
 struct StampedPolicy {
   using Set = MarkerSet;
   static constexpr bool kDedupNeighbors = false;

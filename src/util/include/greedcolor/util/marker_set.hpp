@@ -27,18 +27,24 @@ namespace gcol {
 /// A set over a dense integer universe [0, capacity) supporting O(1)
 /// insert/contains and O(1) clear (stamp bump). Not thread-safe: each
 /// worker thread owns one instance for its forbidden-color bookkeeping.
+///
+/// The stamp array carries one extra slot in front of key 0: the sink
+/// the vectorized distance-2 walk (kernels_common.hpp) scatters its
+/// don't-care lanes into. Key k lives at slots()[k], the sink at
+/// slots()[-1], so a kNoColor lane needs no remapping. The sink is
+/// never read back.
 class MarkerSet {
  public:
   MarkerSet() = default;
 
-  explicit MarkerSet(std::size_t capacity) : marks_(capacity, 0) {}
+  explicit MarkerSet(std::size_t capacity) : marks_(capacity + 1, 0) {}
 
   /// Grow the universe; existing membership survives (marks keep stamps).
   void ensure_capacity(std::size_t capacity) {
-    if (marks_.size() < capacity) marks_.resize(capacity, 0);
+    if (marks_.size() < capacity + 1) marks_.resize(capacity + 1, 0);
   }
 
-  [[nodiscard]] std::size_t capacity() const { return marks_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return marks_.size() - 1; }
 
   /// Empty the set in O(1) by invalidating all current stamps.
   void clear() {
@@ -54,25 +60,32 @@ class MarkerSet {
   /// speculative race can never write out of bounds.
   void insert(std::int64_t key) {
     assert(key >= 0);
-    if (static_cast<std::size_t>(key) >= marks_.size()) grow(key);
-    marks_[static_cast<std::size_t>(key)] = stamp_;
+    if (static_cast<std::size_t>(key) >= capacity()) grow(key);
+    slots()[key] = stamp_;
   }
 
   [[nodiscard]] bool contains(std::int64_t key) const {
     assert(key >= 0);
-    if (static_cast<std::size_t>(key) >= marks_.size()) return false;
-    return marks_[static_cast<std::size_t>(key)] == stamp_;
+    if (static_cast<std::size_t>(key) >= capacity()) return false;
+    return marks_[static_cast<std::size_t>(key) + 1] == stamp_;
   }
 
   /// Insert; returns true iff the key was already present (fused
   /// contains+insert, the duplicate test of the net-based kernels).
   bool test_and_set(std::int64_t key) {
     assert(key >= 0);
-    if (static_cast<std::size_t>(key) >= marks_.size()) grow(key);
-    const bool present = marks_[static_cast<std::size_t>(key)] == stamp_;
-    marks_[static_cast<std::size_t>(key)] = stamp_;
+    if (static_cast<std::size_t>(key) >= capacity()) grow(key);
+    std::uint32_t& mark = slots()[key];
+    const bool present = mark == stamp_;
+    mark = stamp_;
     return present;
   }
+
+  /// Raw stamp slots for the vectorized walk: writing stamp() to
+  /// slots()[k] for k < capacity() inserts k; slots()[-1] is the sink.
+  /// Invalidated by any growth.
+  [[nodiscard]] std::uint32_t* slots() { return marks_.data() + 1; }
+  [[nodiscard]] std::uint32_t stamp() const { return stamp_; }
 
   /// Test-only hook: force the stamp near its wraparound point so the
   /// lazy-reset path in clear() is exercised without 2^32 rounds.
@@ -81,11 +94,12 @@ class MarkerSet {
  private:
   void grow(std::int64_t key) {
     marks_.resize(std::max(static_cast<std::size_t>(key) + 1,
-                           marks_.size() * 2),
+                           capacity() * 2) +
+                      1,
                   0);
   }
 
-  std::vector<std::uint32_t> marks_;
+  std::vector<std::uint32_t> marks_ = std::vector<std::uint32_t>(1, 0);
   std::uint32_t stamp_ = 1;  // marks_ filled with 0 => initially empty
 };
 

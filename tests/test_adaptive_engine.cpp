@@ -88,6 +88,18 @@ TEST(AdaptiveFsEngine, ShippedNetBandIsEmpty) {
   EXPECT_EQ(e.color_kind(true, 1000, 1000), FS::kStamped);
 }
 
+TEST(AdaptiveFsEngine, ShippedVertexBandFollowsTheBuild) {
+  // The vectorized stamped walk beats the bitmap on every kernel row,
+  // so vector-gather builds ship an empty vertex band; scalar builds
+  // keep the measured L <= 256 band.
+  EXPECT_EQ(adaptive_fs_thresholds().vertex_bitmap_max_l,
+            kVectorGather ? 0 : 256);
+  AdaptiveFsEngine e(FS::kAdaptive, 20);
+  e.observe_round(19);  // small L, mostly colored: the bitmap's home turf
+  EXPECT_EQ(e.color_kind(false, 100, 1000),
+            kVectorGather ? FS::kStamped : FS::kBitmap);
+}
+
 TEST(AdaptiveFsEngine, ObserveRoundReplacesStructuralEstimateOnce) {
   AdaptiveFsEngine e(FS::kAdaptive, 5000, test_thresholds());
   EXPECT_EQ(e.running_bound(), 5000);
@@ -151,7 +163,8 @@ TEST(AdaptiveFsEngine, BgpcAdaptiveMixesRepresentationsWithinARun) {
   // vertex round with a high colored fraction and a small color bound
   // — the engine must have switched it to the bitmap while round 1
   // stayed stamped: the mixed-representation-per-round path the policy
-  // template dispatches.
+  // template dispatches. Where the stamped walk is vectorized the
+  // shipped vertex band is empty, and the same run must stay stamped.
   const BipartiteGraph g =
       build_bipartite(gen_clique_union(1500, 520, 2, 40, 1.6, 42));
   ColoringOptions opt = bgpc_preset("N1-N2");
@@ -167,8 +180,13 @@ TEST(AdaptiveFsEngine, BgpcAdaptiveMixesRepresentationsWithinARun) {
   for (const auto& it : r.iterations)
     saw_bitmap = saw_bitmap ||
                  it.color_forbidden_set == ForbiddenSetKind::kBitmap;
-  EXPECT_TRUE(saw_bitmap)
-      << "later vertex rounds should have switched off stamped";
+  if constexpr (kVectorGather) {
+    EXPECT_FALSE(saw_bitmap)
+        << "the vertex bitmap band is empty on vector-gather builds";
+  } else {
+    EXPECT_TRUE(saw_bitmap)
+        << "later vertex rounds should have switched off stamped";
+  }
 }
 
 TEST(AdaptiveFsEngine, FixedModeStatsRecordTheFixedKind) {

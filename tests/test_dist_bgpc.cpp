@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -240,6 +241,18 @@ struct FaultCase {
 
 using ChaosParam = std::tuple<DistOptions::TransportKind, FaultCase>;
 
+const char* transport_tag(DistOptions::TransportKind kind) {
+  return kind == DistOptions::TransportKind::kMailbox ? "mailbox" : "socket";
+}
+
+// Without this, gtest prints the parameter as raw object bytes (the
+// FaultCase's string pointers among them), and the ctest names change
+// with every build.
+void PrintTo(const ChaosParam& p, std::ostream* os) {
+  *os << "(" << transport_tag(std::get<0>(p)) << ", " << std::get<1>(p).name
+      << ")";
+}
+
 class DistFaultMatrix : public ::testing::TestWithParam<ChaosParam> {};
 
 TEST_P(DistFaultMatrix, SurvivesWithoutSequentialFallback) {
@@ -300,10 +313,7 @@ INSTANTIATE_TEST_SUITE_P(
             FaultCase{"partition3", "seed=7,part=1,part-start=1,part-steps=3",
                       true})),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param) ==
-                                 DistOptions::TransportKind::kMailbox
-                             ? "mailbox_"
-                             : "socket_") +
+      return std::string(transport_tag(std::get<0>(info.param))) + "_" +
              std::get<1>(info.param).name;
     });
 

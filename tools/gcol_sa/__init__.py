@@ -28,6 +28,6 @@ to this package with the same flags and exit codes.
 """
 
 # Bump to invalidate every cached per-file analysis result.
-ENGINE_VERSION = "gcol-sa-2"
+ENGINE_VERSION = "gcol-sa-3"
 
 __version__ = "1.1.0"

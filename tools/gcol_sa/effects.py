@@ -56,6 +56,21 @@ KNOWN_BENIGN = {
     "assert", "abort", "exit", "terminate", "unreachable",
 }
 
+# AVX-512 intrinsics of the distance-2 color-access seam
+# (kernels_common.hpp: forbid_colors_vector / first_lower_clash_vector).
+# Each compiles to one instruction — a register op, a plain vector load,
+# a gather (loads of the color array), or a scatter (stores into the
+# calling thread's own MarkerSet) — with no allocation, no blocking and
+# no hidden callee. Listed by exact name: any other intrinsic is still
+# an unknown call and still widens the summary.
+SEAM_SIMD_INTRINSICS = {
+    "_mm512_set1_epi32", "_mm512_setzero_si512", "_mm512_loadu_si512",
+    "_mm512_mask_mov_epi32", "_mm512_cmpeq_epi32_mask",
+    "_mm512_cmplt_epi32_mask", "_mm512_mask_cmpeq_epi32_mask",
+    "_mm512_mask_cmpneq_epi32_mask", "_mm512_mask_cmpge_epu32_mask",
+    "_mm512_mask_i32gather_epi32", "_mm512_i32scatter_epi32",
+}
+
 COLOR_SEAM_FUNCS = {"load_color", "store_color", "exchange_uncolor",
                     "prefetch_color"}
 
@@ -142,7 +157,9 @@ def compute_summaries(facts) -> dict:
             if name in COLOR_SEAM_FUNCS:
                 s.set("touches_color_seam",
                       f"calls `{name}` at {rel}:{call['line']}")
-            elif name not in KNOWN_BENIGN and not name.startswith("GCOL") \
+            elif name not in KNOWN_BENIGN \
+                    and name not in SEAM_SIMD_INTRINSICS \
+                    and not name.startswith("GCOL") \
                     and not name.startswith("__builtin"):
                 s.set("calls_unknown",
                       f"calls `{name}` (no definition in the program, not "

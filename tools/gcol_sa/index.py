@@ -40,6 +40,55 @@ _MACRO_ID = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 
 _ERROR_MAPPERS = ("to_string", "is_input_error")
 
+# SIMD intrinsics that touch memory through one argument: name ->
+# (index of the address argument, writes?). The facts treat such a call
+# as an access to that argument's base identifier, so a scatter through
+# an aliasing parameter is a write site and a gather of the color array
+# is a color-array site (R012), exactly as `p[i] = x` and `c[i]` are.
+SIMD_MEMORY_ARGS = {
+    "_mm512_loadu_si512": (0, False),
+    "_mm512_mask_i32gather_epi32": (3, False),
+    "_mm512_i32scatter_epi32": (0, True),
+}
+
+_CASTS = ("static_cast", "reinterpret_cast", "const_cast")
+
+
+def _call_arg_base(toks, lparen: int, index: int) -> str | None:
+    """Base identifier of the `index`-th top-level argument of the call
+    whose `(` is at `lparen` (casts skipped), or None."""
+    from .parser import skip_balanced
+    close = skip_balanced(toks, lparen)
+    arg = 0
+    k = lparen + 1
+    while k < close - 1:
+        v = toks[k].val
+        if v in ("(", "[", "{"):
+            if arg == index:
+                k += 1   # look inside a parenthesized/cast operand
+                continue
+            k = skip_balanced(toks, k)
+            continue
+        if v == ",":
+            arg += 1
+        elif arg == index and toks[k].kind == "id":
+            if v in _CASTS and k + 1 < close and toks[k + 1].val == "<":
+                depth = 0
+                while k < close:   # skip the template argument list
+                    if toks[k].val == "<":
+                        depth += 1
+                    elif toks[k].val == ">":
+                        depth -= 1
+                        if depth == 0:
+                            break
+                    k += 1
+            else:
+                return v
+        elif arg > index:
+            return None
+        k += 1
+    return None
+
 
 class GateError(Exception):
     """The gate itself cannot do its job (exit 2, never exit 1)."""
@@ -179,7 +228,7 @@ def _function_facts(fa: FileAnalysis) -> list[FuncFact]:
     n = len(toks)
     out = []
     for func, _tree in fa.func_trees():
-        calls, allocs, colors = [], [], []
+        calls, allocs, colors, simd_accesses = [], [], [], []
         for i in range(func.lbrace + 1, min(func.rbrace - 1, n)):
             t = toks[i]
             if t.kind != "id":
@@ -220,8 +269,24 @@ def _function_facts(fa: FileAnalysis) -> list[FuncFact]:
             if t.val in ("c", "colors") and nxt == "[" \
                     and t.line not in fa.atomic_ref_lines:
                 colors.append(t.line)
+            if t.val in SIMD_MEMORY_ARGS and nxt == "(":
+                at, writes_mem = SIMD_MEMORY_ARGS[t.val]
+                base = _call_arg_base(toks, i + 1, at)
+                if base is not None:
+                    simd_accesses.append((t.line, base, writes_mem))
+                    if base in ("c", "colors"):
+                        colors.append(t.line)
         params = param_table(toks, func)
         writes, reads_shared, seen_writes = [], False, set()
+        for line, base, writes_mem in simd_accesses:
+            if params.get(base) not in ALIASING_KINDS:
+                continue
+            if not writes_mem:
+                reads_shared = True
+            elif (line, base) not in seen_writes:
+                seen_writes.add((line, base))
+                writes.append({"line": line, "base": base, "idx": [],
+                               "counted": False})
         for acc in scan_accesses(toks, func.lbrace + 1,
                                  min(func.rbrace - 1, n)):
             kind = params.get(acc.name)
