@@ -13,7 +13,6 @@
 int main(int argc, char** argv) {
   using namespace gcol;
   const ArgParser args(argc, argv);
-  const ForbiddenSetKind fset = bench::forbidden_set_from_args(args);
   const auto datasets = args.has("datasets")
                             ? std::vector<std::string>{args.get_string(
                                   "datasets", "")}
@@ -22,7 +21,6 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(args.get_int("reps", 3));
 
   bench::SweepConfig banner;
-  banner.forbidden_set = fset;
   banner.datasets = datasets;
   banner.threads = {threads};
   banner.reps = reps;
@@ -37,7 +35,6 @@ int main(int argc, char** argv) {
     for (const std::string algo : {"V-N2", "N1-N2", "N2-N2", "ADAPTIVE"}) {
       ColoringOptions opt = bgpc_preset(algo);
       opt.num_threads = threads;
-      opt.forbidden_set = fset;
       const auto rec = bench::run_bgpc_once(g, name, opt, {}, reps, true);
       t.add_row({name, algo, TextTable::fmt(rec.seconds * 1e3) +
                                  (rec.valid ? "" : "!"),

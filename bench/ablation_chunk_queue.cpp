@@ -14,7 +14,6 @@
 int main(int argc, char** argv) {
   using namespace gcol;
   const ArgParser args(argc, argv);
-  const ForbiddenSetKind fset = bench::forbidden_set_from_args(args);
   const auto datasets =
       args.has("datasets")
           ? std::vector<std::string>{args.get_string("datasets", "")}
@@ -25,7 +24,6 @@ int main(int argc, char** argv) {
       "chunks", {1, 16, 64, 256, 1024});
 
   bench::SweepConfig banner;
-  banner.forbidden_set = fset;
   banner.datasets = datasets;
   banner.threads = {threads};
   banner.reps = reps;
@@ -49,7 +47,6 @@ int main(int argc, char** argv) {
         opt.chunk_size = chunk;
         opt.queue = queue;
         opt.num_threads = threads;
-        opt.forbidden_set = fset;
         const auto rec = bench::run_bgpc_once(g, name, opt, {}, reps, true);
         row.push_back(TextTable::fmt(rec.seconds * 1e3) +
                       (rec.valid ? "" : "!"));

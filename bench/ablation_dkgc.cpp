@@ -19,7 +19,6 @@
 int main(int argc, char** argv) {
   using namespace gcol;
   const ArgParser args(argc, argv);
-  const ForbiddenSetKind fset = bench::forbidden_set_from_args(args);
   const int threads = static_cast<int>(args.get_int("threads", 16));
   const int kmax = static_cast<int>(args.get_int("kmax", 4));
 
@@ -50,7 +49,6 @@ int main(int argc, char** argv) {
 
       ColoringOptions opt = bgpc_preset("N1-N2");
       opt.num_threads = threads;
-      opt.forbidden_set = fset;
       timer.reset();
       const auto par = color_dkgc(inst.graph, k, opt);
       const double par_ms = timer.milliseconds();

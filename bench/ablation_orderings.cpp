@@ -13,7 +13,6 @@
 int main(int argc, char** argv) {
   using namespace gcol;
   const ArgParser args(argc, argv);
-  const ForbiddenSetKind fset = bench::forbidden_set_from_args(args);
   const auto datasets =
       args.has("datasets")
           ? std::vector<std::string>{args.get_string("datasets", "")}
@@ -22,7 +21,6 @@ int main(int argc, char** argv) {
   const int threads = static_cast<int>(args.get_int("threads", 16));
 
   bench::SweepConfig banner;
-  banner.forbidden_set = fset;
   banner.datasets = datasets;
   banner.threads = {threads};
   bench::print_banner("Ablation: orderings vs colors and cost", banner);
@@ -46,7 +44,6 @@ int main(int argc, char** argv) {
       const auto seq = color_bgpc_sequential(g, order);
       ColoringOptions opt = bgpc_preset("N1-N2");
       opt.num_threads = threads;
-      opt.forbidden_set = fset;
       const auto par = color_bgpc(g, opt, order);
       const bool ok = is_valid_bgpc(g, par.colors);
       t.add_row({to_string(kind), TextTable::fmt(order_ms),

@@ -14,7 +14,6 @@
 int main(int argc, char** argv) {
   using namespace gcol;
   const ArgParser args(argc, argv);
-  const ForbiddenSetKind fset = bench::forbidden_set_from_args(args);
   const auto datasets =
       args.has("datasets")
           ? std::vector<std::string>{args.get_string("datasets", "")}
@@ -23,7 +22,6 @@ int main(int argc, char** argv) {
   const int threads = static_cast<int>(args.get_int("threads", 16));
 
   bench::SweepConfig banner;
-  banner.forbidden_set = fset;
   banner.datasets = datasets;
   banner.threads = {threads};
   bench::print_banner("Ablation: iterated-greedy recoloring", banner);
@@ -38,7 +36,6 @@ int main(int argc, char** argv) {
     for (const std::string algo : {"V-V-64D", "V-N2", "N1-N2", "N2-N2"}) {
       ColoringOptions opt = bgpc_preset(algo);
       opt.num_threads = threads;
-      opt.forbidden_set = fset;
       auto r = color_bgpc(g, opt);
       if (!is_valid_bgpc(g, r.colors)) {
         std::cerr << "invalid base coloring for " << algo << "\n";

@@ -19,7 +19,6 @@
 int main(int argc, char** argv) {
   using namespace gcol;
   const ArgParser args(argc, argv);
-  const ForbiddenSetKind fset = bench::forbidden_set_from_args(args);
   const auto datasets =
       args.has("datasets")
           ? std::vector<std::string>{args.get_string("datasets", "")}
@@ -30,7 +29,6 @@ int main(int argc, char** argv) {
       args.get_int_list("cores", {2, 8, 16, 64, 256});
 
   bench::SweepConfig banner;
-  banner.forbidden_set = fset;
   banner.datasets = datasets;
   banner.threads = {threads};
   bench::print_banner(
@@ -48,7 +46,6 @@ int main(int argc, char** argv) {
                               BalancePolicy::kB2}) {
       ColoringOptions opt = bgpc_preset("N1-N2");
       opt.num_threads = threads;
-      opt.forbidden_set = fset;
       opt.balance = policy;
       const auto r = color_bgpc(g, opt);
       if (!is_valid_bgpc(g, r.colors)) {

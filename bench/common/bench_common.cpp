@@ -75,7 +75,6 @@ std::vector<SweepRecord> run_bgpc_sweep(const SweepConfig& config) {
         ColoringOptions opt = bgpc_preset(algo);
         opt.num_threads = t;
         opt.balance = config.balance;
-        opt.forbidden_set = config.forbidden_set;
         records.push_back(
             run_bgpc_once(g, name, opt, order, config.reps, config.verify));
       }
@@ -115,18 +114,12 @@ std::vector<SweepRecord> run_d2gc_sweep(const SweepConfig& config) {
         ColoringOptions opt = d2gc_preset(algo);
         opt.num_threads = t;
         opt.balance = config.balance;
-        opt.forbidden_set = config.forbidden_set;
         records.push_back(
             run_d2gc_once(g, name, opt, order, config.reps, config.verify));
       }
     }
   }
   return records;
-}
-
-ForbiddenSetKind forbidden_set_from_args(const ArgParser& args) {
-  return forbidden_set_from_string(
-      args.get_string("forbidden-set", "stamped"));
 }
 
 double geomean(const std::vector<double>& values) {
@@ -149,7 +142,6 @@ const SweepRecord& find(const std::vector<SweepRecord>& records,
 void print_banner(const std::string& title, const SweepConfig& config) {
   std::cout << "=== " << title << " ===\n" << env_banner() << "\n";
   std::cout << "order=" << to_string(config.order)
-            << " fset=" << to_string(config.forbidden_set)
             << " reps=" << config.reps << " threads=";
   for (std::size_t i = 0; i < config.threads.size(); ++i)
     std::cout << (i ? "," : "") << config.threads[i];

@@ -37,10 +37,6 @@ struct SweepConfig {
   std::vector<int> threads = {2, 4, 8, 16};
   OrderingKind order = OrderingKind::kNatural;
   BalancePolicy balance = BalancePolicy::kNone;
-  /// Reproduction harnesses default to the paper's stamped arrays so
-  /// the measured shapes stay comparable to the published tables; pass
-  /// --forbidden-set bitmap to re-run them with the fast kernels.
-  ForbiddenSetKind forbidden_set = ForbiddenSetKind::kStamped;
   int reps = 1;       ///< wall time is the minimum over reps
   bool verify = true; ///< run the O(|E|) checker on every coloring
 };
@@ -70,10 +66,6 @@ SweepRecord run_d2gc_once(const Graph& g, const std::string& dataset,
 SweepRecord run_d2gc_sequential(const Graph& g, const std::string& dataset,
                                 const std::vector<vid_t>& order, int reps);
 std::vector<SweepRecord> run_d2gc_sweep(const SweepConfig& config);
-
-/// Read the shared `--forbidden-set stamped|bitmap` harness switch
-/// (default stamped — the paper-faithful mode the tables assume).
-ForbiddenSetKind forbidden_set_from_args(const ArgParser& args);
 
 /// Geometric mean (the aggregation used by Tables III-V).
 double geomean(const std::vector<double>& values);

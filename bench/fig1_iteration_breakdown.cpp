@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
   bench::SweepConfig config;
   config.datasets = {dataset};
   config.threads = {threads};
-  config.forbidden_set = bench::forbidden_set_from_args(args);
   bench::print_banner("Figure 1: per-iteration phase times", config);
 
   const std::vector<std::string> algos = {"V-V-64D", "V-Ninf", "V-N1",
@@ -44,7 +43,6 @@ int main(int argc, char** argv) {
   for (const auto& algo : algos) {
     ColoringOptions opt = bgpc_preset(algo);
     opt.num_threads = threads;
-    opt.forbidden_set = config.forbidden_set;
     const auto r = color_bgpc(g, opt);
     for (const auto& it : r.iterations) {
       if (it.round > max_rounds_shown) break;

@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
   config.algos = bgpc_preset_names();
   config.threads = args.get_int_list("threads", {2, 4, 8, 16});
   config.reps = static_cast<int>(args.get_int("reps", 1));
-  config.forbidden_set = bench::forbidden_set_from_args(args);
   const std::string csv_path = args.get_string("csv", "fig2_bgpc_sweep.csv");
 
   bench::print_banner("Figure 2: BGPC time & colors, all algorithms",

@@ -16,14 +16,12 @@
 int main(int argc, char** argv) {
   using namespace gcol;
   const ArgParser args(argc, argv);
-  const ForbiddenSetKind fset = bench::forbidden_set_from_args(args);
   const std::string dataset = args.get_string("dataset", "copapers_s");
   const int threads = static_cast<int>(args.get_int("threads", 16));
   const std::string csv_path =
       args.get_string("csv", "fig3_balance_distribution.csv");
 
   bench::SweepConfig banner_cfg;
-  banner_cfg.forbidden_set = fset;
   banner_cfg.datasets = {dataset};
   banner_cfg.threads = {threads};
   bench::print_banner("Figure 3: color-set cardinality distributions",
@@ -42,7 +40,6 @@ int main(int argc, char** argv) {
          {BalancePolicy::kNone, BalancePolicy::kB1, BalancePolicy::kB2}) {
       ColoringOptions opt = bgpc_preset(algo);
       opt.num_threads = threads;
-      opt.forbidden_set = fset;
       opt.balance = policy;
       const auto r = color_bgpc(g, opt);
       if (!is_valid_bgpc(g, r.colors))

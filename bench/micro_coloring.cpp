@@ -55,12 +55,10 @@ void BM_Bgpc_Sequential(benchmark::State& state) {
 }
 BENCHMARK(BM_Bgpc_Sequential) GCOL_BENCH_STABLE;
 
-void BM_Bgpc_Preset(benchmark::State& state, const char* name, int threads,
-                    ForbiddenSetKind fset = ForbiddenSetKind::kStamped) {
+void BM_Bgpc_Preset(benchmark::State& state, const char* name, int threads) {
   const auto& g = bench_graph();
   ColoringOptions opt = bgpc_preset(name);
   opt.num_threads = threads;
-  opt.forbidden_set = fset;
   opt.collect_iteration_stats = false;
   for (auto _ : state) {
     auto r = color_bgpc(g, opt);
@@ -74,28 +72,6 @@ BENCHMARK_CAPTURE(BM_Bgpc_Preset, N1N2_t1, "N1-N2", 1) GCOL_BENCH_STABLE;
 BENCHMARK_CAPTURE(BM_Bgpc_Preset, N2N2_t1, "N2-N2", 1) GCOL_BENCH_STABLE;
 BENCHMARK_CAPTURE(BM_Bgpc_Preset, VN2_t4, "V-N2", 4) GCOL_BENCH_STABLE;
 BENCHMARK_CAPTURE(BM_Bgpc_Preset, N1N2_t4, "N1-N2", 4) GCOL_BENCH_STABLE;
-// Same kernels with the word-parallel forbidden sets: the _bitmap /
-// _twolevel rows against their stamped twins above are the wall-clock
-// side of the probe-count reduction tracked in BENCH_kernels.json, and
-// the _adaptive rows time the per-phase engine's choices.
-BENCHMARK_CAPTURE(BM_Bgpc_Preset, VV_t1_bitmap, "V-V", 1,
-                  ForbiddenSetKind::kBitmap) GCOL_BENCH_STABLE;
-BENCHMARK_CAPTURE(BM_Bgpc_Preset, VV64D_t1_bitmap, "V-V-64D", 1,
-                  ForbiddenSetKind::kBitmap) GCOL_BENCH_STABLE;
-BENCHMARK_CAPTURE(BM_Bgpc_Preset, N1N2_t1_bitmap, "N1-N2", 1,
-                  ForbiddenSetKind::kBitmap) GCOL_BENCH_STABLE;
-BENCHMARK_CAPTURE(BM_Bgpc_Preset, VN2_t4_bitmap, "V-N2", 4,
-                  ForbiddenSetKind::kBitmap) GCOL_BENCH_STABLE;
-BENCHMARK_CAPTURE(BM_Bgpc_Preset, N1N2_t4_bitmap, "N1-N2", 4,
-                  ForbiddenSetKind::kBitmap) GCOL_BENCH_STABLE;
-BENCHMARK_CAPTURE(BM_Bgpc_Preset, N1N2_t1_twolevel, "N1-N2", 1,
-                  ForbiddenSetKind::kTwoLevel) GCOL_BENCH_STABLE;
-BENCHMARK_CAPTURE(BM_Bgpc_Preset, VV_t1_adaptive, "V-V", 1,
-                  ForbiddenSetKind::kAdaptive) GCOL_BENCH_STABLE;
-BENCHMARK_CAPTURE(BM_Bgpc_Preset, VN2_t4_adaptive, "V-N2", 4,
-                  ForbiddenSetKind::kAdaptive) GCOL_BENCH_STABLE;
-BENCHMARK_CAPTURE(BM_Bgpc_Preset, N1N2_t4_adaptive, "N1-N2", 4,
-                  ForbiddenSetKind::kAdaptive) GCOL_BENCH_STABLE;
 
 void BM_Bgpc_Balance(benchmark::State& state, BalancePolicy policy) {
   const auto& g = bench_graph();
@@ -115,12 +91,10 @@ GCOL_BENCH_STABLE;
 BENCHMARK_CAPTURE(BM_Bgpc_Balance, B2, BalancePolicy::kB2)
 GCOL_BENCH_STABLE;
 
-void BM_D2gc_Preset(benchmark::State& state, const char* name,
-                    ForbiddenSetKind fset = ForbiddenSetKind::kStamped) {
+void BM_D2gc_Preset(benchmark::State& state, const char* name) {
   const auto& g = bench_unigraph();
   ColoringOptions opt = d2gc_preset(name);
   opt.num_threads = 1;
-  opt.forbidden_set = fset;
   opt.collect_iteration_stats = false;
   for (auto _ : state) {
     auto r = color_d2gc(g, opt);
@@ -129,14 +103,6 @@ void BM_D2gc_Preset(benchmark::State& state, const char* name,
 }
 BENCHMARK_CAPTURE(BM_D2gc_Preset, VV64D, "V-V-64D") GCOL_BENCH_STABLE;
 BENCHMARK_CAPTURE(BM_D2gc_Preset, N1N2, "N1-N2") GCOL_BENCH_STABLE;
-BENCHMARK_CAPTURE(BM_D2gc_Preset, VV64D_bitmap, "V-V-64D",
-                  ForbiddenSetKind::kBitmap) GCOL_BENCH_STABLE;
-BENCHMARK_CAPTURE(BM_D2gc_Preset, N1N2_bitmap, "N1-N2",
-                  ForbiddenSetKind::kBitmap) GCOL_BENCH_STABLE;
-BENCHMARK_CAPTURE(BM_D2gc_Preset, VV64D_adaptive, "V-V-64D",
-                  ForbiddenSetKind::kAdaptive) GCOL_BENCH_STABLE;
-BENCHMARK_CAPTURE(BM_D2gc_Preset, N1N2_adaptive, "N1-N2",
-                  ForbiddenSetKind::kAdaptive) GCOL_BENCH_STABLE;
 
 void BM_Verify_Bgpc(benchmark::State& state) {
   const auto& g = bench_graph();

@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(args.get_int("reps", 3));
   config.threads = {threads};
   config.reps = reps;
-  config.forbidden_set = bench::forbidden_set_from_args(args);
   bench::print_banner("Table I: |W_next| after the first iteration",
                       config);
 
@@ -39,7 +38,6 @@ int main(int argc, char** argv) {
       opt.net_v1 = v1;
       opt.net_v1_reverse = v1_reverse;
       opt.num_threads = threads;
-      opt.forbidden_set = config.forbidden_set;
       std::size_t worst = 0;
       for (int rep = 0; rep < reps; ++rep) {
         const auto r = color_bgpc(g, opt);

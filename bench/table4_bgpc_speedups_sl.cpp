@@ -23,7 +23,6 @@ int main(int argc, char** argv) {
   config.threads = args.get_int_list("threads", {2, 4, 8, 16});
   config.order = OrderingKind::kSmallestLast;
   config.reps = static_cast<int>(args.get_int("reps", 1));
-  config.forbidden_set = bench::forbidden_set_from_args(args);
   bench::print_bgpc_speedup_table(
       config, "Table IV: BGPC speedups, smallest-last order");
   std::cout

@@ -22,7 +22,6 @@ int main(int argc, char** argv) {
   config.algos = d2gc_preset_names();  // V-V-64D, V-N1, V-N2, N1-N2
   config.threads = args.get_int_list("threads", {2, 4, 8, 16});
   config.reps = static_cast<int>(args.get_int("reps", 3));
-  config.forbidden_set = bench::forbidden_set_from_args(args);
   bench::print_banner("Table V: D2GC speedups, natural order", config);
 
   const auto records = bench::run_d2gc_sweep(config);

@@ -20,7 +20,6 @@
 int main(int argc, char** argv) {
   using namespace gcol;
   const ArgParser args(argc, argv);
-  const ForbiddenSetKind fset = bench::forbidden_set_from_args(args);
   const auto datasets = args.has("datasets")
                             ? std::vector<std::string>{args.get_string(
                                   "datasets", "")}
@@ -29,7 +28,6 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(args.get_int("reps", 3));
 
   bench::SweepConfig banner_cfg;
-  banner_cfg.forbidden_set = fset;
   banner_cfg.datasets = datasets;
   banner_cfg.threads = {threads};
   banner_cfg.reps = reps;
@@ -45,7 +43,6 @@ int main(int argc, char** argv) {
                      BalancePolicy policy) {
     ColoringOptions opt = bgpc_preset(algo);
     opt.num_threads = threads;
-    opt.forbidden_set = fset;
     opt.balance = policy;
     Outcome best;
     best.seconds = 1e300;
@@ -67,7 +64,6 @@ int main(int argc, char** argv) {
   auto measure_lu = [&](const BipartiteGraph& g, const std::string& algo) {
     ColoringOptions opt = bgpc_preset(algo);
     opt.num_threads = threads;
-    opt.forbidden_set = fset;
     Outcome best;
     best.seconds = 1e300;
     for (int rep = 0; rep < reps; ++rep) {

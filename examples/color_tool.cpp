@@ -72,20 +72,16 @@ void print_report(const gcol::ColoringResult& result,
             << " faults_injected=" << result.faults_injected << "\n";
   TextTable t;
   t.set_header({"round", "|W|", "conflicts", "color ms", "conflict ms",
-                "kernels", "fset"},
+                "kernels"},
                {TextTable::Align::kRight});
   for (const auto& it : result.iterations) {
     std::string kernels = it.net_based_coloring ? "N-" : "V-";
     kernels += it.net_based_conflict ? "N" : "V";
-    // The concrete representation each phase ran with (the adaptive
-    // engine's per-round choice; fixed modes show the same pair).
-    const std::string fsets = gcol::to_string(it.color_forbidden_set) + "/" +
-                              gcol::to_string(it.conflict_forbidden_set);
     t.add_row({TextTable::fmt(static_cast<std::int64_t>(it.round)),
                TextTable::fmt(static_cast<std::int64_t>(it.queue_size)),
                TextTable::fmt(static_cast<std::int64_t>(it.conflicts)),
                TextTable::fmt(it.color_seconds * 1e3),
-               TextTable::fmt(it.conflict_seconds * 1e3), kernels, fsets});
+               TextTable::fmt(it.conflict_seconds * 1e3), kernels});
   }
   std::cout << t.to_string();
 }
@@ -109,10 +105,6 @@ static int run(int argc, char** argv) {
            "                       smallest-last smallest-last-relaxed\n"
            "                       incidence-degree\n"
            "  --balance U|B1|B2    balancing heuristic (default U)\n"
-           "  --forbidden-set stamped|bitmap|twolevel|adaptive\n"
-           "                       forbidden-set representation (default\n"
-           "                       adaptive = per-phase choice; stamped = "
-           "paper-exact)\n"
            "  --locality none|sort|full  cache-locality pre-pass "
            "(default none)\n"
            "  --threads N          0 = OpenMP default\n"
@@ -194,8 +186,6 @@ static int run(int argc, char** argv) {
     have_fault_plan = true;
     std::cout << "fault plan       " << fault_plan.to_spec() << "\n";
   }
-  const ForbiddenSetKind forbidden_set =
-      forbidden_set_from_string(args.get_string("forbidden-set", "adaptive"));
   const LocalityMode locality =
       locality_from_string(args.get_string("locality", "none"));
   // Speculative-race auditor (--audit): checks the partial coloring
@@ -236,7 +226,6 @@ static int run(int argc, char** argv) {
     rep.set_option("algo", algo_name);
     rep.set_option("order", args.get_string("order", "natural"));
     rep.set_option("balance", balance);
-    rep.set_option("forbidden_set", to_string(forbidden_set));
     rep.set_option("locality", to_string(locality));
     rep.set_option("threads", threads);
     if (have_fault_plan) rep.set_option("fault_plan", fault_plan.to_spec());
@@ -306,11 +295,8 @@ static int run(int argc, char** argv) {
     if (have_fault_plan) options.fault_plan = &fault_plan;
     if (want_audit) options.auditor = &audit_ctx;
     if (want_obs) options.tracer = &tracer;
-    options.forbidden_set = forbidden_set;
     options.locality = locality;
-    std::cout << "kernel mode      " << to_string(options.forbidden_set)
-              << " forbidden set, locality " << to_string(options.locality)
-              << "\n";
+    std::cout << "locality         " << to_string(options.locality) << "\n";
   };
 
   if (problem == "bgpc" || problem == "dist") {

@@ -348,7 +348,7 @@ void McContext::end_round(const BipartiteGraph& g, const color_t* c,
                                    "next work queue"});
   }
 
-  // 3. First-fit / forbidden-set consistency.
+  // 3. First-fit / forbidden set consistency.
   check_color_bound(c, n, static_cast<color_t>(bgpc_color_bound(g) + 2));
 }
 
@@ -399,7 +399,7 @@ void McContext::end_round(const Graph& g, const color_t* c,
                                    "next work queue"});
   }
 
-  // 3. First-fit / forbidden-set consistency.
+  // 3. First-fit / forbidden set consistency.
   check_color_bound(c, n, static_cast<color_t>(d2gc_color_bound(g) + 2));
 }
 

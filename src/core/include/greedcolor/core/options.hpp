@@ -38,14 +38,6 @@ enum class BalancePolicy {
   kB2,    ///< Alg. 12: rotating cursor col_next, aggressive balancing
 };
 
-/// Forbidden-set representation used by the coloring kernels.
-enum class ForbiddenSetKind {
-  kStamped,   ///< the paper's stamped plain arrays (one probe per color)
-  kBitmap,    ///< word-parallel BitMarkerSet (first-fit via bit scans)
-  kTwoLevel,  ///< two-level bitmap: summary word skips full 64-word blocks
-  kAdaptive,  ///< per-phase choice among the above (see core/adaptive.hpp)
-};
-
 /// Optional pre-pass that reorders the graph for cache locality before
 /// coloring; colors are mapped back through the inverse permutation, so
 /// the caller-visible result is always in original vertex ids.
@@ -57,13 +49,7 @@ enum class LocalityMode {
 
 [[nodiscard]] std::string to_string(QueuePolicy q);
 [[nodiscard]] std::string to_string(BalancePolicy b);
-[[nodiscard]] std::string to_string(ForbiddenSetKind f);
 [[nodiscard]] std::string to_string(LocalityMode m);
-
-/// Parse "stamped" / "bitmap" / "twolevel" / "adaptive"; throws
-/// std::invalid_argument otherwise.
-[[nodiscard]] ForbiddenSetKind forbidden_set_from_string(
-    const std::string& name);
 
 /// Parse "none" / "sort" / "full"; throws std::invalid_argument otherwise.
 [[nodiscard]] LocalityMode locality_from_string(const std::string& name);
@@ -90,13 +76,6 @@ struct ColoringOptions {
   QueuePolicy queue = QueuePolicy::kShared;
 
   BalancePolicy balance = BalancePolicy::kNone;
-
-  /// Forbidden-set representation. kAdaptive (the default) lets the
-  /// drivers pick the representation per phase and round from the
-  /// colored fraction and the running color bound — it matches or beats
-  /// both fixed modes on every BENCH_kernels.json row. The reproduction
-  /// benches pin kStamped to stay paper-faithful.
-  ForbiddenSetKind forbidden_set = ForbiddenSetKind::kAdaptive;
 
   /// Opt-in locality reordering pre-pass (see LocalityMode).
   LocalityMode locality = LocalityMode::kNone;

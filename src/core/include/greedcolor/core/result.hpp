@@ -19,10 +19,6 @@ struct IterationStats {
   double conflict_seconds = 0.0; ///< wall time of the removal phase
   bool net_based_coloring = false;
   bool net_based_conflict = false;
-  /// Concrete representation each phase actually ran with (kAdaptive is
-  /// resolved per phase by the engine; fixed modes pass through).
-  ForbiddenSetKind color_forbidden_set = ForbiddenSetKind::kStamped;
-  ForbiddenSetKind conflict_forbidden_set = ForbiddenSetKind::kStamped;
   KernelCounters color_counters;
   KernelCounters conflict_counters;
 };

@@ -9,7 +9,6 @@
 #include "bgpc_kernels.hpp"
 #include "greedcolor/analyze/audit.hpp"
 #include "greedcolor/check/mc.hpp"
-#include "greedcolor/core/adaptive.hpp"
 #include "greedcolor/obs/trace.hpp"
 #include "greedcolor/order/locality.hpp"
 #include "greedcolor/robust/fault.hpp"
@@ -88,21 +87,10 @@ ColoringResult color_bgpc(const BipartiteGraph& g,
   audit::AuditScope audit_scope(options.auditor, threads);
   const auto marker_cap =
       static_cast<std::size_t>(bgpc_color_bound(g)) + 2;
-  // Any non-stamped mode may run a dedup (visited-set) kernel; adaptive
-  // can pick one mid-run, so it pre-sizes the dedup universe too.
-  const bool dedup = options.forbidden_set != ForbiddenSetKind::kStamped;
   std::vector<ThreadWorkspace> workspaces(
       static_cast<std::size_t>(threads));
   for (auto& ws : workspaces)
-    ws.prepare(marker_cap, static_cast<std::size_t>(g.max_net_degree()),
-               dedup ? static_cast<std::size_t>(n) : 0);
-
-  // Resolves kAdaptive to a concrete representation per phase and
-  // round; a fixed requested kind passes through unchanged. Seeded with
-  // the max net degree: the net kernels' reverse-first-fit never starts
-  // above it, so it is the round-1 color-bound estimate.
-  AdaptiveFsEngine fs_engine(options.forbidden_set,
-                             static_cast<color_t>(g.max_net_degree()));
+    ws.prepare(marker_cap, static_cast<std::size_t>(g.max_net_degree()));
 
   ColoringResult result;
   // Raw buffer + static parallel fill: the same threads that will color
@@ -138,9 +126,6 @@ ColoringResult color_bgpc(const BipartiteGraph& g,
   std::vector<vid_t> wnext;
   int round = 0;
   int net_color_uses = 0;
-  bool fs_traced = false;
-  ForbiddenSetKind last_color_fs = ForbiddenSetKind::kStamped;
-  ForbiddenSetKind last_conflict_fs = ForbiddenSetKind::kStamped;
   while (!w.empty()) {
     ++round;
     GCOL_TRACE_BEGIN(tracer, "bgpc.round", static_cast<std::uint64_t>(round));
@@ -171,22 +156,6 @@ ColoringResult color_bgpc(const BipartiteGraph& g,
     stats.queue_size = w.size();
     stats.net_based_coloring = net_color;
     stats.net_based_conflict = net_conflict;
-    const ForbiddenSetKind color_fs =
-        fs_engine.color_kind(net_color, w.size(), nsz);
-    const ForbiddenSetKind conflict_fs = fs_engine.conflict_kind(net_conflict);
-    stats.color_forbidden_set = color_fs;
-    stats.conflict_forbidden_set = conflict_fs;
-    // Forbidden-set switches (incl. the first resolution): arg is the
-    // ForbiddenSetKind the adaptive engine picked for the phase.
-    if (!fs_traced || color_fs != last_color_fs)
-      GCOL_TRACE_EVENT(tracer, "bgpc.fs.color",
-                       static_cast<std::uint64_t>(color_fs));
-    if (!fs_traced || conflict_fs != last_conflict_fs)
-      GCOL_TRACE_EVENT(tracer, "bgpc.fs.conflict",
-                       static_cast<std::uint64_t>(conflict_fs));
-    fs_traced = true;
-    last_color_fs = color_fs;
-    last_conflict_fs = conflict_fs;
 
     WallTimer phase;
     GCOL_TRACE_BEGIN(tracer, "bgpc.color",
@@ -194,31 +163,28 @@ ColoringResult color_bgpc(const BipartiteGraph& g,
     if (net_color) {
       if (options.net_v1)
         detail::bgpc_color_net_v1(g, c, workspaces, options.net_v1_reverse,
-                                  color_fs, options.chunk_size,
-                                  threads, stats.color_counters);
+                                  options.chunk_size, threads,
+                                  stats.color_counters);
       else
         detail::bgpc_color_net(g, c, workspaces, options.balance,
-                               color_fs, options.chunk_size,
-                               threads, stats.color_counters);
+                               options.chunk_size, threads,
+                               stats.color_counters);
     } else {
       detail::bgpc_color_vertex(g, w, c, workspaces, options.balance,
-                                color_fs, options.chunk_size,
-                                threads, stats.color_counters);
+                                options.chunk_size, threads,
+                                stats.color_counters);
     }
     GCOL_TRACE_END(tracer, "bgpc.color");
     stats.color_seconds = phase.seconds();
-    fs_engine.observe_round(stats.color_counters.max_color);
 
     phase.reset();
     GCOL_TRACE_BEGIN(tracer, "bgpc.conflict",
                      static_cast<std::uint64_t>(w.size()));
     if (net_conflict) {
-      detail::bgpc_conflict_net(g, c, workspaces, conflict_fs,
-                                options.chunk_size, threads, wnext,
-                                stats.conflict_counters);
+      detail::bgpc_conflict_net(g, c, workspaces, options.chunk_size,
+                                threads, wnext, stats.conflict_counters);
     } else {
-      detail::bgpc_conflict_vertex(g, w, c, workspaces, options.queue,
-                                   conflict_fs, options.chunk_size,
+      detail::bgpc_conflict_vertex(g, w, c, options.queue, options.chunk_size,
                                    threads, wnext, stats.conflict_counters);
     }
     GCOL_TRACE_END(tracer, "bgpc.conflict");
@@ -293,12 +259,7 @@ ColoringResult color_bgpc_sequential(const BipartiteGraph& g,
 
   ColoringResult result;
   result.colors.assign(static_cast<std::size_t>(n), kNoColor);
-  // Sequential path draws its scratch from a ThreadWorkspace like the
-  // parallel kernels (lint R007: no direct marker-set construction in
-  // the BGPC/D2GC layer).
-  ThreadWorkspace scratch;
-  scratch.prepare(static_cast<std::size_t>(bgpc_color_bound(g)) + 2, 0);
-  MarkerSet& forbidden = scratch.forbidden;
+  MarkerSet forbidden(static_cast<std::size_t>(bgpc_color_bound(g)) + 2);
 
   WallTimer total;
   IterationStats stats;

@@ -9,16 +9,12 @@ namespace gcol::detail {
 
 namespace {
 
-// Every kernel is instantiated over the balance policy (compile-time
-// branch in the color pick) and the ForbiddenSet policy FS (stamped =
-// paper-faithful probe loops with the distance-2 walk going through
-// the forbid_colors / first_lower_clash seam, bitmap = word-parallel
-// scans + visited-set neighbor dedup). `edges_visited` keeps its "one per adjacency entry"
-// meaning in every mode — dedup skips the color load and marker work,
-// not the traversal count — so the counter-pinning tests and the
-// cross-mode comparisons in BENCH_kernels.json stay apples-to-apples.
+// The coloring kernels are instantiated over the balance policy
+// (compile-time branch in the color pick). Every kernel marks into the
+// thread's stamped MarkerSet; the vertex kernels walk each distance-2
+// list through the forbid_colors / first_lower_clash seam.
 
-template <BalancePolicy B, class FS>
+template <BalancePolicy B>
 void color_vertex_impl(const BipartiteGraph& g, const std::vector<vid_t>& w,
                        color_t* c, std::vector<ThreadWorkspace>& ws,
                        int chunk, int threads, KernelCounters& counters) {
@@ -30,40 +26,21 @@ void color_vertex_impl(const BipartiteGraph& g, const std::vector<vid_t>& w,
     const int tid = current_thread();
     GCOL_MC_REGION();
     ThreadWorkspace& tws = ws[static_cast<std::size_t>(tid)];
-    typename FS::Set& f = FS::forbidden(tws);
-    [[maybe_unused]] BitMarkerSet& visited = FS::visited(tws);
+    MarkerSet& f = tws.forbidden;
     PolicyState st;
     KernelCounters local;
 #pragma omp for schedule(dynamic, chunk) nowait
     for (std::int64_t i = 0; i < n; ++i) {
       const vid_t wv = w[static_cast<std::size_t>(i)];
       f.clear();
-      if constexpr (FS::kDedupNeighbors) {
-        visited.clear();
-        visited.insert(wv);
-      }
       for (const vid_t v : g.nets(wv)) {
         const auto vs = g.vtxs(v);
         GCOL_COUNT(local.edges_visited += vs.size());
-        if constexpr (FS::kDedupNeighbors) {
-          const std::size_t deg = vs.size();
-          for (std::size_t j = 0; j < deg; ++j) {
-            if (j + kColorPrefetchDist < deg)
-              prefetch_color(c, vs[j + kColorPrefetchDist]);
-            const vid_t u = vs[j];
-            // Each distance-2 neighbor contributes one color no matter
-            // how many nets it shares with wv.
-            if (visited.test_and_set(u)) continue;
-            const color_t cu = load_color(c, u);
-            if (cu != kNoColor) f.insert(cu);
-          }
-        } else {
-          forbid_colors(c, vs, wv, f);
-        }
+        forbid_colors(c, vs, wv, f);
       }
       const color_t col = pick_vertex_color<B>(st, f, wv, local.color_probes);
       store_color(c, wv, col);
-      local.max_color = std::max(local.max_color, col);
+      GCOL_COUNT(local.max_color = std::max(local.max_color, col));
       GCOL_COUNT(++local.colored);
     }
     slots.publish(tid, local);
@@ -71,7 +48,7 @@ void color_vertex_impl(const BipartiteGraph& g, const std::vector<vid_t>& w,
   slots.merge_into(counters);
 }
 
-template <BalancePolicy B, class FS>
+template <BalancePolicy B>
 void color_net_impl(const BipartiteGraph& g, color_t* c,
                     std::vector<ThreadWorkspace>& ws, int chunk, int threads,
                     KernelCounters& counters) {
@@ -83,7 +60,7 @@ void color_net_impl(const BipartiteGraph& g, color_t* c,
     const int tid = current_thread();
     GCOL_MC_REGION();
     ThreadWorkspace& tws = ws[static_cast<std::size_t>(tid)];
-    typename FS::Set& f = FS::forbidden(tws);
+    MarkerSet& f = tws.forbidden;
     std::vector<vid_t>& wlocal = tws.local_queue;
     PolicyState st;
     KernelCounters local;
@@ -114,7 +91,6 @@ void color_net_impl(const BipartiteGraph& g, color_t* c,
   slots.merge_into(counters);
 }
 
-template <class FS>
 void color_net_v1_impl(const BipartiteGraph& g, color_t* c,
                        std::vector<ThreadWorkspace>& ws, bool reverse,
                        int chunk, int threads, KernelCounters& counters) {
@@ -126,7 +102,7 @@ void color_net_v1_impl(const BipartiteGraph& g, color_t* c,
     const int tid = current_thread();
     GCOL_MC_REGION();
     ThreadWorkspace& tws = ws[static_cast<std::size_t>(tid)];
-    typename FS::Set& f = FS::forbidden(tws);
+    MarkerSet& f = tws.forbidden;
     KernelCounters local;
 #pragma omp for schedule(dynamic, chunk) nowait
     for (std::int64_t vi = 0; vi < nn; ++vi) {
@@ -151,7 +127,7 @@ void color_net_v1_impl(const BipartiteGraph& g, color_t* c,
           }
           cu = col;
           store_color(c, u, cu);
-          local.max_color = std::max(local.max_color, cu);
+          GCOL_COUNT(local.max_color = std::max(local.max_color, cu));
           GCOL_COUNT(++local.colored);
         }
         f.insert(cu);
@@ -162,11 +138,9 @@ void color_net_v1_impl(const BipartiteGraph& g, color_t* c,
   slots.merge_into(counters);
 }
 
-template <class FS>
 void conflict_vertex_impl(const BipartiteGraph& g, const std::vector<vid_t>& w,
-                          color_t* c, std::vector<ThreadWorkspace>& ws,
-                          QueuePolicy queue, int chunk, int threads,
-                          std::vector<vid_t>& wnext,
+                          color_t* c, QueuePolicy queue, int chunk,
+                          int threads, std::vector<vid_t>& wnext,
                           KernelCounters& counters) {
   const auto n = static_cast<std::int64_t>(w.size());
   SharedWorkQueue shared;
@@ -179,45 +153,22 @@ void conflict_vertex_impl(const BipartiteGraph& g, const std::vector<vid_t>& w,
 
   CounterSlots slots(threads);
 #pragma omp parallel num_threads(threads) default(none) \
-    shared(g, w, c, ws, slots, shared, lazy) \
+    shared(g, w, c, slots, shared, lazy) \
     firstprivate(chunk, n, use_shared)
   {
     const int tid = current_thread();
     GCOL_MC_REGION();
-    [[maybe_unused]] BitMarkerSet& visited =
-        FS::visited(ws[static_cast<std::size_t>(tid)]);
     KernelCounters local;
 #pragma omp for schedule(dynamic, chunk) nowait
     for (std::int64_t i = 0; i < n; ++i) {
       const vid_t wv = w[static_cast<std::size_t>(i)];
       const color_t cw = load_color(c, wv);
       if (cw == kNoColor) continue;  // already uncolored by a peer race
-      if constexpr (FS::kDedupNeighbors) {
-        visited.clear();
-        visited.insert(wv);
-      }
       bool conflicted = false;
       for (const vid_t v : g.nets(wv)) {
-        const auto vs = g.vtxs(v);
-        if constexpr (FS::kDedupNeighbors) {
-          const std::size_t deg = vs.size();
-          for (std::size_t j = 0; j < deg; ++j) {
-            if (j + kColorPrefetchDist < deg)
-              prefetch_color(c, vs[j + kColorPrefetchDist]);
-            const vid_t u = vs[j];
-            GCOL_COUNT(++local.edges_visited);
-            if (visited.test_and_set(u)) continue;
-            // Tie-break (Alg. 3 line 4): the larger id loses.
-            if (load_color(c, u) == cw && wv > u) {
-              conflicted = true;
-              break;
-            }
-          }
-        } else {
-          const ClashScan scan = first_lower_clash(c, vs, wv, cw);
-          GCOL_COUNT(local.edges_visited += scan.visited);
-          conflicted = scan.clash;
-        }
+        const ClashScan scan = first_lower_clash(c, g.vtxs(v), wv, cw);
+        GCOL_COUNT(local.edges_visited += scan.visited);
+        conflicted = scan.clash;
         if (conflicted) break;
       }
       if (conflicted) {
@@ -238,7 +189,6 @@ void conflict_vertex_impl(const BipartiteGraph& g, const std::vector<vid_t>& w,
     lazy.merge_into(wnext);
 }
 
-template <class FS>
 void conflict_net_impl(const BipartiteGraph& g, color_t* c,
                        std::vector<ThreadWorkspace>& ws, int chunk,
                        int threads, std::vector<vid_t>& wnext,
@@ -253,7 +203,7 @@ void conflict_net_impl(const BipartiteGraph& g, color_t* c,
     const int tid = current_thread();
     GCOL_MC_REGION();
     ThreadWorkspace& tws = ws[static_cast<std::size_t>(tid)];
-    typename FS::Set& f = FS::forbidden(tws);
+    MarkerSet& f = tws.forbidden;
     KernelCounters local;
 #pragma omp for schedule(dynamic, chunk) nowait
     for (std::int64_t vi = 0; vi < nn; ++vi) {
@@ -288,59 +238,40 @@ void conflict_net_impl(const BipartiteGraph& g, color_t* c,
 
 void bgpc_color_vertex(const BipartiteGraph& g, const std::vector<vid_t>& w,
                        color_t* c, std::vector<ThreadWorkspace>& ws,
-                       BalancePolicy balance, ForbiddenSetKind fset,
-                       int chunk, int threads, KernelCounters& counters) {
-  with_forbidden_set(fset, [&](auto fs) {
-    using FS = decltype(fs);
-    with_balance(balance, [&](auto b) {
-      color_vertex_impl<decltype(b)::value, FS>(g, w, c, ws, chunk, threads,
-                                                counters);
-    });
+                       BalancePolicy balance, int chunk, int threads,
+                       KernelCounters& counters) {
+  with_balance(balance, [&](auto b) {
+    color_vertex_impl<decltype(b)::value>(g, w, c, ws, chunk, threads,
+                                          counters);
   });
 }
 
 void bgpc_color_net(const BipartiteGraph& g, color_t* c,
                     std::vector<ThreadWorkspace>& ws, BalancePolicy balance,
-                    ForbiddenSetKind fset, int chunk, int threads,
-                    KernelCounters& counters) {
-  with_forbidden_set(fset, [&](auto fs) {
-    using FS = decltype(fs);
-    with_balance(balance, [&](auto b) {
-      color_net_impl<decltype(b)::value, FS>(g, c, ws, chunk, threads,
-                                             counters);
-    });
+                    int chunk, int threads, KernelCounters& counters) {
+  with_balance(balance, [&](auto b) {
+    color_net_impl<decltype(b)::value>(g, c, ws, chunk, threads, counters);
   });
 }
 
 void bgpc_color_net_v1(const BipartiteGraph& g, color_t* c,
                        std::vector<ThreadWorkspace>& ws, bool reverse,
-                       ForbiddenSetKind fset, int chunk, int threads,
-                       KernelCounters& counters) {
-  with_forbidden_set(fset, [&](auto fs) {
-    color_net_v1_impl<decltype(fs)>(g, c, ws, reverse, chunk, threads,
-                                    counters);
-  });
+                       int chunk, int threads, KernelCounters& counters) {
+  color_net_v1_impl(g, c, ws, reverse, chunk, threads, counters);
 }
 
 void bgpc_conflict_vertex(const BipartiteGraph& g, const std::vector<vid_t>& w,
-                          color_t* c, std::vector<ThreadWorkspace>& ws,
-                          QueuePolicy queue, ForbiddenSetKind fset, int chunk,
+                          color_t* c, QueuePolicy queue, int chunk,
                           int threads, std::vector<vid_t>& wnext,
                           KernelCounters& counters) {
-  with_forbidden_set(fset, [&](auto fs) {
-    conflict_vertex_impl<decltype(fs)>(g, w, c, ws, queue, chunk, threads,
-                                       wnext, counters);
-  });
+  conflict_vertex_impl(g, w, c, queue, chunk, threads, wnext, counters);
 }
 
 void bgpc_conflict_net(const BipartiteGraph& g, color_t* c,
-                       std::vector<ThreadWorkspace>& ws, ForbiddenSetKind fset,
-                       int chunk, int threads, std::vector<vid_t>& wnext,
+                       std::vector<ThreadWorkspace>& ws, int chunk,
+                       int threads, std::vector<vid_t>& wnext,
                        KernelCounters& counters) {
-  with_forbidden_set(fset, [&](auto fs) {
-    conflict_net_impl<decltype(fs)>(g, c, ws, chunk, threads, wnext,
-                                    counters);
-  });
+  conflict_net_impl(g, c, ws, chunk, threads, wnext, counters);
 }
 
 }  // namespace gcol::detail

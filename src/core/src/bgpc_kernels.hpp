@@ -1,8 +1,7 @@
 // Internal BGPC phase kernels (Algorithms 4-8). The public entry point
 // is color_bgpc() in greedcolor/core/bgpc.hpp; the Table I harness
-// reaches Alg. 6 via ColoringOptions::net_v1. Every kernel takes the
-// ForbiddenSetKind selecting the stamped (paper-faithful) or bitmap
-// (word-parallel, neighbor-deduplicating) forbidden-set policy.
+// reaches Alg. 6 via ColoringOptions::net_v1. Each thread's forbidden
+// set is the stamped MarkerSet in its ThreadWorkspace.
 #pragma once
 
 #include <vector>
@@ -18,29 +17,26 @@ namespace gcol::detail {
 /// Alg. 4 + policy: vertex-based optimistic coloring of every w in W.
 void bgpc_color_vertex(const BipartiteGraph& g, const std::vector<vid_t>& w,
                        color_t* c, std::vector<ThreadWorkspace>& ws,
-                       BalancePolicy balance, ForbiddenSetKind fset,
-                       int chunk, int threads, KernelCounters& counters);
+                       BalancePolicy balance, int chunk, int threads,
+                       KernelCounters& counters);
 
 /// Alg. 8 + policy: two-pass net-based coloring; colors every vertex
 /// that is uncolored or locally duplicated, across all nets.
 void bgpc_color_net(const BipartiteGraph& g, color_t* c,
                     std::vector<ThreadWorkspace>& ws, BalancePolicy balance,
-                    ForbiddenSetKind fset, int chunk, int threads,
-                    KernelCounters& counters);
+                    int chunk, int threads, KernelCounters& counters);
 
 /// Alg. 6 (most-optimistic single-pass net coloring), first-fit or
 /// reverse first-fit ("Alg. 6 + reverse" of Table I).
 void bgpc_color_net_v1(const BipartiteGraph& g, color_t* c,
                        std::vector<ThreadWorkspace>& ws, bool reverse,
-                       ForbiddenSetKind fset, int chunk, int threads,
-                       KernelCounters& counters);
+                       int chunk, int threads, KernelCounters& counters);
 
 /// Alg. 5: vertex-based conflict removal over W. Conflicting vertices
 /// (ties broken toward the larger id) are uncolored and collected into
 /// `wnext` through the selected queue strategy.
 void bgpc_conflict_vertex(const BipartiteGraph& g, const std::vector<vid_t>& w,
-                          color_t* c, std::vector<ThreadWorkspace>& ws,
-                          QueuePolicy queue, ForbiddenSetKind fset, int chunk,
+                          color_t* c, QueuePolicy queue, int chunk,
                           int threads, std::vector<vid_t>& wnext,
                           KernelCounters& counters);
 
@@ -48,8 +44,8 @@ void bgpc_conflict_vertex(const BipartiteGraph& g, const std::vector<vid_t>& w,
 /// vertices are deduplicated via an atomic exchange and collected
 /// lazily.
 void bgpc_conflict_net(const BipartiteGraph& g, color_t* c,
-                       std::vector<ThreadWorkspace>& ws, ForbiddenSetKind fset,
-                       int chunk, int threads, std::vector<vid_t>& wnext,
+                       std::vector<ThreadWorkspace>& ws, int chunk,
+                       int threads, std::vector<vid_t>& wnext,
                        KernelCounters& counters);
 
 }  // namespace gcol::detail

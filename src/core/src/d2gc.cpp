@@ -9,7 +9,6 @@
 #include "d2gc_kernels.hpp"
 #include "greedcolor/analyze/audit.hpp"
 #include "greedcolor/check/mc.hpp"
-#include "greedcolor/core/adaptive.hpp"
 #include "greedcolor/obs/trace.hpp"
 #include "greedcolor/order/locality.hpp"
 #include "greedcolor/robust/fault.hpp"
@@ -86,18 +85,10 @@ ColoringResult color_d2gc(const Graph& g, const ColoringOptions& options,
   // Speculative-race auditor; see bgpc.cpp.
   audit::AuditScope audit_scope(options.auditor, threads);
   const auto marker_cap = static_cast<std::size_t>(d2gc_color_bound(g)) + 2;
-  // See bgpc.cpp: every non-stamped mode pre-sizes the dedup universe.
-  const bool dedup = options.forbidden_set != ForbiddenSetKind::kStamped;
   std::vector<ThreadWorkspace> workspaces(
       static_cast<std::size_t>(threads));
   for (auto& ws : workspaces)
-    ws.prepare(marker_cap, static_cast<std::size_t>(g.max_degree()) + 1,
-               dedup ? static_cast<std::size_t>(n) : 0);
-
-  // Per-phase representation choice; seeded with the net kernel's
-  // reverse-first-fit origin bound (|nbor(v)| + the middle vertex).
-  AdaptiveFsEngine fs_engine(options.forbidden_set,
-                             static_cast<color_t>(g.max_degree()) + 1);
+    ws.prepare(marker_cap, static_cast<std::size_t>(g.max_degree()) + 1);
 
   ColoringResult result;
   // First-touch init; see bgpc.cpp.
@@ -125,9 +116,6 @@ ColoringResult color_d2gc(const Graph& g, const ColoringOptions& options,
   std::vector<vid_t> wnext;
   int round = 0;
   int net_color_uses = 0;
-  bool fs_traced = false;
-  ForbiddenSetKind last_color_fs = ForbiddenSetKind::kStamped;
-  ForbiddenSetKind last_conflict_fs = ForbiddenSetKind::kStamped;
   while (!w.empty()) {
     ++round;
     GCOL_TRACE_BEGIN(tracer, "d2gc.round", static_cast<std::uint64_t>(round));
@@ -156,47 +144,29 @@ ColoringResult color_d2gc(const Graph& g, const ColoringOptions& options,
     stats.queue_size = w.size();
     stats.net_based_coloring = net_color;
     stats.net_based_conflict = net_conflict;
-    const ForbiddenSetKind color_fs =
-        fs_engine.color_kind(net_color, w.size(), nsz);
-    const ForbiddenSetKind conflict_fs = fs_engine.conflict_kind(net_conflict);
-    stats.color_forbidden_set = color_fs;
-    stats.conflict_forbidden_set = conflict_fs;
-    // Forbidden-set switches; see bgpc.cpp.
-    if (!fs_traced || color_fs != last_color_fs)
-      GCOL_TRACE_EVENT(tracer, "d2gc.fs.color",
-                       static_cast<std::uint64_t>(color_fs));
-    if (!fs_traced || conflict_fs != last_conflict_fs)
-      GCOL_TRACE_EVENT(tracer, "d2gc.fs.conflict",
-                       static_cast<std::uint64_t>(conflict_fs));
-    fs_traced = true;
-    last_color_fs = color_fs;
-    last_conflict_fs = conflict_fs;
 
     WallTimer phase;
     GCOL_TRACE_BEGIN(tracer, "d2gc.color",
                      static_cast<std::uint64_t>(w.size()));
     if (net_color)
       detail::d2gc_color_net(g, c, workspaces, options.balance,
-                             color_fs, options.chunk_size,
-                             threads, stats.color_counters);
+                             options.chunk_size, threads,
+                             stats.color_counters);
     else
       detail::d2gc_color_vertex(g, w, c, workspaces, options.balance,
-                                color_fs, options.chunk_size,
-                                threads, stats.color_counters);
+                                options.chunk_size, threads,
+                                stats.color_counters);
     GCOL_TRACE_END(tracer, "d2gc.color");
     stats.color_seconds = phase.seconds();
-    fs_engine.observe_round(stats.color_counters.max_color);
 
     phase.reset();
     GCOL_TRACE_BEGIN(tracer, "d2gc.conflict",
                      static_cast<std::uint64_t>(w.size()));
     if (net_conflict)
-      detail::d2gc_conflict_net(g, c, workspaces, conflict_fs,
-                                options.chunk_size, threads, wnext,
-                                stats.conflict_counters);
+      detail::d2gc_conflict_net(g, c, workspaces, options.chunk_size,
+                                threads, wnext, stats.conflict_counters);
     else
-      detail::d2gc_conflict_vertex(g, w, c, workspaces, options.queue,
-                                   conflict_fs, options.chunk_size,
+      detail::d2gc_conflict_vertex(g, w, c, options.queue, options.chunk_size,
                                    threads, wnext, stats.conflict_counters);
     GCOL_TRACE_END(tracer, "d2gc.conflict");
     stats.conflict_seconds = phase.seconds();
@@ -264,10 +234,7 @@ ColoringResult color_d2gc_sequential(const Graph& g,
 
   ColoringResult result;
   result.colors.assign(static_cast<std::size_t>(n), kNoColor);
-  // Scratch through a ThreadWorkspace (lint R007); see bgpc.cpp.
-  ThreadWorkspace scratch;
-  scratch.prepare(static_cast<std::size_t>(d2gc_color_bound(g)) + 2, 0);
-  MarkerSet& forbidden = scratch.forbidden;
+  MarkerSet forbidden(static_cast<std::size_t>(d2gc_color_bound(g)) + 2);
 
   WallTimer total;
   IterationStats stats;

@@ -10,14 +10,12 @@ namespace gcol::detail {
 
 namespace {
 
-// Same policy structure as bgpc_kernels.cpp (the stamped distance-2
-// walks go through the kernels_common.hpp seam). In the dedup (bitmap)
-// mode the visited set suppresses repeated color loads for vertices
-// reached through several shared neighbors, but a distance-1 neighbor's
-// adjacency list is always walked — its neighbors are the distance-2
-// sources — and `edges_visited` keeps counting every adjacency entry.
+// Same structure as bgpc_kernels.cpp: the coloring kernels are
+// instantiated over the balance policy, and the vertex kernels walk
+// each distance-1 neighbor's adjacency list (the distance-2 sources)
+// through the kernels_common.hpp seam.
 
-template <BalancePolicy B, class FS>
+template <BalancePolicy B>
 void color_vertex_impl(const Graph& g, const std::vector<vid_t>& w,
                        color_t* c, std::vector<ThreadWorkspace>& ws,
                        int chunk, int threads, KernelCounters& counters) {
@@ -29,46 +27,24 @@ void color_vertex_impl(const Graph& g, const std::vector<vid_t>& w,
     const int tid = current_thread();
     GCOL_MC_REGION();
     ThreadWorkspace& tws = ws[static_cast<std::size_t>(tid)];
-    typename FS::Set& f = FS::forbidden(tws);
-    [[maybe_unused]] BitMarkerSet& visited = FS::visited(tws);
+    MarkerSet& f = tws.forbidden;
     PolicyState st;
     KernelCounters local;
 #pragma omp for schedule(dynamic, chunk) nowait
     for (std::int64_t i = 0; i < n; ++i) {
       const vid_t wv = w[static_cast<std::size_t>(i)];
       f.clear();
-      if constexpr (FS::kDedupNeighbors) {
-        visited.clear();
-        visited.insert(wv);
-      }
       for (const vid_t u : g.neighbors(wv)) {
         GCOL_COUNT(++local.edges_visited);
-        bool mark_u = true;
-        if constexpr (FS::kDedupNeighbors) mark_u = !visited.test_and_set(u);
-        if (mark_u) {
-          const color_t cu = load_color(c, u);
-          if (cu != kNoColor) f.insert(cu);  // distance-1 neighbor
-        }
+        const color_t cu = load_color(c, u);
+        if (cu != kNoColor) f.insert(cu);  // distance-1 neighbor
         const auto xs = g.neighbors(u);
         GCOL_COUNT(local.edges_visited += xs.size());
-        if constexpr (FS::kDedupNeighbors) {
-          const std::size_t deg = xs.size();
-          for (std::size_t j = 0; j < deg; ++j) {
-            // Distance-2 gather: random color loads; hint a few ahead.
-            if (j + kColorPrefetchDist < deg)
-              prefetch_color(c, xs[j + kColorPrefetchDist]);
-            const vid_t x = xs[j];
-            if (visited.test_and_set(x)) continue;  // also skips x == wv
-            const color_t cx = load_color(c, x);
-            if (cx != kNoColor) f.insert(cx);  // distance-2 neighbor
-          }
-        } else {
-          forbid_colors(c, xs, wv, f);  // distance-2 neighbors
-        }
+        forbid_colors(c, xs, wv, f);  // distance-2 neighbors
       }
       const color_t col = pick_vertex_color<B>(st, f, wv, local.color_probes);
       store_color(c, wv, col);
-      local.max_color = std::max(local.max_color, col);
+      GCOL_COUNT(local.max_color = std::max(local.max_color, col));
       GCOL_COUNT(++local.colored);
     }
     slots.publish(tid, local);
@@ -76,7 +52,7 @@ void color_vertex_impl(const Graph& g, const std::vector<vid_t>& w,
   slots.merge_into(counters);
 }
 
-template <BalancePolicy B, class FS>
+template <BalancePolicy B>
 void color_net_impl(const Graph& g, color_t* c,
                     std::vector<ThreadWorkspace>& ws, int chunk, int threads,
                     KernelCounters& counters) {
@@ -88,7 +64,7 @@ void color_net_impl(const Graph& g, color_t* c,
     const int tid = current_thread();
     GCOL_MC_REGION();
     ThreadWorkspace& tws = ws[static_cast<std::size_t>(tid)];
-    typename FS::Set& f = FS::forbidden(tws);
+    MarkerSet& f = tws.forbidden;
     std::vector<vid_t>& wlocal = tws.local_queue;
     PolicyState st;
     KernelCounters local;
@@ -124,11 +100,9 @@ void color_net_impl(const Graph& g, color_t* c,
   slots.merge_into(counters);
 }
 
-template <class FS>
 void conflict_vertex_impl(const Graph& g, const std::vector<vid_t>& w,
-                          color_t* c, std::vector<ThreadWorkspace>& ws,
-                          QueuePolicy queue, int chunk, int threads,
-                          std::vector<vid_t>& wnext,
+                          color_t* c, QueuePolicy queue, int chunk,
+                          int threads, std::vector<vid_t>& wnext,
                           KernelCounters& counters) {
   const auto n = static_cast<std::int64_t>(w.size());
   SharedWorkQueue shared;
@@ -141,51 +115,27 @@ void conflict_vertex_impl(const Graph& g, const std::vector<vid_t>& w,
 
   CounterSlots slots(threads);
 #pragma omp parallel num_threads(threads) default(none) \
-    shared(g, w, c, ws, slots, shared, lazy) \
+    shared(g, w, c, slots, shared, lazy) \
     firstprivate(chunk, n, use_shared)
   {
     const int tid = current_thread();
     GCOL_MC_REGION();
-    [[maybe_unused]] BitMarkerSet& visited =
-        FS::visited(ws[static_cast<std::size_t>(tid)]);
     KernelCounters local;
 #pragma omp for schedule(dynamic, chunk) nowait
     for (std::int64_t i = 0; i < n; ++i) {
       const vid_t wv = w[static_cast<std::size_t>(i)];
       const color_t cw = load_color(c, wv);
       if (cw == kNoColor) continue;
-      if constexpr (FS::kDedupNeighbors) {
-        visited.clear();
-        visited.insert(wv);
-      }
       bool conflicted = false;
       for (const vid_t u : g.neighbors(wv)) {
         GCOL_COUNT(++local.edges_visited);
-        bool check_u = true;
-        if constexpr (FS::kDedupNeighbors) check_u = !visited.test_and_set(u);
-        if (check_u && load_color(c, u) == cw && wv > u) {  // distance-1
+        if (load_color(c, u) == cw && wv > u) {  // distance-1
           conflicted = true;
           break;
         }
-        const auto xs = g.neighbors(u);
-        if constexpr (FS::kDedupNeighbors) {
-          const std::size_t deg = xs.size();
-          for (std::size_t j = 0; j < deg; ++j) {
-            if (j + kColorPrefetchDist < deg)
-              prefetch_color(c, xs[j + kColorPrefetchDist]);
-            const vid_t x = xs[j];
-            GCOL_COUNT(++local.edges_visited);
-            if (visited.test_and_set(x)) continue;  // also skips x == wv
-            if (load_color(c, x) == cw && wv > x) {  // distance-2 clash
-              conflicted = true;
-              break;
-            }
-          }
-        } else {
-          const ClashScan scan = first_lower_clash(c, xs, wv, cw);
-          GCOL_COUNT(local.edges_visited += scan.visited);
-          conflicted = scan.clash;
-        }
+        const ClashScan scan = first_lower_clash(c, g.neighbors(u), wv, cw);
+        GCOL_COUNT(local.edges_visited += scan.visited);
+        conflicted = scan.clash;
         if (conflicted) break;
       }
       if (conflicted) {
@@ -206,7 +156,6 @@ void conflict_vertex_impl(const Graph& g, const std::vector<vid_t>& w,
     lazy.merge_into(wnext);
 }
 
-template <class FS>
 void conflict_net_impl(const Graph& g, color_t* c,
                        std::vector<ThreadWorkspace>& ws, int chunk,
                        int threads, std::vector<vid_t>& wnext,
@@ -221,7 +170,7 @@ void conflict_net_impl(const Graph& g, color_t* c,
     const int tid = current_thread();
     GCOL_MC_REGION();
     ThreadWorkspace& tws = ws[static_cast<std::size_t>(tid)];
-    typename FS::Set& f = FS::forbidden(tws);
+    MarkerSet& f = tws.forbidden;
     KernelCounters local;
 #pragma omp for schedule(dynamic, chunk) nowait
     for (std::int64_t vi = 0; vi < n; ++vi) {
@@ -252,49 +201,34 @@ void conflict_net_impl(const Graph& g, color_t* c,
 
 void d2gc_color_vertex(const Graph& g, const std::vector<vid_t>& w,
                        color_t* c, std::vector<ThreadWorkspace>& ws,
-                       BalancePolicy balance, ForbiddenSetKind fset,
-                       int chunk, int threads, KernelCounters& counters) {
-  with_forbidden_set(fset, [&](auto fs) {
-    using FS = decltype(fs);
-    with_balance(balance, [&](auto b) {
-      color_vertex_impl<decltype(b)::value, FS>(g, w, c, ws, chunk, threads,
-                                                counters);
-    });
+                       BalancePolicy balance, int chunk, int threads,
+                       KernelCounters& counters) {
+  with_balance(balance, [&](auto b) {
+    color_vertex_impl<decltype(b)::value>(g, w, c, ws, chunk, threads,
+                                          counters);
   });
 }
 
 void d2gc_color_net(const Graph& g, color_t* c,
                     std::vector<ThreadWorkspace>& ws, BalancePolicy balance,
-                    ForbiddenSetKind fset, int chunk, int threads,
-                    KernelCounters& counters) {
-  with_forbidden_set(fset, [&](auto fs) {
-    using FS = decltype(fs);
-    with_balance(balance, [&](auto b) {
-      color_net_impl<decltype(b)::value, FS>(g, c, ws, chunk, threads,
-                                             counters);
-    });
+                    int chunk, int threads, KernelCounters& counters) {
+  with_balance(balance, [&](auto b) {
+    color_net_impl<decltype(b)::value>(g, c, ws, chunk, threads, counters);
   });
 }
 
 void d2gc_conflict_vertex(const Graph& g, const std::vector<vid_t>& w,
-                          color_t* c, std::vector<ThreadWorkspace>& ws,
-                          QueuePolicy queue, ForbiddenSetKind fset, int chunk,
+                          color_t* c, QueuePolicy queue, int chunk,
                           int threads, std::vector<vid_t>& wnext,
                           KernelCounters& counters) {
-  with_forbidden_set(fset, [&](auto fs) {
-    conflict_vertex_impl<decltype(fs)>(g, w, c, ws, queue, chunk, threads,
-                                       wnext, counters);
-  });
+  conflict_vertex_impl(g, w, c, queue, chunk, threads, wnext, counters);
 }
 
 void d2gc_conflict_net(const Graph& g, color_t* c,
-                       std::vector<ThreadWorkspace>& ws, ForbiddenSetKind fset,
-                       int chunk, int threads, std::vector<vid_t>& wnext,
+                       std::vector<ThreadWorkspace>& ws, int chunk,
+                       int threads, std::vector<vid_t>& wnext,
                        KernelCounters& counters) {
-  with_forbidden_set(fset, [&](auto fs) {
-    conflict_net_impl<decltype(fs)>(g, c, ws, chunk, threads, wnext,
-                                    counters);
-  });
+  conflict_net_impl(g, c, ws, chunk, threads, wnext, counters);
 }
 
 }  // namespace gcol::detail

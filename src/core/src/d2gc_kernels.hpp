@@ -1,8 +1,7 @@
 // Internal D2GC phase kernels (Algorithms 9-10 and the vertex-based
-// counterparts the authors derived from ColPack's BGPC code). Every
-// kernel takes the ForbiddenSetKind selecting the stamped
-// (paper-faithful) or bitmap (word-parallel, neighbor-deduplicating)
-// forbidden-set policy.
+// counterparts the authors derived from ColPack's BGPC code). Each
+// thread's forbidden set is the stamped MarkerSet in its
+// ThreadWorkspace.
 #pragma once
 
 #include <vector>
@@ -18,29 +17,27 @@ namespace gcol::detail {
 /// colors come from the full distance-<=2 neighborhood.
 void d2gc_color_vertex(const Graph& g, const std::vector<vid_t>& w,
                        color_t* c, std::vector<ThreadWorkspace>& ws,
-                       BalancePolicy balance, ForbiddenSetKind fset,
-                       int chunk, int threads, KernelCounters& counters);
+                       BalancePolicy balance, int chunk, int threads,
+                       KernelCounters& counters);
 
 /// Alg. 9: net-based D2GC coloring — every closed neighborhood is
 /// scanned; its uncolored/duplicated members are reverse-first-fit
 /// colored from |nbor(v)|.
 void d2gc_color_net(const Graph& g, color_t* c,
                     std::vector<ThreadWorkspace>& ws, BalancePolicy balance,
-                    ForbiddenSetKind fset, int chunk, int threads,
-                    KernelCounters& counters);
+                    int chunk, int threads, KernelCounters& counters);
 
 /// Vertex-based D2GC conflict removal over W (larger id loses).
 void d2gc_conflict_vertex(const Graph& g, const std::vector<vid_t>& w,
-                          color_t* c, std::vector<ThreadWorkspace>& ws,
-                          QueuePolicy queue, ForbiddenSetKind fset, int chunk,
+                          color_t* c, QueuePolicy queue, int chunk,
                           int threads, std::vector<vid_t>& wnext,
                           KernelCounters& counters);
 
 /// Alg. 10: net-based D2GC conflict removal over every closed
 /// neighborhood; later same-colored members are uncolored.
 void d2gc_conflict_net(const Graph& g, color_t* c,
-                       std::vector<ThreadWorkspace>& ws, ForbiddenSetKind fset,
-                       int chunk, int threads, std::vector<vid_t>& wnext,
+                       std::vector<ThreadWorkspace>& ws, int chunk,
+                       int threads, std::vector<vid_t>& wnext,
                        KernelCounters& counters);
 
 }  // namespace gcol::detail

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "greedcolor/analyze/contract.hpp"
-#include "greedcolor/core/adaptive.hpp"
 #include "greedcolor/core/options.hpp"
 #include "greedcolor/util/counters.hpp"
 #include "greedcolor/util/marker_set.hpp"
@@ -132,14 +131,14 @@ inline void prefetch_color(const color_t* c, vid_t v) {
 
 // --- The distance-2 walk over one adjacency list -------------------------
 //
-// Every stamped-policy vertex kernel (and the sequential baselines)
-// spends its time here: Θ(Σ|vtxs(v)|²) color loads and forbidden-set
-// inserts. Each helper has a scalar body (the reference, and the only
-// body in GCOL_AUDIT / GCOL_MC / TSan builds, which must see every
-// color access through load_color) and, under GCOL_VECTOR_GATHER, an
-// AVX-512 body that handles 16 entries per step and hands lists
-// shorter than 16 and the tail of longer ones to the scalar body. Both
-// produce the same set and the same counts (tests/test_color_seam.cpp).
+// Every vertex kernel (and the sequential baselines) spends its time
+// here: Θ(Σ|vtxs(v)|²) color loads and forbidden set inserts. Each
+// helper has a scalar body (the reference, and the only body in
+// GCOL_AUDIT / GCOL_MC / TSan builds, which must see every color access
+// through load_color) and, under GCOL_VECTOR_GATHER, an AVX-512 body
+// that handles 16 entries per step and hands lists shorter than 16 and
+// the tail of longer ones to the scalar body. Both produce the same set
+// and the same counts (tests/test_color_seam.cpp).
 
 /// Scalar body of forbid_colors.
 inline void forbid_colors_scalar(color_t* c, const vid_t* ids, std::size_t n,
@@ -293,84 +292,6 @@ inline color_t pick_down(const MarkerSet& f, color_t start,
   return col;
 }
 
-// Word-parallel variants: the scan happens inside BitMarkerSet /
-// TwoLevelBitMarkerSet, one probe counted per 64-color word (or
-// skipped-run summary read) instead of per color.
-inline color_t pick_up(const BitMarkerSet& f, color_t start,
-                       std::uint64_t& probes) {
-  return f.first_free_at_or_above(start, probes);
-}
-
-inline color_t pick_down(const BitMarkerSet& f, color_t start,
-                         std::uint64_t& probes) {
-  return f.first_free_at_or_below(start, probes);
-}
-
-inline color_t pick_up(const TwoLevelBitMarkerSet& f, color_t start,
-                       std::uint64_t& probes) {
-  return f.first_free_at_or_above(start, probes);
-}
-
-inline color_t pick_down(const TwoLevelBitMarkerSet& f, color_t start,
-                         std::uint64_t& probes) {
-  return f.first_free_at_or_below(start, probes);
-}
-
-/// Forbidden-set policies: which per-thread set the kernels mark into
-/// and whether they deduplicate distance-2 neighbors through the
-/// workspace's visited set. The stamped policy is byte-for-byte the
-/// paper's behavior (no dedup — the Θ(Σ|vtxs(v)|²) walk is part of what
-/// the reproduction measures), and its vertex kernels walk each list
-/// through forbid_colors / first_lower_clash; the word-parallel
-/// policies dedup through the workspace's bit-packed visited set, one
-/// entry at a time. kAdaptive is resolved to one of these per phase by
-/// the drivers (AdaptiveFsEngine) and never reaches the kernel
-/// templates.
-struct StampedPolicy {
-  using Set = MarkerSet;
-  static constexpr bool kDedupNeighbors = false;
-  static MarkerSet& forbidden(ThreadWorkspace& t) { return t.forbidden; }
-  static BitMarkerSet& visited(ThreadWorkspace& t) { return t.visited_bits; }
-};
-
-struct BitmapPolicy {
-  using Set = BitMarkerSet;
-  static constexpr bool kDedupNeighbors = true;
-  static BitMarkerSet& forbidden(ThreadWorkspace& t) {
-    return t.forbidden_bits;
-  }
-  static BitMarkerSet& visited(ThreadWorkspace& t) { return t.visited_bits; }
-};
-
-struct TwoLevelPolicy {
-  using Set = TwoLevelBitMarkerSet;
-  static constexpr bool kDedupNeighbors = true;
-  static TwoLevelBitMarkerSet& forbidden(ThreadWorkspace& t) {
-    return t.forbidden_two;
-  }
-  static BitMarkerSet& visited(ThreadWorkspace& t) { return t.visited_bits; }
-};
-
-/// Run `fn` with the ForbiddenSet policy selected by `fset`. kAdaptive
-/// must be resolved by the caller (the drivers ask AdaptiveFsEngine for
-/// a concrete kind per phase); it is a contract violation here.
-template <class Fn>
-decltype(auto) with_forbidden_set(ForbiddenSetKind fset, Fn&& fn) {
-  GCOL_CONTRACT(fset != ForbiddenSetKind::kAdaptive,
-                "kAdaptive must be resolved to a concrete representation "
-                "before kernel dispatch");
-  switch (fset) {
-    case ForbiddenSetKind::kBitmap:
-      return fn(BitmapPolicy{});
-    case ForbiddenSetKind::kTwoLevel:
-      return fn(TwoLevelPolicy{});
-    case ForbiddenSetKind::kStamped:
-    case ForbiddenSetKind::kAdaptive:  // contract-checked above
-    default:
-      return fn(StampedPolicy{});
-  }
-}
-
 /// Run `fn` with the balance policy lifted to a compile-time constant.
 template <class Fn>
 decltype(auto) with_balance(BalancePolicy b, Fn&& fn) {
@@ -430,8 +351,8 @@ struct PolicyState {
 
 /// Vertex-kernel color selection (Algorithms 2 / 11 / 12). `w` is the
 /// vertex id (B1 alternates policy on its parity).
-template <BalancePolicy B, class Set>
-inline color_t pick_vertex_color(PolicyState& st, const Set& f,
+template <BalancePolicy B>
+inline color_t pick_vertex_color(PolicyState& st, const MarkerSet& f,
                                  vid_t w, std::uint64_t& probes) {
   if constexpr (B == BalancePolicy::kNone) {
     (void)st;
@@ -460,11 +381,9 @@ inline color_t pick_vertex_color(PolicyState& st, const Set& f,
 /// and its B1/B2 "net-based variants"). `start` is |vtxs(v)|-1 for BGPC
 /// and |nbor(v)| for D2GC (Lemma 1's reverse-first-fit origin). After
 /// every assignment the color is added to F so two local-queue vertices
-/// never clash within this net. `local.max_color` is maintained
-/// unconditionally — the adaptive engine reads it as the running color
-/// bound — while the other counters stay GCOL_COUNT-gated.
-template <BalancePolicy B, class Set>
-inline void color_local_queue(PolicyState& st, Set& f,
+/// never clash within this net.
+template <BalancePolicy B>
+inline void color_local_queue(PolicyState& st, MarkerSet& f,
                               const std::vector<vid_t>& wlocal,
                               vid_t net_id, color_t start, color_t* c,
                               KernelCounters& local) {
@@ -482,14 +401,14 @@ inline void color_local_queue(PolicyState& st, Set& f,
         col = pick_up(f, start + 1, probes);
         store_color(c, u, col);
         f.insert(col);
-        local.max_color = std::max(local.max_color, col);
+        GCOL_COUNT(local.max_color = std::max(local.max_color, col));
         GCOL_COUNT(++local.colored);
         col = start;
         continue;
       }
       store_color(c, u, col);
       f.insert(col);  // shields the recovery path from reusing col
-      local.max_color = std::max(local.max_color, col);
+      GCOL_COUNT(local.max_color = std::max(local.max_color, col));
       GCOL_COUNT(++local.colored);
       --col;
     }
@@ -502,7 +421,7 @@ inline void color_local_queue(PolicyState& st, Set& f,
         store_color(c, u, col);
         f.insert(col);
         st.col_max = std::max(st.col_max, col);
-        local.max_color = std::max(local.max_color, col);
+        GCOL_COUNT(local.max_color = std::max(local.max_color, col));
         GCOL_COUNT(++local.colored);
       }
     } else {
@@ -511,7 +430,7 @@ inline void color_local_queue(PolicyState& st, Set& f,
         store_color(c, u, col);
         f.insert(col);
         st.col_max = std::max(st.col_max, col);
-        local.max_color = std::max(local.max_color, col);
+        GCOL_COUNT(local.max_color = std::max(local.max_color, col));
         GCOL_COUNT(++local.colored);
       }
     }
@@ -524,7 +443,7 @@ inline void color_local_queue(PolicyState& st, Set& f,
       f.insert(col);
       st.col_max = std::max(st.col_max, col);
       st.col_next = std::min<color_t>(col + 1, st.col_max / 3 + 1);
-      local.max_color = std::max(local.max_color, col);
+      GCOL_COUNT(local.max_color = std::max(local.max_color, col));
       GCOL_COUNT(++local.colored);
     }
   }

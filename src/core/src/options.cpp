@@ -20,20 +20,6 @@ std::string to_string(BalancePolicy b) {
   return "?";
 }
 
-std::string to_string(ForbiddenSetKind f) {
-  switch (f) {
-    case ForbiddenSetKind::kStamped:
-      return "stamped";
-    case ForbiddenSetKind::kBitmap:
-      return "bitmap";
-    case ForbiddenSetKind::kTwoLevel:
-      return "twolevel";
-    case ForbiddenSetKind::kAdaptive:
-      return "adaptive";
-  }
-  return "?";
-}
-
 std::string to_string(LocalityMode m) {
   switch (m) {
     case LocalityMode::kNone:
@@ -44,16 +30,6 @@ std::string to_string(LocalityMode m) {
       return "full";
   }
   return "?";
-}
-
-ForbiddenSetKind forbidden_set_from_string(const std::string& name) {
-  if (name == "stamped") return ForbiddenSetKind::kStamped;
-  if (name == "bitmap") return ForbiddenSetKind::kBitmap;
-  if (name == "twolevel") return ForbiddenSetKind::kTwoLevel;
-  if (name == "adaptive") return ForbiddenSetKind::kAdaptive;
-  throw std::invalid_argument(
-      "unknown forbidden-set kind: " + name +
-      " (expected stamped, bitmap, twolevel, or adaptive)");
 }
 
 LocalityMode locality_from_string(const std::string& name) {
@@ -92,10 +68,6 @@ namespace {
 ColoringOptions make_preset(const std::string& name) {
   ColoringOptions o;
   o.name = name;
-  // Named presets reproduce the paper's variants exactly, so they pin
-  // the stamped forbidden sets; callers wanting the fast kernels flip
-  // forbidden_set back to kBitmap (color_tool's --forbidden-set does).
-  o.forbidden_set = ForbiddenSetKind::kStamped;
   if (name == "V-V") {
     // ColPack's parallel BGPC: vertex kernels, default dynamic chunk,
     // shared immediate conflict queue.

@@ -65,7 +65,8 @@ class MetricsRegistry {
 
   /// KernelCounters under `prefix` (e.g. "core.color"): .edges_visited,
   /// .color_probes, .conflicts, .colored, .max_color (skipped when the
-  /// kernel assigned nothing). Adds, so per-round records accumulate.
+  /// kernel assigned nothing or GCOL_COUNTERS is off). Adds, so
+  /// per-round records accumulate.
   void record_kernel(std::string_view prefix, const KernelCounters& c);
 
   /// Shared-memory run: core.rounds/colors + degradation flags +

@@ -140,8 +140,6 @@ void RunReport::set_rounds(const std::vector<IterationStats>& iterations) {
     row.set("conflict_ms", it.conflict_seconds * 1000.0);
     row.set("net_based_coloring", it.net_based_coloring);
     row.set("net_based_conflict", it.net_based_conflict);
-    row.set("color_forbidden_set", to_string(it.color_forbidden_set));
-    row.set("conflict_forbidden_set", to_string(it.conflict_forbidden_set));
     row.set("color", kernel_object(it.color_counters));
     row.set("conflict", kernel_object(it.conflict_counters));
     rounds.push_back(std::move(row));

@@ -25,9 +25,6 @@ struct KernelCounters {
   /// Vertices (re)assigned a color by a coloring kernel.
   std::uint64_t colored = 0;
   /// Largest color assigned by a coloring kernel, kNoColor when none.
-  /// Unlike the fields above this is *always* maintained (not gated on
-  /// GCOL_COUNTERS): the adaptive forbidden-set engine reads it as the
-  /// running color bound between rounds, so it is load-bearing.
   color_t max_color = kNoColor;
 
   KernelCounters& operator+=(const KernelCounters& o) {

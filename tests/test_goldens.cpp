@@ -9,11 +9,6 @@
 // adjacency lists are mostly longer than 16 entries and not multiples
 // of 16, so the distance-2 walks take both the vector blocks and the
 // scalar tails of the color-access seam (kernels_common.hpp).
-//
-// The forbidden set is pinned to the paper's stamped arrays. The
-// adaptive engine's per-phase choice is a build-time platform property
-// (DESIGN.md §8); pinning it here would lock the platform, not the
-// algorithm.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -252,7 +247,6 @@ TEST(Goldens, BgpcPresetsSingleThread) {
         ColoringOptions opt = bgpc_preset(preset);
         opt.balance = b;
         opt.num_threads = 1;
-        opt.forbidden_set = ForbiddenSetKind::kStamped;
         const ColoringResult r = color_bgpc(in.g, opt);
         ASSERT_TRUE(is_valid_bgpc(in.g, r.colors));
         expect_golden(std::string("bgpc/") + in.tag + "/" + preset + "/" +
@@ -272,7 +266,6 @@ TEST(Goldens, D2gcPresetsSingleThread) {
         ColoringOptions opt = d2gc_preset(preset);
         opt.balance = b;
         opt.num_threads = 1;
-        opt.forbidden_set = ForbiddenSetKind::kStamped;
         const ColoringResult r = color_d2gc(in.g, opt);
         ASSERT_TRUE(is_valid_d2gc(in.g, r.colors));
         expect_golden(std::string("d2gc/") + in.tag + "/" + preset + "/" +

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <numeric>
+#include <set>
+#include <vector>
+
+#include "kernels_common.hpp"
+
 namespace gcol {
 namespace {
 
@@ -63,6 +70,49 @@ TEST(MarkerSet, DefaultConstructedGrowsFromZero) {
   EXPECT_EQ(s.capacity(), 0u);
   s.insert(0);
   EXPECT_TRUE(s.contains(0));
+}
+
+TEST(MarkerSet, StampWraparoundEmptiesTheSet) {
+  MarkerSet s(64);
+  s.insert(5);  // marked under the initial stamp, which the wrap reuses
+  s.debug_set_stamp(UINT32_MAX);
+  s.insert(10);
+  s.insert(40);
+  s.clear();  // the stamp wraps: every slot is reset
+  for (int k = 0; k < 64; ++k)
+    EXPECT_FALSE(s.contains(k)) << "stale key " << k << " survived the wrap";
+
+  s.insert(7);
+  EXPECT_TRUE(s.contains(7));
+  // A walk long enough for the vector body of the seam, where compiled.
+  std::vector<color_t> colors(40);
+  for (std::size_t i = 0; i < colors.size(); ++i)
+    colors[i] = i % 5 == 0 ? kNoColor : static_cast<color_t>(i * 7 % 50);
+  std::vector<vid_t> ids(colors.size());
+  std::iota(ids.begin(), ids.end(), vid_t{0});
+  const vid_t self = 3;
+  detail::forbid_colors(colors.data(), ids, self, s);
+  std::set<color_t> expected = {7};
+  for (const vid_t u : ids)
+    if (u != self && colors[static_cast<std::size_t>(u)] != kNoColor)
+      expected.insert(colors[static_cast<std::size_t>(u)]);
+  for (int k = 0; k < 64; ++k)
+    EXPECT_EQ(s.contains(k), expected.count(k) == 1) << "key " << k;
+}
+
+TEST(MarkerSetGrowth, GeometricNotPerKey) {
+  MarkerSet s(4);
+  s.insert(100);
+  const std::size_t after_first = s.capacity();
+  EXPECT_GE(after_first, 101u);
+  // Growth at the boundary doubles (geometric), instead of the old
+  // grow-to-key+64 policy that resized on every 65th consecutive key.
+  s.insert(static_cast<std::int64_t>(after_first));
+  const std::size_t after_second = s.capacity();
+  EXPECT_GE(after_second, after_first * 2);
+  // Everything inside the doubled capacity inserts without resizing.
+  s.insert(static_cast<std::int64_t>(after_second - 1));
+  EXPECT_EQ(s.capacity(), after_second);
 }
 
 TEST(ThreadWorkspace, PrepareReservesBothStructures) {

@@ -1,24 +1,15 @@
 #!/usr/bin/env python3
 """bench_gate: the kernel-benchmark regression gate.
 
-Reads a BENCH_kernels.json produced by micro_forbidden_set --json
-(schema gcol-bench-kernels-v2, either bare or wrapped as the "bench"
-section of a gcol-report-v1 run report) and enforces, in order:
+Reads a BENCH_kernels.json produced by micro_kernels --json (schema
+gcol-bench-kernels-v3, either bare or wrapped as the "bench" section of
+a gcol-report-v1 run report) and enforces, in order:
 
   G1 valid-rows       every kernel row carries valid=true — an invalid
                       coloring makes its wall-time meaningless.
-  G2 probe-geomean    summary.probe_reduction_geomean >= --min-geomean
-                      (default 10): the word-parallel forbidden sets
-                      must keep their probe-count advantage over the
-                      stamped baseline.
-  G3 adaptive-wins    per (kind, dataset, algo, threads) group, the
-                      adaptive row's wall_ms <= min(stamped, bitmap)
-                      * (1 + tolerance): the whole point of the engine
-                      is never losing to either fixed policy by more
-                      than the noise band.
   G4 no-regression    with --baseline OLD.json: every kernel row's
                       wall_ms <= the matching baseline row (same kind/
-                      dataset/algo/fset/threads) * (1 + tolerance).
+                      dataset/algo/threads) * (1 + tolerance).
                       Rows present in the baseline but missing from the
                       candidate fail too (coverage loss); new candidate
                       rows are fine.
@@ -36,11 +27,11 @@ import argparse
 import json
 import sys
 
-SCHEMA = "gcol-bench-kernels-v2"
+SCHEMA = "gcol-bench-kernels-v3"
 REPORT_SCHEMA = "gcol-report-v1"
 
-# A kernel row's identity inside one file (G3 groups drop "fset").
-ROW_KEY = ("kind", "dataset", "algo", "fset", "threads")
+# A kernel row's identity inside one file.
+ROW_KEY = ("kind", "dataset", "algo", "threads")
 
 
 def load(path: str) -> dict:
@@ -51,16 +42,15 @@ def load(path: str) -> dict:
         print(f"bench_gate: cannot read {path}: {exc}", file=sys.stderr)
         sys.exit(2)
     if data.get("schema") == REPORT_SCHEMA:
-        # gcol-report-v1 wrapper: the kernels payload (rows + summary)
-        # lives under the report's "bench" section.
+        # gcol-report-v1 wrapper: the kernel rows live under the
+        # report's "bench" section.
         bench = data.get("bench")
         if not isinstance(bench, dict) or \
                 not isinstance(bench.get("kernels"), list):
             print(f"bench_gate: {path}: {REPORT_SCHEMA} document has no "
                   "bench.kernels payload", file=sys.stderr)
             sys.exit(2)
-        data = {"schema": SCHEMA, "kernels": bench["kernels"],
-                "summary": bench.get("summary", {})}
+        data = {"schema": SCHEMA, "kernels": bench["kernels"]}
     if data.get("schema") != SCHEMA:
         print(f"bench_gate: {path}: schema {data.get('schema')!r} != "
               f"{SCHEMA!r}", file=sys.stderr)
@@ -77,7 +67,7 @@ def row_key(row: dict) -> tuple:
 
 def row_name(row: dict) -> str:
     return (f"{row.get('kind')}/{row.get('dataset')}/{row.get('algo')}"
-            f"/{row.get('fset')}@t{row.get('threads')}")
+            f"@t{row.get('threads')}")
 
 
 def check_valid(rows: list[dict], failures: list[str]) -> None:
@@ -85,46 +75,6 @@ def check_valid(rows: list[dict], failures: list[str]) -> None:
         if not row.get("valid"):
             failures.append(f"G1 valid-rows: {row_name(row)} has valid="
                             f"{row.get('valid')!r}")
-
-
-def check_geomean(data: dict, min_geomean: float,
-                  failures: list[str]) -> None:
-    got = data.get("summary", {}).get("probe_reduction_geomean")
-    if not isinstance(got, (int, float)):
-        failures.append("G2 probe-geomean: summary.probe_reduction_geomean "
-                        "missing")
-    elif got < min_geomean:
-        failures.append(f"G2 probe-geomean: {got:.2f}x < required "
-                        f"{min_geomean:.2f}x")
-    else:
-        print(f"  G2 probe-geomean      {got:.2f}x >= {min_geomean:.2f}x")
-
-
-def check_adaptive(rows: list[dict], tol: float,
-                   failures: list[str]) -> None:
-    groups: dict[tuple, dict[str, dict]] = {}
-    for row in rows:
-        key = (row.get("kind"), row.get("dataset"), row.get("algo"),
-               row.get("threads"))
-        groups.setdefault(key, {})[row.get("fset")] = row
-    checked = 0
-    for key, by_fset in sorted(groups.items()):
-        adaptive = by_fset.get("adaptive")
-        fixed = [by_fset[f] for f in ("stamped", "bitmap") if f in by_fset]
-        if adaptive is None or not fixed:
-            continue  # group not instrumented for the comparison
-        best = min(f["wall_ms"] for f in fixed)
-        limit = best * (1.0 + tol)
-        checked += 1
-        if adaptive["wall_ms"] > limit:
-            failures.append(
-                f"G3 adaptive-wins: {row_name(adaptive)} wall "
-                f"{adaptive['wall_ms']:.2f}ms > min(fixed) "
-                f"{best:.2f}ms * {1.0 + tol:.2f}")
-    print(f"  G3 adaptive-wins      {checked} group(s) compared")
-    if checked == 0:
-        failures.append("G3 adaptive-wins: no group has both an adaptive "
-                        "row and a fixed-policy row")
 
 
 def check_baseline(rows: list[dict], baseline_rows: list[dict], tol: float,
@@ -154,12 +104,10 @@ def main() -> int:
     parser.add_argument("--baseline", metavar="JSON",
                         help="prior BENCH_kernels.json to diff against (G4)")
     parser.add_argument("--regression-pct", type=float, default=10.0,
-                        help="noise band for G3/G4, percent (default 10)")
-    parser.add_argument("--min-geomean", type=float, default=10.0,
-                        help="required probe-reduction geomean (default 10)")
+                        help="noise band for G4, percent (default 10)")
     args = parser.parse_args()
-    if args.regression_pct < 0 or args.min_geomean < 0:
-        parser.error("tolerances must be non-negative")
+    if args.regression_pct < 0:
+        parser.error("tolerance must be non-negative")
     tol = args.regression_pct / 100.0
 
     data = load(args.candidate)
@@ -168,8 +116,6 @@ def main() -> int:
 
     failures: list[str] = []
     check_valid(rows, failures)
-    check_geomean(data, args.min_geomean, failures)
-    check_adaptive(rows, tol, failures)
     if args.baseline:
         check_baseline(rows, load(args.baseline)["kernels"], tol, failures)
 

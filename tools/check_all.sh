@@ -5,8 +5,8 @@
 #   1. default preset: build everything, run the whole test suite
 #   2. lint gate: gcol-sa self-test (engine + fixtures + exit codes) +
 #      repo scan over compile_commands inside the wall-time budget
-#   3. bench + obs gates: kernel trajectory through bench_gate.py, a
-#      traced chaos sweep validated by check_trace.py
+#   3. bench + obs gates: kernel trajectory (micro_kernels) through
+#      bench_gate.py, a traced chaos sweep validated by check_trace.py
 #   4. analysis preset: GCOL_AUDIT + -Werror (+ clang-tidy if present),
 #      full suite with contracts and audit ledgers live
 #   5. modelcheck preset: GCOL_MC build, gcol-mc schedule exploration
@@ -58,8 +58,8 @@ esac
 python3 tools/gcol_sa --compile-commands build/compile_commands.json \
   --verify-race-surface --jobs "$JOBS"
 
-# The default suite's perf label just wrote build/BENCH_kernels.json;
-# gate it at the strict band the CI perf job uses.
+# The default suite's perf label (micro_kernels) just wrote
+# build/BENCH_kernels.json; every row must be a valid coloring.
 step "bench gate"
 python3 tools/bench_gate.py build/BENCH_kernels.json
 

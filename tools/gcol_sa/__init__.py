@@ -16,7 +16,8 @@ Supersedes the regex-based tools/gcol_lint.py with a real engine:
   index.py      per-file analysis over compile_commands.json TUs with
                 a content-hash result cache (optionally multiprocess)
   callgraph.py  whole-program call graph + interprocedural reachability
-  rules.py      the rule catalog R001-R016 and the program-level rules
+  rules.py      the rule catalog R001-R016 (R007 retired) and the
+                program-level rules
   baseline.py   checked-in suppression file with justifications
   sarif.py      SARIF 2.1.0 export
   selftest.py   engine unit tests + fixture matrix + exit-code contract
@@ -28,6 +29,6 @@ to this package with the same flags and exit codes.
 """
 
 # Bump to invalidate every cached per-file analysis result.
-ENGINE_VERSION = "gcol-sa-3"
+ENGINE_VERSION = "gcol-sa-4"
 
 __version__ = "1.1.0"

@@ -30,8 +30,8 @@ from .symbols import ALIASING_KINDS, param_table, scan_accesses
 
 REPO_MARKERS = ("CMakeLists.txt", "CMakePresets.json")
 
-ALL_ROLES = frozenset({"core", "dist_guard", "marker_guard",
-                       "timing_guard", "trace_scope", "race"})
+ALL_ROLES = frozenset({"core", "dist_guard", "timing_guard",
+                       "trace_scope", "race"})
 
 # All-caps identifiers are macro invocations by repo convention
 # (GCOL_TRACE_*, GCOL_CONTRACT, TEST, EXPECT_EQ...); they are not call
@@ -157,9 +157,6 @@ def roles_for(rel: str, explicit: bool) -> frozenset:
         roles.add("core")
     if rel.startswith("src/") and not rel.startswith("src/dist/"):
         roles.add("dist_guard")
-    base = os.path.basename(rel)
-    if rel.startswith("src/core/") and ("bgpc" in base or "d2gc" in base):
-        roles.add("marker_guard")
     if rel.startswith("src/core/") or rel.startswith("src/dist/"):
         roles.add("timing_guard")
     if rel.startswith("src/"):

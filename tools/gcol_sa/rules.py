@@ -59,11 +59,6 @@ RULES: list[RuleInfo] = [
              "src/dist; everything else selects a transport through "
              "`DistOptions::transport` (`TransportKind`)",
              "r006_transport_outside_dist.cpp"),
-    RuleInfo("R007", "marker-set-direct", "src/core bgpc/d2gc drivers",
-             "kernel drivers bind references to policy-provided scratch; "
-             "a by-value MarkerSet pins one representation and bypasses "
-             "the adaptive engine's per-phase choice",
-             "r007_marker_set_direct.cpp"),
     RuleInfo("R008", "raw-timing", "src/core + src/dist",
              "engine timing goes through `WallTimer` or gcol-trace spans; "
              "an ad-hoc clock is invisible to the trace timeline and the "
@@ -158,10 +153,6 @@ MSG = {
     "R006_include": "greedcolor/dist/transport.hpp is private to src/dist; "
                     "drive the runtime through DistOptions (TransportKind) "
                     "instead",
-    "R007": "MarkerSet family instantiated directly in a kernel driver; "
-            "bind a reference to the ThreadWorkspace scratch through the "
-            "ForbiddenSet policy seam (kernels_common.hpp) so the "
-            "per-phase representation choice stays with the engine",
     "R008": "raw std::chrono / omp_get_wtime in an engine layer; time "
             "through WallTimer (result totals) or gcol-trace spans "
             "(src/obs) so the measurement reaches the trace timeline and "
@@ -170,7 +161,6 @@ MSG = {
 
 TRANSPORT_NAMES = {"Transport", "MailboxTransport", "LoopbackTransport",
                    "LossyTransport"}
-MARKER_NAMES = {"MarkerSet", "BitMarkerSet", "TwoLevelBitMarkerSet"}
 CONTAINER_NAMES = {"vector", "string", "map", "unordered_map", "set",
                    "unordered_set"}
 # The narrow allocation set R003 has always enforced (direct sites).
@@ -274,14 +264,14 @@ def _is_r003_site(toks, i) -> bool:
 
 
 def check_token_rules(fa, roles) -> list[Finding]:
-    """R005 / R006 / R007 / R008 — identifier-level rules, one finding
-    per line as before."""
+    """R005 / R006 / R008 — identifier-level rules, one finding per line
+    as before."""
     out = []
     toks = fa.lexed.tokens
     rel = fa.rel.replace("\\", "/")
     seam = rel.endswith(ATOMIC_SEAM_SUFFIX)
     seen: dict[str, set[int]] = {"R005": set(), "R006": set(),
-                                 "R007": set(), "R008": set()}
+                                 "R008": set()}
 
     if "dist_guard" in roles:
         for d in fa.lexed.directives:
@@ -300,11 +290,6 @@ def check_token_rules(fa, roles) -> list[Finding]:
                 and t.line not in seen["R006"]:
             seen["R006"].add(t.line)
             out.append(fa.finding("R006", t.line, MSG["R006_type"]))
-        if "marker_guard" in roles and not seam and t.val in MARKER_NAMES \
-                and (i + 1 >= len(toks) or toks[i + 1].val != "&") \
-                and t.line not in seen["R007"]:
-            seen["R007"].add(t.line)
-            out.append(fa.finding("R007", t.line, MSG["R007"]))
         if "timing_guard" in roles and t.line not in seen["R008"]:
             if t.val == "omp_get_wtime" or (
                     t.val == "std" and i + 2 < len(toks)
