@@ -17,7 +17,8 @@
 // Two layers:
 //  * A per-round partial-coloring sweep (end_round) that works in every
 //    build: after each conflict-removal pass, no two colored
-//    distance-<=2 neighbors may share a color (uncolored / re-queued
+//    neighbors under the engine's view (distance <= 2 for BGPC/D2GC,
+//    distance 1 for D1GC) may share a color (uncolored / re-queued
 //    vertices are exempt — that is exactly the speculation the paper
 //    sanctions). Runs only when an AuditContext is attached, so the
 //    happy path pays one null check per round.
@@ -43,8 +44,7 @@
 #include <string>
 #include <vector>
 
-#include "greedcolor/graph/bipartite.hpp"
-#include "greedcolor/graph/csr.hpp"
+#include "greedcolor/graph/net_view.hpp"
 #include "greedcolor/util/types.hpp"
 
 namespace gcol::audit {
@@ -73,7 +73,8 @@ struct AuditOptions {
 
 /// One escaped conflict: vertices `a` and `b` share `color` through
 /// `via` (the common net for BGPC, the middle vertex for D2GC; equals
-/// `a` or `b` for a distance-1 D2GC clash) after conflict removal.
+/// `a` or `b` for a distance-1 clash, D2GC or D1GC) after conflict
+/// removal.
 struct AuditViolation {
   int round = 0;
   vid_t a = kInvalidVertex;
@@ -113,7 +114,7 @@ class AuditContext {
  public:
   explicit AuditContext(AuditOptions options = {});
 
-  // ---- driver side (called by color_bgpc / color_d2gc) ----
+  // ---- driver side (called by the speculative engine) ----
 
   /// Size the per-thread ledgers; called by AuditScope on installation.
   void attach(int threads);
@@ -125,8 +126,9 @@ class AuditContext {
   /// (and fault injection, so injected stale writes are visible).
   /// Throws Error(kInternalInvariant) in fail_fast mode on the first
   /// escaped conflict.
-  void end_round(const BipartiteGraph& g, const color_t* c);
-  void end_round(const Graph& g, const color_t* c);
+  void end_round(const BipartiteView& view, const color_t* c);
+  void end_round(const ClosedView& view, const color_t* c);
+  void end_round(const Distance1View& view, const color_t* c);
 
   [[nodiscard]] const AuditReport& report() const { return report_; }
 

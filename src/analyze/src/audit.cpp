@@ -169,8 +169,9 @@ void AuditContext::mark_seen(color_t col, vid_t holder) {
   seen_vertex_[idx] = holder;
 }
 
-void AuditContext::end_round(const BipartiteGraph& g, const color_t* c) {
+void AuditContext::end_round(const BipartiteView& view, const color_t* c) {
   harvest_ledgers(c);
+  const BipartiteGraph& g = view.g;
   // Net-side sweep, the dual of check_bgpc but on a *partial* coloring:
   // within one net every live color may appear once; an uncolored
   // vertex is pending re-coloring and exempt by the paper's contract.
@@ -192,8 +193,9 @@ void AuditContext::end_round(const BipartiteGraph& g, const color_t* c) {
   finish_round();
 }
 
-void AuditContext::end_round(const Graph& g, const color_t* c) {
+void AuditContext::end_round(const ClosedView& view, const color_t* c) {
   harvest_ledgers(c);
+  const Graph& g = view.g;
   // Closed-neighborhood sweep (the D2GC analogue of the net sweep):
   // the colored members of N[v] must be pairwise distinct.
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
@@ -212,6 +214,20 @@ void AuditContext::end_round(const Graph& g, const color_t* c) {
       else
         mark_seen(cu, u);
     }
+  }
+  finish_round();
+}
+
+void AuditContext::end_round(const Distance1View& view, const color_t* c) {
+  harvest_ledgers(c);
+  // Edge sweep: the two colored endpoints of an edge must differ.
+  const Graph& g = view.g;
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    const color_t cv = c[static_cast<std::size_t>(v)];
+    if (cv == kNoColor) continue;
+    for (const vid_t u : g.neighbors(v))
+      if (u > v && c[static_cast<std::size_t>(u)] == cv)
+        record_violation(u, v, v, cv);
   }
   finish_round();
 }

@@ -37,8 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "greedcolor/graph/bipartite.hpp"
-#include "greedcolor/graph/csr.hpp"
+#include "greedcolor/graph/net_view.hpp"
 #include "greedcolor/util/types.hpp"
 
 namespace gcol::check {
@@ -180,15 +179,17 @@ class McContext {
   /// Rounds after which the speculative loop counts as livelocked.
   int convergence_round_limit = 32;
 
-  // ---- driver side (color_bgpc / color_d2gc round loop) ----
+  // ---- driver side (the speculative engine's round loop) ----
 
   void begin_round(int round, const color_t* c, std::size_t n);
   /// Audit the partial coloring after conflict removal + fault
   /// injection. `next_queue` is the work queue of the following round
   /// (the no-loss invariant: every uncolored vertex must be in it).
-  void end_round(const BipartiteGraph& g, const color_t* c,
+  void end_round(const BipartiteView& view, const color_t* c,
                  const std::vector<vid_t>& next_queue);
-  void end_round(const Graph& g, const color_t* c,
+  void end_round(const ClosedView& view, const color_t* c,
+                 const std::vector<vid_t>& next_queue);
+  void end_round(const Distance1View& view, const color_t* c,
                  const std::vector<vid_t>& next_queue);
 
   // ---- kernel side (region scopes and accessor yields) ----
@@ -215,7 +216,11 @@ class McContext {
   void schedule_locked();
   [[nodiscard]] std::uint64_t state_hash_locked() const;
   void record_violation_nolock(McViolation v);
-  void check_color_bound(const color_t* c, std::size_t n, color_t cap);
+  /// The view-independent end_round checks (mu_ held): work-queue
+  /// no-loss and the marker-capacity color bound.
+  template <class V>
+  void check_queue_and_bound(const V& view, const color_t* c,
+                             const std::vector<vid_t>& next_queue);
 
   std::mutex mu_;
   std::condition_variable cv_;

@@ -8,8 +8,6 @@
 #include <atomic>
 #include <sstream>
 
-#include "greedcolor/core/bgpc.hpp"
-#include "greedcolor/core/d2gc.hpp"
 #include "greedcolor/robust/error.hpp"
 #include "greedcolor/util/parallel.hpp"
 
@@ -292,12 +290,31 @@ void McContext::begin_round(int round, const color_t* c, std::size_t n) {
   }
 }
 
-void McContext::check_color_bound(const color_t* c, std::size_t n,
-                                  color_t cap) {
-  // Forbidden-set / first-fit consistency: the drivers size their
-  // marker sets to the color bound + 2; any color at or past that
-  // capacity means a first-fit scan escaped its forbidden set (a later
+template <class V>
+void McContext::check_queue_and_bound(const V& view, const color_t* c,
+                                      const std::vector<vid_t>& next_queue) {
+  const auto n = static_cast<std::size_t>(view.num_vertices());
+  // Work-queue no-loss: every uncolored non-isolated vertex must be in
+  // the next round's queue, or it will never be colored.
+  queue_mark_.assign(n, 0);
+  for (const vid_t u : next_queue)
+    if (u >= 0 && static_cast<std::size_t>(u) < n)
+      queue_mark_[static_cast<std::size_t>(u)] = 1;
+  for (vid_t u = 0; u < view.num_vertices(); ++u) {
+    if (c[static_cast<std::size_t>(u)] != kNoColor) continue;
+    if (view.nets(u).empty()) continue;
+    if (queue_mark_[static_cast<std::size_t>(u)]) continue;
+    record_violation_nolock(
+        {McViolationKind::kQueueLoss, round_, u, kInvalidVertex,
+         kInvalidVertex, kNoColor, "uncolored vertex missing from the "
+                                   "next work queue"});
+  }
+
+  // Forbidden-set / first-fit consistency: the engine sizes its marker
+  // sets to the color bound + 2; any color at or past that capacity
+  // means a first-fit scan escaped its forbidden set (a later
   // MarkerSet::insert of it would write out of bounds).
+  const color_t cap = view.color_bound() + 2;
   for (std::size_t u = 0; u < n; ++u) {
     const color_t col = c[u];
     if (col == kNoColor || col < cap) continue;
@@ -308,13 +325,13 @@ void McContext::check_color_bound(const color_t* c, std::size_t n,
   }
 }
 
-void McContext::end_round(const BipartiteGraph& g, const color_t* c,
+void McContext::end_round(const BipartiteView& view, const color_t* c,
                           const std::vector<vid_t>& next_queue) {
   if (!armed_) return;
   std::lock_guard<std::mutex> lk(mu_);
-  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const BipartiteGraph& g = view.g;
 
-  // 1. Escaped conflicts: two colored vertices of one net sharing a
+  // Escaped conflicts: two colored vertices of one net sharing a
   // color after conflict removal. O(deg^2) per net — fixtures are tiny.
   for (vid_t v = 0; v < g.num_nets(); ++v) {
     const auto vt = g.vtxs(v);
@@ -331,36 +348,17 @@ void McContext::end_round(const BipartiteGraph& g, const color_t* c,
       }
     }
   }
-
-  // 2. Work-queue no-loss: every uncolored non-isolated vertex must be
-  // in the next round's queue, or it will never be colored.
-  queue_mark_.assign(n, 0);
-  for (const vid_t u : next_queue)
-    if (u >= 0 && static_cast<std::size_t>(u) < n)
-      queue_mark_[static_cast<std::size_t>(u)] = 1;
-  for (vid_t u = 0; u < g.num_vertices(); ++u) {
-    if (c[static_cast<std::size_t>(u)] != kNoColor) continue;
-    if (g.vertex_degree(u) == 0) continue;
-    if (queue_mark_[static_cast<std::size_t>(u)]) continue;
-    record_violation_nolock(
-        {McViolationKind::kQueueLoss, round_, u, kInvalidVertex,
-         kInvalidVertex, kNoColor, "uncolored vertex missing from the "
-                                   "next work queue"});
-  }
-
-  // 3. First-fit / forbidden set consistency.
-  check_color_bound(c, n, static_cast<color_t>(bgpc_color_bound(g) + 2));
+  check_queue_and_bound(view, c, next_queue);
 }
 
-void McContext::end_round(const Graph& g, const color_t* c,
+void McContext::end_round(const ClosedView& view, const color_t* c,
                           const std::vector<vid_t>& next_queue) {
   if (!armed_) return;
   std::lock_guard<std::mutex> lk(mu_);
-  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const Graph& g = view.g;
 
-  // 1. Escaped conflicts under distance-2 adjacency: v vs its
-  // neighbors (distance 1) and every neighbor pair through v
-  // (distance 2).
+  // Escaped conflicts under distance-2 adjacency: v vs its neighbors
+  // (distance 1) and every neighbor pair through v (distance 2).
   for (vid_t v = 0; v < g.num_vertices(); ++v) {
     const auto nb = g.neighbors(v);
     const color_t cv = c[static_cast<std::size_t>(v)];
@@ -383,24 +381,27 @@ void McContext::end_round(const Graph& g, const color_t* c,
       }
     }
   }
+  check_queue_and_bound(view, c, next_queue);
+}
 
-  // 2. Work-queue no-loss.
-  queue_mark_.assign(n, 0);
-  for (const vid_t u : next_queue)
-    if (u >= 0 && static_cast<std::size_t>(u) < n)
-      queue_mark_[static_cast<std::size_t>(u)] = 1;
-  for (vid_t u = 0; u < g.num_vertices(); ++u) {
-    if (c[static_cast<std::size_t>(u)] != kNoColor) continue;
-    if (g.degree(u) == 0) continue;
-    if (queue_mark_[static_cast<std::size_t>(u)]) continue;
-    record_violation_nolock(
-        {McViolationKind::kQueueLoss, round_, u, kInvalidVertex,
-         kInvalidVertex, kNoColor, "uncolored vertex missing from the "
-                                   "next work queue"});
+void McContext::end_round(const Distance1View& view, const color_t* c,
+                          const std::vector<vid_t>& next_queue) {
+  if (!armed_) return;
+  std::lock_guard<std::mutex> lk(mu_);
+  const Graph& g = view.g;
+
+  // Escaped conflicts under distance-1 adjacency, each edge once.
+  for (vid_t v = 0; v < g.num_vertices(); ++v) {
+    const color_t cv = c[static_cast<std::size_t>(v)];
+    if (cv == kNoColor) continue;
+    for (const vid_t u : g.neighbors(v)) {
+      if (u <= v || c[static_cast<std::size_t>(u)] != cv) continue;
+      record_violation_nolock(
+          {McViolationKind::kEscapedConflict, round_, v, u, kInvalidVertex,
+           cv, "adjacent vertices share a color after conflict removal"});
+    }
   }
-
-  // 3. First-fit / forbidden set consistency.
-  check_color_bound(c, n, static_cast<color_t>(d2gc_color_bound(g) + 2));
+  check_queue_and_bound(view, c, next_queue);
 }
 
 // ---- kernel-side hooks ----------------------------------------------

@@ -24,8 +24,10 @@ namespace gcol {
     const Graph& g, const std::vector<vid_t>& order = {});
 
 /// Speculative parallel D1GC: optimistic coloring + conflict removal
-/// rounds. Honors chunk_size, queue policy, balance, and num_threads;
-/// net_color_rounds/net_conflict_rounds must be 0 (no nets in D1).
+/// rounds on the same engine as color_bgpc. Honors chunk_size, queue
+/// policy, balance, locality, num_threads and the watchdog / fault /
+/// auditor / checker / tracer fields; net_color_rounds and
+/// net_conflict_rounds must be 0 (no net kernels in D1).
 [[nodiscard]] ColoringResult color_d1gc(
     const Graph& g, const ColoringOptions& options = {},
     const std::vector<vid_t>& order = {});

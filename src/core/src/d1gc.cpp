@@ -1,7 +1,9 @@
+// Jones-Plassmann D1GC and the D1 validity check. Speculative D1GC and
+// its sequential baseline run on the one engine (engine.cpp) over
+// Distance1View.
 #include "greedcolor/core/d1gc.hpp"
 
 #include <numeric>
-#include <stdexcept>
 
 #include "greedcolor/util/marker_set.hpp"
 #include "greedcolor/util/parallel.hpp"
@@ -20,198 +22,7 @@ std::vector<vid_t> natural_order(vid_t n) {
   return order;
 }
 
-template <BalancePolicy B>
-void d1_color_round(const Graph& g, const std::vector<vid_t>& w, color_t* c,
-                    std::vector<ThreadWorkspace>& ws, int chunk, int threads,
-                    KernelCounters& counters) {
-  const auto n = static_cast<std::int64_t>(w.size());
-  detail::CounterSlots slots(threads);
-#pragma omp parallel num_threads(threads) default(none) \
-    shared(g, w, c, ws, slots) firstprivate(chunk, n)
-  {
-    const int tid = current_thread();
-    ThreadWorkspace& tws = ws[static_cast<std::size_t>(tid)];
-    MarkerSet& f = tws.forbidden;
-    detail::PolicyState st;
-    KernelCounters local;
-#pragma omp for schedule(dynamic, chunk) nowait
-    for (std::int64_t i = 0; i < n; ++i) {
-      const vid_t wv = w[static_cast<std::size_t>(i)];
-      f.clear();
-      for (const vid_t u : g.neighbors(wv)) {
-        GCOL_COUNT(++local.edges_visited);
-        const color_t cu = detail::load_color(c, u);
-        if (cu != kNoColor) f.insert(cu);
-      }
-      const color_t col =
-          detail::pick_vertex_color<B>(st, f, wv, local.color_probes);
-      detail::store_color(c, wv, col);
-      GCOL_COUNT(++local.colored);
-    }
-    slots.publish(tid, local);
-  }
-  slots.merge_into(counters);
-}
-
-void d1_conflict_round(const Graph& g, const std::vector<vid_t>& w,
-                       color_t* c, QueuePolicy queue, int chunk, int threads,
-                       std::vector<vid_t>& wnext, KernelCounters& counters) {
-  const auto n = static_cast<std::int64_t>(w.size());
-  SharedWorkQueue shared;
-  LocalWorkQueues lazy;
-  const bool use_shared = queue == QueuePolicy::kShared;
-  if (use_shared)
-    shared.reset(w.size());
-  else
-    lazy.configure(threads), lazy.begin_round();
-  detail::CounterSlots slots(threads);
-#pragma omp parallel num_threads(threads) default(none) \
-    shared(g, w, c, slots, shared, lazy) \
-    firstprivate(chunk, n, use_shared)
-  {
-    const int tid = current_thread();
-    KernelCounters local;
-#pragma omp for schedule(dynamic, chunk) nowait
-    for (std::int64_t i = 0; i < n; ++i) {
-      const vid_t wv = w[static_cast<std::size_t>(i)];
-      const color_t cw = detail::load_color(c, wv);
-      if (cw == kNoColor) continue;
-      bool conflicted = false;
-      for (const vid_t u : g.neighbors(wv)) {
-        GCOL_COUNT(++local.edges_visited);
-        if (detail::load_color(c, u) == cw && wv > u) {
-          conflicted = true;
-          break;
-        }
-      }
-      if (conflicted) {
-        GCOL_COUNT(++local.conflicts);
-        detail::store_color(c, wv, kNoColor);
-        if (use_shared)
-          shared.push(wv);
-        else
-          lazy.push(tid, wv);
-      }
-    }
-    slots.publish(tid, local);
-  }
-  slots.merge_into(counters);
-  if (use_shared)
-    shared.swap_into(wnext);
-  else
-    lazy.merge_into(wnext);
-}
-
 }  // namespace
-
-color_t d1gc_color_bound(const Graph& g) { return g.max_degree() + 1; }
-
-ColoringResult color_d1gc_sequential(const Graph& g,
-                                     const std::vector<vid_t>& order) {
-  const vid_t n = g.num_vertices();
-  if (!order.empty() && order.size() != static_cast<std::size_t>(n))
-    throw std::invalid_argument("color_d1gc_sequential: order size mismatch");
-  ColoringResult result;
-  result.colors.assign(static_cast<std::size_t>(n), kNoColor);
-  MarkerSet forbidden(static_cast<std::size_t>(d1gc_color_bound(g)) + 1);
-  std::uint64_t probes = 0;
-
-  WallTimer total;
-  IterationStats stats;
-  stats.round = 1;
-  stats.queue_size = static_cast<std::size_t>(n);
-  const std::vector<vid_t>& base = order.empty() ? natural_order(n) : order;
-  for (const vid_t w : base) {
-    forbidden.clear();
-    for (const vid_t u : g.neighbors(w)) {
-      GCOL_COUNT(++stats.color_counters.edges_visited);
-      const color_t cu = result.colors[static_cast<std::size_t>(u)];
-      if (cu != kNoColor) forbidden.insert(cu);
-    }
-    result.colors[static_cast<std::size_t>(w)] =
-        detail::pick_up(forbidden, 0, probes);
-    GCOL_COUNT(++stats.color_counters.colored);
-  }
-  GCOL_COUNT(stats.color_counters.color_probes = probes);
-  stats.color_seconds = total.seconds();
-  result.total_seconds = stats.color_seconds;
-  result.rounds = 1;
-  result.iterations.push_back(stats);
-  result.num_colors = count_colors(result.colors);
-  return result;
-}
-
-ColoringResult color_d1gc(const Graph& g, const ColoringOptions& options,
-                          const std::vector<vid_t>& order) {
-  options.validate();
-  if (options.net_color_rounds != 0 || options.net_conflict_rounds != 0)
-    throw std::invalid_argument(
-        "color_d1gc: net-based rounds are undefined for distance-1");
-  const vid_t n = g.num_vertices();
-  if (!order.empty() && order.size() != static_cast<std::size_t>(n))
-    throw std::invalid_argument("color_d1gc: order size mismatch");
-
-  const int threads = detail::resolve_threads(options.num_threads);
-  std::vector<ThreadWorkspace> workspaces(
-      static_cast<std::size_t>(threads));
-  for (auto& ws : workspaces)
-    ws.prepare(static_cast<std::size_t>(d1gc_color_bound(g)) + 2, 0);
-
-  ColoringResult result;
-  result.colors.assign(static_cast<std::size_t>(n), kNoColor);
-  color_t* c = result.colors.data();
-  std::vector<vid_t> w = order.empty() ? natural_order(n) : order;
-
-  WallTimer total;
-  std::vector<vid_t> wnext;
-  int round = 0;
-  while (!w.empty() && round < options.max_rounds) {
-    ++round;
-    IterationStats stats;
-    stats.round = round;
-    stats.queue_size = w.size();
-
-    WallTimer phase;
-    switch (options.balance) {
-      case BalancePolicy::kNone:
-        d1_color_round<BalancePolicy::kNone>(g, w, c, workspaces,
-                                             options.chunk_size, threads,
-                                             stats.color_counters);
-        break;
-      case BalancePolicy::kB1:
-        d1_color_round<BalancePolicy::kB1>(g, w, c, workspaces,
-                                           options.chunk_size, threads,
-                                           stats.color_counters);
-        break;
-      case BalancePolicy::kB2:
-        d1_color_round<BalancePolicy::kB2>(g, w, c, workspaces,
-                                           options.chunk_size, threads,
-                                           stats.color_counters);
-        break;
-    }
-    stats.color_seconds = phase.seconds();
-
-    phase.reset();
-    d1_conflict_round(g, w, c, options.queue, options.chunk_size, threads,
-                      wnext, stats.conflict_counters);
-    stats.conflict_seconds = phase.seconds();
-    stats.conflicts = wnext.size();
-
-    if (options.collect_iteration_stats)
-      result.iterations.push_back(stats);
-    std::swap(w, wnext);
-    wnext.clear();
-  }
-  // Speculative D1 always terminates (the smallest conflicting vertex
-  // keeps its color each round); max_rounds is an assertion of that.
-  if (!w.empty())
-    throw std::logic_error("color_d1gc: round limit exceeded");
-
-  result.total_seconds = total.seconds();
-  result.rounds = round;
-  result.num_colors = count_colors(result.colors);
-  return result;
-}
 
 ColoringResult color_d1gc_jones_plassmann(const Graph& g, std::uint64_t seed,
                                           int num_threads) {

@@ -131,6 +131,13 @@ inline void prefetch_color(const color_t* c, vid_t v) {
 
 // --- The distance-2 walk over one adjacency list -------------------------
 //
+// The helpers below and the color pickers further down are forced
+// inline: the engine's one translation unit instantiates every kernel
+// for every net view, which exceeds GCC's inlining budget, and an
+// out-of-line call per adjacency list cost graphs with short lists
+// (meshes) up to a fifth of the D2GC color phase (gcc 12, AVX-512
+// Xeon).
+//
 // Every vertex kernel (and the sequential baselines) spends its time
 // here: Θ(Σ|vtxs(v)|²) color loads and forbidden set inserts. Each
 // helper has a scalar body (the reference, and the only body in
@@ -141,8 +148,8 @@ inline void prefetch_color(const color_t* c, vid_t v) {
 // and the same counts (tests/test_color_seam.cpp).
 
 /// Scalar body of forbid_colors.
-inline void forbid_colors_scalar(color_t* c, const vid_t* ids, std::size_t n,
-                                 vid_t self, MarkerSet& f) {
+[[gnu::always_inline]] inline void forbid_colors_scalar(
+    color_t* c, const vid_t* ids, std::size_t n, vid_t self, MarkerSet& f) {
   for (std::size_t j = 0; j < n; ++j) {
     // The distance-2 gather is the random-access hot spot: hint the
     // color word a few entries ahead so the load below hits.
@@ -162,9 +169,8 @@ struct ClashScan {
 };
 
 /// Scalar body of first_lower_clash.
-inline ClashScan first_lower_clash_scalar(color_t* c, const vid_t* ids,
-                                          std::size_t n, vid_t w,
-                                          color_t cw) {
+[[gnu::always_inline]] inline ClashScan first_lower_clash_scalar(
+    color_t* c, const vid_t* ids, std::size_t n, vid_t w, color_t cw) {
   for (std::size_t j = 0; j < n; ++j) {
     if (j + kColorPrefetchDist < n)
       prefetch_color(c, ids[j + kColorPrefetchDist]);
@@ -189,8 +195,8 @@ inline __m512i capacity_lanes(const MarkerSet& f) {
 /// (-1) and the vertex's own lane land on F's sink slot (slots()[-1]),
 /// so no mask is needed. A block holding a color at or beyond F's
 /// capacity goes through the scalar body, whose insert grows F.
-inline void forbid_colors_vector(color_t* c, const vid_t* ids, std::size_t n,
-                                 vid_t self, MarkerSet& f) {
+[[gnu::always_inline]] inline void forbid_colors_vector(
+    color_t* c, const vid_t* ids, std::size_t n, vid_t self, MarkerSet& f) {
   const __m512i self_v = _mm512_set1_epi32(self);
   const __m512i sink_v = _mm512_set1_epi32(kNoColor);
   const __m512i stamp_v = _mm512_set1_epi32(static_cast<int>(f.stamp()));
@@ -220,9 +226,8 @@ inline void forbid_colors_vector(color_t* c, const vid_t* ids, std::size_t n,
 /// the lanes with id < w and compares them with cw. Alg. 5's tie-break
 /// means a larger id can never make w lose, so those colors are never
 /// loaded; the first hit's lane gives the scalar loop's exact count.
-inline ClashScan first_lower_clash_vector(color_t* c, const vid_t* ids,
-                                          std::size_t n, vid_t w,
-                                          color_t cw) {
+[[gnu::always_inline]] inline ClashScan first_lower_clash_vector(
+    color_t* c, const vid_t* ids, std::size_t n, vid_t w, color_t cw) {
   const __m512i w_v = _mm512_set1_epi32(w);
   const __m512i cw_v = _mm512_set1_epi32(cw);
   std::size_t j = 0;
@@ -246,8 +251,9 @@ inline ClashScan first_lower_clash_vector(color_t* c, const vid_t* ids,
 /// Alg. 4's distance-2 gather over one list: insert into F the color of
 /// every ids[j] other than `self`, skipping uncolored ones. The caller
 /// counts ids.size() visited entries, as the scalar loop always did.
-inline void forbid_colors(color_t* c, std::span<const vid_t> ids, vid_t self,
-                          MarkerSet& f) {
+[[gnu::always_inline]] inline void forbid_colors(color_t* c,
+                                                 std::span<const vid_t> ids,
+                                                 vid_t self, MarkerSet& f) {
 #if GCOL_VECTOR_GATHER
   forbid_colors_vector(c, ids.data(), ids.size(), self, f);
 #else
@@ -258,8 +264,8 @@ inline void forbid_colors(color_t* c, std::span<const vid_t> ids, vid_t self,
 /// Alg. 5's distance-2 test over one list: does some ids[j] < w hold
 /// w's color cw? `visited` is the entry count the scalar loop adds to
 /// edges_visited: up to and including the clash, or the whole list.
-inline ClashScan first_lower_clash(color_t* c, std::span<const vid_t> ids,
-                                   vid_t w, color_t cw) {
+[[gnu::always_inline]] inline ClashScan first_lower_clash(
+    color_t* c, std::span<const vid_t> ids, vid_t w, color_t cw) {
 #if GCOL_VECTOR_GATHER
   return first_lower_clash_vector(c, ids.data(), ids.size(), w, cw);
 #else
@@ -352,8 +358,8 @@ struct PolicyState {
 /// Vertex-kernel color selection (Algorithms 2 / 11 / 12). `w` is the
 /// vertex id (B1 alternates policy on its parity).
 template <BalancePolicy B>
-inline color_t pick_vertex_color(PolicyState& st, const MarkerSet& f,
-                                 vid_t w, std::uint64_t& probes) {
+[[gnu::always_inline]] inline color_t pick_vertex_color(
+    PolicyState& st, const MarkerSet& f, vid_t w, std::uint64_t& probes) {
   if constexpr (B == BalancePolicy::kNone) {
     (void)st;
     (void)w;
@@ -383,10 +389,9 @@ inline color_t pick_vertex_color(PolicyState& st, const MarkerSet& f,
 /// every assignment the color is added to F so two local-queue vertices
 /// never clash within this net.
 template <BalancePolicy B>
-inline void color_local_queue(PolicyState& st, MarkerSet& f,
-                              const std::vector<vid_t>& wlocal,
-                              vid_t net_id, color_t start, color_t* c,
-                              KernelCounters& local) {
+[[gnu::always_inline]] inline void color_local_queue(
+    PolicyState& st, MarkerSet& f, const std::vector<vid_t>& wlocal,
+    vid_t net_id, color_t start, color_t* c, KernelCounters& local) {
   std::uint64_t& probes = local.color_probes;
   if constexpr (B == BalancePolicy::kNone) {
     (void)st;

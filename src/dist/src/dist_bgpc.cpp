@@ -98,8 +98,8 @@ DistResult color_bgpc_distributed(const BipartiteGraph& g,
                                   const DistOptions& options) {
   const vid_t n = g.num_vertices();
   const std::vector<int> owner = make_partition(n, options);
-  // gcol-trace seam (see bgpc.cpp): driver phases land on the engine
-  // tracks, per-shard compute on one track per shard.
+  // gcol-trace seam (see core/src/engine.cpp): driver phases land on
+  // the engine tracks, per-shard compute on one track per shard.
   obs::Tracer* const tracer = options.tracer;
   if (tracer != nullptr) tracer->attach(max_threads());
   WallTimer total;

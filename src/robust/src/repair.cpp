@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "greedcolor/graph/net_view.hpp"
 #include "greedcolor/robust/error.hpp"
 #include "greedcolor/util/marker_set.hpp"
 
@@ -25,72 +26,36 @@ vid_t sanitize(std::vector<color_t>& colors, color_t cap) {
   return reset;
 }
 
-}  // namespace
-
-RepairStats repair_bgpc(const BipartiteGraph& g,
-                        std::vector<color_t>& colors) {
-  if (colors.size() != static_cast<std::size_t>(g.num_vertices()))
-    raise(ErrorCode::kInvalidArgument, "repair_bgpc",
-          "color array size mismatch");
+/// One repair over a net view: a net-side conflict sweep, then a
+/// sequential first-fit refill of the damage only, reading live colors.
+template <class V>
+RepairStats repair(const V& view, std::vector<color_t>& colors,
+                   const char* what) {
+  static_assert(V::kNetKernels, "the conflict sweep needs a net list");
+  const vid_t n = view.num_vertices();
+  if (colors.size() != static_cast<std::size_t>(n))
+    raise(ErrorCode::kInvalidArgument, what, "color array size mismatch");
   RepairStats stats;
   // A first-fit coloring never needs more than num_vertices colors; the
   // cap also bounds marker growth against garbage input.
-  const color_t cap = std::max<color_t>(g.num_vertices(), 1);
+  const color_t cap = std::max<color_t>(n, 1);
   stats.sanitized = sanitize(colors, cap);
+  const auto color_of = [&colors](vid_t u) -> color_t& {
+    return colors[static_cast<std::size_t>(u)];
+  };
 
-  // Net-side conflict sweep: the first holder of each color in a net
-  // keeps it, later duplicates are uncolored (the static smallest-id
-  // tie-break of the distributed lineage).
+  // Conflict sweep: the first holder of each color in a net (its
+  // center first) keeps it, later duplicates are uncolored (the static
+  // smallest-id tie-break of the distributed lineage). Distinctness
+  // inside every net covers every conflicting pair.
   MarkerSet seen(static_cast<std::size_t>(cap));
-  for (vid_t v = 0; v < g.num_nets(); ++v) {
+  for (vid_t v = 0; v < view.num_nets(); ++v) {
     seen.clear();
-    for (const vid_t u : g.vtxs(v)) {
-      color_t& cu = colors[static_cast<std::size_t>(u)];
-      if (cu == kNoColor) continue;
-      if (seen.contains(cu)) {
-        cu = kNoColor;
-        ++stats.conflicted;
-      } else {
-        seen.insert(cu);
-      }
+    if constexpr (V::kCenter) {
+      if (color_of(v) != kNoColor) seen.insert(color_of(v));
     }
-  }
-
-  // Sequential first-fit over the damage only, reading live colors.
-  MarkerSet forbidden(static_cast<std::size_t>(cap));
-  for (vid_t u = 0; u < g.num_vertices(); ++u) {
-    color_t& cu = colors[static_cast<std::size_t>(u)];
-    if (cu != kNoColor) continue;
-    forbidden.clear();
-    for (const vid_t v : g.nets(u))
-      for (const vid_t w : g.vtxs(v))
-        if (w != u && colors[static_cast<std::size_t>(w)] != kNoColor)
-          forbidden.insert(colors[static_cast<std::size_t>(w)]);
-    color_t col = 0;
-    while (forbidden.contains(col)) ++col;
-    cu = col;
-    ++stats.repaired;
-  }
-  return stats;
-}
-
-RepairStats repair_d2gc(const Graph& g, std::vector<color_t>& colors) {
-  if (colors.size() != static_cast<std::size_t>(g.num_vertices()))
-    raise(ErrorCode::kInvalidArgument, "repair_d2gc",
-          "color array size mismatch");
-  RepairStats stats;
-  const color_t cap = std::max<color_t>(g.num_vertices(), 1);
-  stats.sanitized = sanitize(colors, cap);
-
-  // Closed-neighborhood sweep: checking distinctness inside each N[v]
-  // covers every distance-<=2 pair (the same argument check_d2gc uses).
-  MarkerSet seen(static_cast<std::size_t>(cap));
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    seen.clear();
-    const color_t cv = colors[static_cast<std::size_t>(v)];
-    if (cv != kNoColor) seen.insert(cv);
-    for (const vid_t u : g.neighbors(v)) {
-      color_t& cu = colors[static_cast<std::size_t>(u)];
+    for (const vid_t u : view.others(v)) {
+      color_t& cu = color_of(u);
       if (cu == kNoColor) continue;
       if (seen.contains(cu)) {
         cu = kNoColor;
@@ -102,16 +67,16 @@ RepairStats repair_d2gc(const Graph& g, std::vector<color_t>& colors) {
   }
 
   MarkerSet forbidden(static_cast<std::size_t>(cap));
-  for (vid_t w = 0; w < g.num_vertices(); ++w) {
-    color_t& cw = colors[static_cast<std::size_t>(w)];
+  for (vid_t w = 0; w < n; ++w) {
+    color_t& cw = color_of(w);
     if (cw != kNoColor) continue;
     forbidden.clear();
-    for (const vid_t u : g.neighbors(w)) {
-      if (colors[static_cast<std::size_t>(u)] != kNoColor)
-        forbidden.insert(colors[static_cast<std::size_t>(u)]);
-      for (const vid_t x : g.neighbors(u))
-        if (x != w && colors[static_cast<std::size_t>(x)] != kNoColor)
-          forbidden.insert(colors[static_cast<std::size_t>(x)]);
+    for (const vid_t v : view.nets(w)) {
+      if constexpr (V::kCenter) {
+        if (color_of(v) != kNoColor) forbidden.insert(color_of(v));
+      }
+      for (const vid_t x : view.others(v))
+        if (x != w && color_of(x) != kNoColor) forbidden.insert(color_of(x));
     }
     color_t col = 0;
     while (forbidden.contains(col)) ++col;
@@ -119,6 +84,17 @@ RepairStats repair_d2gc(const Graph& g, std::vector<color_t>& colors) {
     ++stats.repaired;
   }
   return stats;
+}
+
+}  // namespace
+
+RepairStats repair_bgpc(const BipartiteGraph& g,
+                        std::vector<color_t>& colors) {
+  return repair(BipartiteView{g}, colors, "repair_bgpc");
+}
+
+RepairStats repair_d2gc(const Graph& g, std::vector<color_t>& colors) {
+  return repair(ClosedView{g}, colors, "repair_d2gc");
 }
 
 }  // namespace gcol

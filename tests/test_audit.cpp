@@ -14,6 +14,7 @@
 
 #include "greedcolor/analyze/audit.hpp"
 #include "greedcolor/core/bgpc.hpp"
+#include "greedcolor/core/d1gc.hpp"
 #include "greedcolor/core/d2gc.hpp"
 #include "greedcolor/core/verify.hpp"
 #include "greedcolor/graph/builder.hpp"
@@ -171,6 +172,33 @@ TEST(AuditD2gc, SeededEscapedConflictIsCaught) {
   const auto r = color_d2gc(g, opt);
   ASSERT_GT(r.faults_injected, 0) << "plan injected nothing";
   EXPECT_FALSE(ctx.report().clean());
+  EXPECT_GT(ctx.report().escaped_conflicts, 0u);
+}
+
+// Speculative D1GC runs on the same engine, so the auditor sweeps its
+// edges after every round.
+TEST(AuditD1gc, CleanRunReportsClean) {
+  const Graph g = audit_symmetric(0xD11);
+  audit::AuditContext ctx;
+  ColoringOptions opt = bgpc_preset("V-V-64D");
+  opt.num_threads = 4;
+  opt.auditor = &ctx;
+  const auto r = color_d1gc(g, opt);
+  EXPECT_TRUE(is_valid_d1gc(g, r.colors));
+  EXPECT_TRUE(ctx.report().clean()) << ctx.report().summary();
+  EXPECT_EQ(ctx.report().rounds_audited, r.rounds);
+}
+
+TEST(AuditD1gc, SeededEscapedConflictIsCaught) {
+  const Graph g = audit_symmetric(0xD12);
+  const FaultPlan plan = FaultPlan::parse("seed=11,stale=0.3");
+  audit::AuditContext ctx;
+  ColoringOptions opt = bgpc_preset("V-V-64D");
+  opt.num_threads = 2;
+  opt.fault_plan = &plan;
+  opt.auditor = &ctx;
+  const auto r = color_d1gc(g, opt);
+  ASSERT_GT(r.faults_injected, 0) << "plan injected nothing";
   EXPECT_GT(ctx.report().escaped_conflicts, 0u);
 }
 

@@ -30,7 +30,8 @@ struct Instance {
   vid_t self = 0;
 };
 
-Instance random_instance(std::mt19937& rng, std::size_t len) {
+[[maybe_unused]] Instance random_instance(std::mt19937& rng,
+                                         std::size_t len) {
   Instance in;
   std::uniform_int_distribution<int> pct(0, 99);
   std::uniform_int_distribution<color_t> col(0, kMaxColor - 1);
@@ -49,7 +50,7 @@ Instance random_instance(std::mt19937& rng, std::size_t len) {
 
 /// A set holding stale entries from an earlier epoch, so a body that
 /// wrote the wrong stamp (or read one back) would show.
-MarkerSet primed_set(std::mt19937& rng) {
+[[maybe_unused]] MarkerSet primed_set(std::mt19937& rng) {
   MarkerSet f(kCapacity);
   std::uniform_int_distribution<int> key(0, static_cast<int>(kCapacity) - 1);
   for (int i = 0; i < 8; ++i) f.insert(key(rng));

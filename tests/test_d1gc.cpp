@@ -6,6 +6,7 @@
 
 #include "greedcolor/graph/builder.hpp"
 #include "greedcolor/graph/generators.hpp"
+#include "greedcolor/util/counters.hpp"
 #include "test_util.hpp"
 
 namespace gcol {
@@ -87,6 +88,33 @@ TEST(D1gcSpeculative, RejectsNetRounds) {
   EXPECT_THROW(color_d1gc(g, bgpc_preset("N1-N2")),
                std::invalid_argument);
   EXPECT_THROW(color_d1gc(g, bgpc_preset("V-N1")), std::invalid_argument);
+}
+
+// The round cap ends in the engine's sequential cleanup, flagged, never
+// in an exception; whether round 1 left conflicts depends on the
+// thread interleaving, so the flags are checked for consistency.
+TEST(D1gcSpeculative, RoundCapEndsInSequentialCleanup) {
+  const Graph g = make_test_graph("cliques");
+  ColoringOptions opt = bgpc_preset("V-V");
+  opt.num_threads = 4;
+  opt.max_rounds = 1;
+  ColoringResult r;
+  ASSERT_NO_THROW(r = color_d1gc(g, opt));
+  EXPECT_TRUE(is_valid_d1gc(g, r.colors));
+  EXPECT_EQ(r.rounds, 1);
+  EXPECT_EQ(r.rounds_capped, r.sequential_fallback);
+  EXPECT_EQ(r.degraded, r.sequential_fallback);
+}
+
+TEST(D1gcSpeculative, RecordsMaxColor) {
+  if constexpr (!kCountersEnabled) GTEST_SKIP() << "counters compiled out";
+  const Graph g = make_test_graph("pa");
+  ColoringOptions opt = bgpc_preset("V-V");
+  opt.num_threads = 1;
+  const auto r = color_d1gc(g, opt);
+  ASSERT_FALSE(r.iterations.empty());
+  EXPECT_EQ(r.iterations.front().color_counters.max_color + 1,
+            r.num_colors);
 }
 
 TEST(D1gcJonesPlassmann, ValidOnAllShapes) {

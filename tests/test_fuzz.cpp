@@ -126,6 +126,14 @@ TEST_P(FuzzUnipartite, D2EqualsBgpcOnClosedNeighborhoods) {
   const BipartiteGraph bg = graph_to_bipartite_closed(g);
   EXPECT_EQ(color_d2gc_sequential(g).colors,
             color_bgpc_sequential(bg).colors);
+  // The parallel engine at one thread: the closed view over g walks
+  // exactly the nets of the materialized closed-neighborhood graph.
+  for (const char* name : {"V-V-64D", "V-N1", "V-N2"}) {
+    ColoringOptions opt = d2gc_preset(name);
+    opt.num_threads = 1;
+    EXPECT_EQ(color_d2gc(g, opt).colors, color_bgpc(bg, opt).colors)
+        << name << " seed=" << GetParam();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzUnipartite,

@@ -185,6 +185,18 @@ TEST(McExplore, DporCleanD2gc) {
   EXPECT_TRUE(res.complete);
 }
 
+// D2GC's net kernels (Algs. 9/10): the closed view's center step runs
+// inside the same schedule points as the BGPC net kernels.
+TEST(McExplore, DporCleanD2gcNetKernels) {
+  GCOL_MC_ONLY();
+  const Graph g = build_graph(testing::path_coo(4));
+  McOptions opts = mc_options(ExploreMode::kDpor);
+  const McResult res = model_check_d2gc(g, d2gc_preset("N1-N2"), {}, opts);
+  SCOPED_TRACE(res.summary());
+  EXPECT_TRUE(res.clean());
+  EXPECT_TRUE(res.complete);
+}
+
 TEST(McExplore, RandomFuzzCleanAndSeedStable) {
   GCOL_MC_ONLY();
   const BipartiteGraph g = testing::disjoint_nets(2, 2);

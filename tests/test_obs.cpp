@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "greedcolor/core/bgpc.hpp"
+#include "greedcolor/core/d1gc.hpp"
+#include "greedcolor/core/d2gc.hpp"
 #include "greedcolor/dist/dist_bgpc.hpp"
 #include "greedcolor/graph/builder.hpp"
 #include "greedcolor/graph/generators.hpp"
@@ -73,17 +75,12 @@ TEST(Tracer, RecordsClearsAndCountsDrops) {
 }
 
 // Spans from a forced single-thread run obey stack discipline and the
-// taxonomy: every bgpc.color / bgpc.conflict span sits inside a
-// bgpc.round span, and everything that begins ends.
-TEST(Tracer, SpansNestUnderSingleThreadRun) {
-  const BipartiteGraph g = small_graph();
-  Tracer tracer;
-  ColoringOptions opt = bgpc_preset("N1-N2");
-  opt.num_threads = 1;
-  opt.tracer = &tracer;
-  const auto r = color_bgpc(g, opt);
-  EXPECT_GT(r.num_colors, 0);
-
+// taxonomy: every <engine>.color / <engine>.conflict span sits inside
+// an <engine>.round span, and everything that begins ends. The one
+// engine names its spans per view: bgpc, d2gc and d1gc.
+void expect_spans_nest(const Tracer& tracer, const std::string& engine,
+                       int rounds) {
+  SCOPED_TRACE(engine);
   int depth = 0;
   int rounds_open = 0;
   int color_spans = 0;
@@ -91,12 +88,12 @@ TEST(Tracer, SpansNestUnderSingleThreadRun) {
   for (const TraceEvent& ev : tracer.events()) {
     const std::string name = ev.name;
     if (ev.phase == TraceEvent::Phase::kBegin) {
-      if (name == "bgpc.round") ++rounds_open;
-      if (name == "bgpc.color") {
+      if (name == engine + ".round") ++rounds_open;
+      if (name == engine + ".color") {
         ++color_spans;
         EXPECT_EQ(rounds_open, 1) << "color span outside a round";
       }
-      if (name == "bgpc.conflict") {
+      if (name == engine + ".conflict") {
         ++conflict_spans;
         EXPECT_EQ(rounds_open, 1) << "conflict span outside a round";
       }
@@ -104,12 +101,43 @@ TEST(Tracer, SpansNestUnderSingleThreadRun) {
     } else if (ev.phase == TraceEvent::Phase::kEnd) {
       --depth;
       EXPECT_GE(depth, 0) << "end without begin at " << name;
-      if (name == "bgpc.round") --rounds_open;
+      if (name == engine + ".round") --rounds_open;
     }
   }
   EXPECT_EQ(depth, 0) << "unbalanced spans";
-  EXPECT_GE(color_spans, r.rounds);
-  EXPECT_GE(conflict_spans, r.rounds);
+  EXPECT_GE(color_spans, rounds);
+  EXPECT_GE(conflict_spans, rounds);
+}
+
+TEST(Tracer, SpansNestUnderSingleThreadRun) {
+  {
+    Tracer tracer;
+    ColoringOptions opt = bgpc_preset("N1-N2");
+    opt.num_threads = 1;
+    opt.tracer = &tracer;
+    const auto r = color_bgpc(small_graph(), opt);
+    EXPECT_GT(r.num_colors, 0);
+    expect_spans_nest(tracer, "bgpc", r.rounds);
+  }
+  const Graph g = build_graph(gen_mesh2d(30, 30, 1));
+  {
+    Tracer tracer;
+    ColoringOptions opt = d2gc_preset("N1-N2");
+    opt.num_threads = 1;
+    opt.tracer = &tracer;
+    const auto r = color_d2gc(g, opt);
+    EXPECT_GT(r.num_colors, 0);
+    expect_spans_nest(tracer, "d2gc", r.rounds);
+  }
+  {
+    Tracer tracer;
+    ColoringOptions opt = bgpc_preset("V-V");
+    opt.num_threads = 1;
+    opt.tracer = &tracer;
+    const auto r = color_d1gc(g, opt);
+    EXPECT_GT(r.num_colors, 0);
+    expect_spans_nest(tracer, "d1gc", r.rounds);
+  }
 }
 
 TEST(Tracer, ChromeTraceBalancedUnderMultiThreadRun) {

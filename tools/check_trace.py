@@ -46,9 +46,10 @@ REPORT_SCHEMA = "gcol-report-v1"
 ENGINE_PID = 1
 SHARD_PID = 2
 
-ROUND_NAMES = {"bgpc.round", "d2gc.round", "dist.superstep"}
-COLOR_NAMES = {"bgpc.color", "d2gc.color", "dist.speculate"}
-CONFLICT_NAMES = {"bgpc.conflict", "d2gc.conflict", "dist.conflict"}
+ROUND_NAMES = {"bgpc.round", "d2gc.round", "d1gc.round", "dist.superstep"}
+COLOR_NAMES = {"bgpc.color", "d2gc.color", "d1gc.color", "dist.speculate"}
+CONFLICT_NAMES = {"bgpc.conflict", "d2gc.conflict", "d1gc.conflict",
+                  "dist.conflict"}
 
 FINGERPRINT_RE = re.compile(r"fnv1a64w:[0-9a-f]{16}")
 

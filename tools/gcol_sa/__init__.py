@@ -29,6 +29,6 @@ to this package with the same flags and exit codes.
 """
 
 # Bump to invalidate every cached per-file analysis result.
-ENGINE_VERSION = "gcol-sa-4"
+ENGINE_VERSION = "gcol-sa-5"
 
 __version__ = "1.1.0"

@@ -199,6 +199,7 @@ KEYWORDS_NOT_CALLS = {
     "alignof", "decltype", "new", "delete", "throw", "case", "do",
     "else", "co_await", "co_return", "co_yield", "static_assert",
     "alignas", "noexcept", "requires", "defined", "alignof", "typeid",
+    "constexpr",
 }
 
 
@@ -341,6 +342,9 @@ def _span_args(toks, i):
     name = None
     if len(args) >= 2 and len(args[1]) == 1 and args[1][0].kind == "str":
         name = args[1][0].val.strip('"')
+    elif len(args) >= 2 and args[1]:
+        # A non-literal name (`V::kNames.round`) balances by spelling.
+        name = "".join(t.val for t in args[1])
     return name, close
 
 

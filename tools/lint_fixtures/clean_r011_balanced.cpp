@@ -1,6 +1,6 @@
 // Lint fixture: the R011-clean counterpart — every control-flow path
 // (loop iteration, early break, fallthrough) closes exactly the span it
-// opened, matching the round-loop instrumentation in src/core/bgpc.cpp.
+// opened, matching the round-loop instrumentation in src/core/src/engine.cpp.
 #define GCOL_TRACE_BEGIN(tr, name) (void)0
 #define GCOL_TRACE_END(tr, name) (void)0
 
