@@ -9,12 +9,16 @@ namespace gcol {
 
 /// Build a bipartite graph from a (deduplicated or not) matrix pattern:
 /// rows become nets, columns become the vertices to color. Duplicate
-/// entries are removed; the input is consumed.
+/// entries are removed; the input is consumed. O(nnz + rows + cols).
+/// Throws std::invalid_argument on negative dimensions or inconsistent
+/// COO array lengths, and std::out_of_range on an entry outside the
+/// dimensions.
 [[nodiscard]] BipartiteGraph build_bipartite(Coo coo);
 
 /// Build an undirected simple graph from a square pattern: entry (r,c)
 /// becomes edge {r,c}; the pattern is symmetrized and self-loops
-/// (diagonal entries) are dropped. The input is consumed.
+/// (diagonal entries) are dropped. The input is consumed. Throws like
+/// build_bipartite(), and std::invalid_argument on a non-square pattern.
 [[nodiscard]] Graph build_graph(Coo coo);
 
 /// View a structurally symmetric square bipartite instance as the

@@ -41,12 +41,15 @@ struct Coo {
 
   /// Sort entries by (row, col) and drop duplicate coordinates (keeping
   /// the first value). Generators may emit duplicates; CSR construction
-  /// requires none.
+  /// requires none. O(nnz + rows + cols). Throws std::invalid_argument on
+  /// negative dimensions or inconsistent array lengths, and
+  /// std::out_of_range on an entry outside the dimensions.
   void sort_and_dedup();
 
-  /// True when every entry (r,c) has a counterpart (c,r). Requires a
-  /// square pattern; used to select D2GC-eligible datasets (the paper
-  /// runs D2GC only on structurally symmetric matrices).
+  /// True when every entry (r,c) has a counterpart (c,r); false for a
+  /// non-square pattern. Used to select D2GC-eligible datasets (the paper
+  /// runs D2GC only on structurally symmetric matrices). Throws like
+  /// sort_and_dedup() on a malformed square pattern.
   [[nodiscard]] bool is_structurally_symmetric() const;
 
   /// Make the pattern structurally symmetric by adding missing

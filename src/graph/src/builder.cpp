@@ -1,10 +1,11 @@
 #include "greedcolor/graph/builder.hpp"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "greedcolor/analyze/contract.hpp"
 #include "greedcolor/analyze/structure.hpp"
+#include "csr_build.hpp"
 
 namespace gcol {
 
@@ -27,45 +28,17 @@ void contract_check_structure(const G& g) {
   }
 }
 
-/// Counting-sort style CSR construction for one direction of a COO
-/// pattern. `keys` selects the CSR side, `values` the adjacency payload.
-void build_csr_side(vid_t num_keys, const std::vector<vid_t>& keys,
-                    const std::vector<vid_t>& values,
-                    std::vector<eid_t>& ptr, std::vector<vid_t>& adj) {
-  ptr.assign(static_cast<std::size_t>(num_keys) + 1, 0);
-  for (const vid_t k : keys) ++ptr[static_cast<std::size_t>(k) + 1];
-  for (std::size_t i = 1; i < ptr.size(); ++i) ptr[i] += ptr[i - 1];
-  adj.resize(keys.size());
-  std::vector<eid_t> cursor(ptr.begin(), ptr.end() - 1);
-  for (std::size_t i = 0; i < keys.size(); ++i)
-    adj[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(keys[i])]++)] = values[i];
-  for (vid_t k = 0; k < num_keys; ++k)
-    std::sort(adj.begin() + static_cast<std::ptrdiff_t>(ptr[static_cast<std::size_t>(k)]),
-              adj.begin() + static_cast<std::ptrdiff_t>(ptr[static_cast<std::size_t>(k) + 1]));
-}
-
-void check_bounds(const Coo& coo) {
-  for (std::size_t i = 0; i < coo.rows.size(); ++i) {
-    if (coo.rows[i] < 0 || coo.rows[i] >= coo.num_rows ||
-        coo.cols[i] < 0 || coo.cols[i] >= coo.num_cols)
-      throw std::out_of_range("builder: COO entry outside matrix bounds");
-  }
-}
-
 }  // namespace
 
 BipartiteGraph build_bipartite(Coo coo) {
-  check_bounds(coo);
-  coo.sort_and_dedup();
-  std::vector<eid_t> vptr, nptr;
-  std::vector<vid_t> vadj, nadj;
-  // Vertex side: cols -> rows (nets of each vertex).
-  build_csr_side(coo.num_cols, coo.cols, coo.rows, vptr, vadj);
-  // Net side: rows -> cols (vtxs of each net).
-  build_csr_side(coo.num_rows, coo.rows, coo.cols, nptr, nadj);
-  BipartiteGraph g(coo.num_cols, coo.num_rows, std::move(vptr),
-                   std::move(vadj), std::move(nptr), std::move(nadj));
+  detail::check_coo(coo, "build_bipartite");
+  // Net side: rows -> sorted, distinct cols. Vertex side: its transpose,
+  // which comes out sorted and distinct too.
+  detail::CsrLists nets = detail::sorted_rows(coo);
+  detail::CsrLists vtxs = detail::transpose(nets, coo.num_cols);
+  BipartiteGraph g(coo.num_cols, coo.num_rows, std::move(vtxs.ptr),
+                   std::move(vtxs.adj), std::move(nets.ptr),
+                   std::move(nets.adj));
   contract_check_structure(g);
   return g;
 }
@@ -73,20 +46,23 @@ BipartiteGraph build_bipartite(Coo coo) {
 Graph build_graph(Coo coo) {
   if (coo.num_rows != coo.num_cols)
     throw std::invalid_argument("build_graph: pattern must be square");
-  check_bounds(coo);
-  coo.vals.clear();
-  coo.symmetrize();
-  // Drop self loops.
-  Coo clean;
-  clean.num_rows = coo.num_rows;
-  clean.num_cols = coo.num_cols;
-  clean.reserve(coo.nnz());
-  for (std::size_t i = 0; i < coo.rows.size(); ++i)
-    if (coo.rows[i] != coo.cols[i]) clean.add(coo.rows[i], coo.cols[i]);
-  std::vector<eid_t> ptr;
-  std::vector<vid_t> adj;
-  build_csr_side(clean.num_rows, clean.rows, clean.cols, ptr, adj);
-  Graph g(clean.num_rows, std::move(ptr), std::move(adj));
+  detail::check_coo(coo, "build_graph");
+  // Both directions of every off-diagonal entry, bucketed by one end; the
+  // transpose then lists each vertex's neighbours ascending, repeats
+  // adjacent, and the dedup pass drops them.
+  const detail::CsrLists both =
+      detail::bucket(coo.num_rows, 2 * coo.nnz(), [&](const auto& visit) {
+        for (std::size_t i = 0; i < coo.rows.size(); ++i) {
+          const vid_t r = coo.rows[i];
+          const vid_t c = coo.cols[i];
+          if (r == c) continue;
+          visit(r, c);
+          visit(c, r);
+        }
+      });
+  detail::CsrLists adj = detail::transpose(both, coo.num_rows);
+  detail::dedup_sorted(adj);
+  Graph g(coo.num_rows, std::move(adj.ptr), std::move(adj.adj));
   contract_check_structure(g);
   return g;
 }

@@ -1,30 +1,44 @@
 #include "greedcolor/graph/coo.hpp"
 
-#include <algorithm>
-#include <numeric>
+#include <cstddef>
 #include <stdexcept>
-#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "csr_build.hpp"
+#include "csr_check.hpp"
 
 namespace gcol {
 
 void Coo::sort_and_dedup() {
-  const std::size_t n = rows.size();
-  if (cols.size() != n || (has_values() && vals.size() != n))
-    throw std::invalid_argument("Coo: inconsistent array lengths");
-
-  std::vector<std::size_t> perm(n);
-  std::iota(perm.begin(), perm.end(), std::size_t{0});
-  std::sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
-    return std::tie(rows[a], cols[a]) < std::tie(rows[b], cols[b]);
-  });
+  detail::check_coo(*this, "Coo::sort_and_dedup");
+  // Two stable counting passes, by column and then by row, leave equal
+  // coordinates adjacent in input order, so the first one is kept.
+  std::vector<std::size_t> by_col(rows.size());
+  detail::counting_sort(
+      num_cols,
+      [&](const auto& visit) {
+        for (std::size_t i = 0; i < cols.size(); ++i) visit(cols[i], i);
+      },
+      [&](eid_t slot, std::size_t i) {
+        by_col[static_cast<std::size_t>(slot)] = i;
+      });
+  std::vector<std::size_t> order(rows.size());
+  detail::counting_sort(
+      num_rows,
+      [&](const auto& visit) {
+        for (const std::size_t i : by_col) visit(rows[i], i);
+      },
+      [&](eid_t slot, std::size_t i) {
+        order[static_cast<std::size_t>(slot)] = i;
+      });
 
   std::vector<vid_t> r2, c2;
   std::vector<double> v2;
-  r2.reserve(n);
-  c2.reserve(n);
-  if (has_values()) v2.reserve(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = perm[k];
+  r2.reserve(order.size());
+  c2.reserve(order.size());
+  if (has_values()) v2.reserve(order.size());
+  for (const std::size_t i : order) {
     if (!r2.empty() && r2.back() == rows[i] && c2.back() == cols[i]) continue;
     r2.push_back(rows[i]);
     c2.push_back(cols[i]);
@@ -37,19 +51,10 @@ void Coo::sort_and_dedup() {
 
 bool Coo::is_structurally_symmetric() const {
   if (num_rows != num_cols) return false;
-  std::vector<std::pair<vid_t, vid_t>> entries;
-  entries.reserve(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    entries.emplace_back(rows[i], cols[i]);
-  std::sort(entries.begin(), entries.end());
-  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
-  for (const auto& [r, c] : entries) {
-    if (r == c) continue;
-    if (!std::binary_search(entries.begin(), entries.end(),
-                            std::make_pair(c, r)))
-      return false;
-  }
-  return true;
+  detail::check_coo(*this, "Coo::is_structurally_symmetric");
+  const detail::CsrLists lists = detail::sorted_rows(*this);
+  return detail::is_strict_transpose(lists.ptr, lists.adj, lists.ptr,
+                                     lists.adj, false);
 }
 
 void Coo::symmetrize() {

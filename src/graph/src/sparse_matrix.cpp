@@ -1,7 +1,10 @@
 #include "greedcolor/graph/sparse_matrix.hpp"
 
 #include <cmath>
+#include <cstddef>
 #include <stdexcept>
+
+#include "csr_build.hpp"
 
 namespace gcol {
 
@@ -13,37 +16,31 @@ struct CsArrays {
   std::vector<double> val;
 };
 
+/// One side of a sorted, deduplicated COO: list k holds `values[i]` and
+/// `vals[i]` of every entry i with keys[i] == k, in COO order (the bucket
+/// is stable).
 CsArrays build_side(vid_t num_keys, const std::vector<vid_t>& keys,
                     const std::vector<vid_t>& values,
                     const std::vector<double>& vals) {
   CsArrays out;
-  out.ptr.assign(static_cast<std::size_t>(num_keys) + 1, 0);
-  for (const vid_t k : keys) ++out.ptr[static_cast<std::size_t>(k) + 1];
-  for (std::size_t i = 1; i < out.ptr.size(); ++i)
-    out.ptr[i] += out.ptr[i - 1];
   out.idx.resize(keys.size());
   out.val.resize(keys.size());
-  std::vector<eid_t> cursor(out.ptr.begin(), out.ptr.end() - 1);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto slot = static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(keys[i])]++);
-    out.idx[slot] = values[i];
-    out.val[slot] = vals.empty() ? 1.0 : vals[i];
-  }
+  out.ptr = detail::counting_sort(
+      num_keys,
+      [&](const auto& visit) {
+        for (std::size_t i = 0; i < keys.size(); ++i) visit(keys[i], i);
+      },
+      [&](eid_t slot, std::size_t i) {
+        const auto s = static_cast<std::size_t>(slot);
+        out.idx[s] = values[i];
+        out.val[s] = vals.empty() ? 1.0 : vals[i];
+      });
   return out;
-}
-
-void check(const Coo& coo) {
-  for (std::size_t i = 0; i < coo.rows.size(); ++i)
-    if (coo.rows[i] < 0 || coo.rows[i] >= coo.num_rows || coo.cols[i] < 0 ||
-        coo.cols[i] >= coo.num_cols)
-      throw std::out_of_range("sparse_matrix: entry outside bounds");
 }
 
 }  // namespace
 
 CsrMatrix CsrMatrix::from_coo(Coo coo) {
-  check(coo);
   coo.sort_and_dedup();
   CsrMatrix m;
   m.rows_ = coo.num_rows;
@@ -99,7 +96,6 @@ Coo CsrMatrix::to_coo() const {
 }
 
 CscMatrix CscMatrix::from_coo(Coo coo) {
-  check(coo);
   coo.sort_and_dedup();
   CscMatrix m;
   m.rows_ = coo.num_rows;

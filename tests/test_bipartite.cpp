@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <iterator>
+#include <stdexcept>
 #include <string>
 
 #include "csr_mutation.hpp"
@@ -82,6 +83,24 @@ TEST(BipartiteGraph, EmptyNetsAndVerticesAllowed) {
   EXPECT_EQ(g.net_degree(0), 0);
   EXPECT_EQ(g.vertex_degree(2), 0);
   EXPECT_TRUE(g.validate());
+}
+
+TEST(BipartiteGraph, BuildRejectsMalformedCoo) {
+  // Lengths are checked before any id is read: 100000 rows and 1 col.
+  Coo lengths;
+  lengths.num_rows = lengths.num_cols = 4;
+  lengths.rows.assign(100000, 0);
+  lengths.cols.assign(1, 0);
+  EXPECT_THROW(build_bipartite(lengths), std::invalid_argument);
+  lengths.cols.assign(100000, 0);
+  lengths.vals.assign(3, 1.0);
+  EXPECT_THROW(build_bipartite(lengths), std::invalid_argument);
+
+  Coo range;
+  range.num_rows = 2;
+  range.num_cols = 3;
+  range.add(2, 0);
+  EXPECT_THROW(build_bipartite(range), std::out_of_range);
 }
 
 TEST(BipartiteGraph, CtorRejectsInconsistentHalves) {

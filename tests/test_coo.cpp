@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+
 namespace gcol {
 namespace {
 
@@ -26,6 +29,41 @@ TEST(Coo, DedupKeepsFirstValue) {
   coo.sort_and_dedup();
   ASSERT_EQ(coo.nnz(), 1);
   EXPECT_DOUBLE_EQ(coo.vals[0], 1.5);
+
+  // Past 16 entries an unstable sort reorders equal keys.
+  for (const int copies : {17, 1000}) {
+    Coo many;
+    many.num_rows = many.num_cols = 2;
+    for (int k = 0; k < copies; ++k) {
+      many.add(1, 1, 100.0 + k);
+      many.add(0, 0, k);
+    }
+    many.sort_and_dedup();
+    ASSERT_EQ(many.nnz(), 2) << copies;
+    EXPECT_DOUBLE_EQ(many.vals[0], 0.0) << copies;
+    EXPECT_DOUBLE_EQ(many.vals[1], 100.0) << copies;
+  }
+}
+
+TEST(Coo, SortAndDedupRejectsMalformedInput) {
+  Coo lengths;
+  lengths.num_rows = lengths.num_cols = 2;
+  lengths.add(0, 1);
+  lengths.rows.push_back(1);
+  EXPECT_THROW(lengths.sort_and_dedup(), std::invalid_argument);
+
+  Coo values;
+  values.num_rows = values.num_cols = 2;
+  values.add(0, 1, 1.0);
+  values.add(1, 0);
+  EXPECT_THROW(values.sort_and_dedup(), std::invalid_argument);
+
+  Coo range;
+  range.num_rows = range.num_cols = 2;
+  range.add(0, 2);
+  EXPECT_THROW(range.sort_and_dedup(), std::out_of_range);
+  range.cols[0] = -1;
+  EXPECT_THROW(range.sort_and_dedup(), std::out_of_range);
 }
 
 TEST(Coo, SymmetryDetection) {
@@ -40,6 +78,20 @@ TEST(Coo, SymmetryDetection) {
   asym.num_rows = asym.num_cols = 3;
   asym.add(0, 1);
   EXPECT_FALSE(asym.is_structurally_symmetric());
+
+  // Repeats and the diagonal do not count against symmetry.
+  Coo repeated;
+  repeated.num_rows = repeated.num_cols = 4;
+  for (const auto& [r, c] : {std::pair{1, 1}, {2, 0}, {1, 1}, {0, 2},
+                            {2, 0}, {3, 3}, {3, 3}, {0, 0}})
+    repeated.add(r, c);
+  EXPECT_TRUE(repeated.is_structurally_symmetric());
+  // ...nor make up for a missing counterpart.
+  repeated.add(1, 3);
+  repeated.add(1, 3);
+  EXPECT_FALSE(repeated.is_structurally_symmetric());
+  repeated.add(3, 1);
+  EXPECT_TRUE(repeated.is_structurally_symmetric());
 
   Coo rect;
   rect.num_rows = 2;

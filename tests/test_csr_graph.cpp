@@ -92,6 +92,18 @@ TEST(Graph, RejectsOutOfRangeEntries) {
   EXPECT_THROW(build_graph(std::move(coo)), std::out_of_range);
 }
 
+TEST(Graph, RejectsInconsistentCooLengths) {
+  // Lengths are checked before any id is read: 100000 rows and 1 col.
+  Coo coo;
+  coo.num_rows = coo.num_cols = 4;
+  coo.rows.assign(100000, 1);
+  coo.cols.assign(1, 0);
+  EXPECT_THROW(build_graph(coo), std::invalid_argument);
+  coo.cols.assign(100000, 0);
+  coo.vals.assign(3, 1.0);
+  EXPECT_THROW(build_graph(coo), std::invalid_argument);
+}
+
 TEST(Graph, CtorRejectsBadPtrArray) {
   EXPECT_THROW(Graph(2, {0, 1}, {1, 0}), std::invalid_argument);
   EXPECT_THROW(Graph(2, {0, 1, 3}, {1, 0}), std::invalid_argument);

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <utility>
+
+#include "builder_oracle.hpp"
 
 #include "greedcolor/core/bgpc.hpp"
 #include "greedcolor/core/d1gc.hpp"
@@ -77,6 +81,116 @@ TEST_P(FuzzBgpc, DsaturAndRecolorPreserveValidity) {
   const color_t after = recolor_bgpc(g, colors);
   EXPECT_TRUE(is_valid_bgpc(g, colors));
   EXPECT_LE(after, ds.num_colors);
+}
+
+/// build_bipartite / build_graph against the comparison-sort builder
+/// they replaced (builder_oracle.hpp), array for array.
+void expect_builds_match_oracle(const Coo& coo, const std::string& what) {
+  const BipartiteGraph g = build_bipartite(coo);
+  const testing::ReferenceBipartite ref =
+      testing::reference_build_bipartite(coo);
+  EXPECT_EQ(g.vptr(), ref.vtx.ptr) << what;
+  EXPECT_EQ(g.vadj(), ref.vtx.adj) << what;
+  EXPECT_EQ(g.nptr(), ref.net.ptr) << what;
+  EXPECT_EQ(g.nadj(), ref.net.adj) << what;
+  if (coo.num_rows != coo.num_cols) return;
+  const Graph h = build_graph(coo);
+  const testing::ReferenceCsr href = testing::reference_build_graph(coo);
+  EXPECT_EQ(h.ptr(), href.ptr) << what;
+  EXPECT_EQ(h.adj(), href.adj) << what;
+}
+
+constexpr int kGeneratorFamilies = 9;
+
+/// A small instance of generator family `family` at `seed`.
+Coo generator_instance(int family, std::uint64_t seed) {
+  SplitMix64 sm(seed);
+  const auto pick = [&](vid_t lo, vid_t span) {
+    return lo + static_cast<vid_t>(sm.next() % static_cast<std::uint64_t>(span));
+  };
+  switch (family) {
+    case 0:
+      return gen_mesh2d(pick(2, 20), pick(2, 20), 1 + static_cast<int>(seed % 2));
+    case 1:
+      return gen_mesh3d(pick(2, 6), pick(2, 6), pick(2, 6), 1, seed % 2 == 0);
+    case 2: {
+      PowerLawBipartiteParams p;
+      p.rows = pick(10, 200);
+      p.cols = pick(10, 300);
+      p.max_deg = 60;
+      p.alpha = 1.5;
+      p.col_skew = 0.3;
+      p.seed = seed;
+      return gen_powerlaw_bipartite(p);
+    }
+    case 3:
+      return gen_clique_union(pick(30, 300), pick(1, 20), 2, 20, 1.7, seed);
+    case 4:
+      return gen_preferential_attachment(pick(10, 300), 3, seed);
+    case 5:
+      return gen_kkt(pick(2, 4), pick(2, 4), pick(2, 4), pick(1, 30), 3, seed);
+    case 6:
+      return gen_block_rows(pick(40, 200), 8, 20, 0.25, seed);
+    case 7:
+      return random_instance(seed);
+    default:
+      return gen_random_geometric(pick(10, 300), 0.15, seed);
+  }
+}
+
+/// `coo` with a tenth of its entries repeated, then all in random order.
+Coo shuffled_with_repeats(Coo coo, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  const std::size_t n = coo.rows.size();
+  for (std::size_t k = 0; k < n / 10; ++k) {
+    const std::size_t i = rng.bounded(n);
+    const vid_t r = coo.rows[i];
+    const vid_t c = coo.cols[i];
+    coo.add(r, c);
+  }
+  for (std::size_t i = coo.rows.size(); i > 1; --i) {
+    const std::size_t j = rng.bounded(i);
+    std::swap(coo.rows[i - 1], coo.rows[j]);
+    std::swap(coo.cols[i - 1], coo.cols[j]);
+  }
+  return coo;
+}
+
+/// A random COO with repeated and diagonal entries, and rows and columns
+/// whose id is 3 mod 5 left empty; square on even seeds.
+Coo messy_instance(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  Coo coo;
+  coo.num_rows = 1 + static_cast<vid_t>(rng.bounded(60));
+  coo.num_cols = seed % 2 == 0 ? coo.num_rows
+                               : 1 + static_cast<vid_t>(rng.bounded(60));
+  const auto id = [&](vid_t n) {
+    vid_t v;
+    do {
+      v = static_cast<vid_t>(rng.bounded(static_cast<std::uint64_t>(n)));
+    } while (v % 5 == 3 && n > 3);
+    return v;
+  };
+  const std::size_t entries = rng.bounded(4 * static_cast<std::size_t>(coo.num_rows));
+  for (std::size_t k = 0; k < entries; ++k) {
+    const vid_t r = id(coo.num_rows);
+    coo.add(r, k % 4 == 0 && r < coo.num_cols ? r : id(coo.num_cols));
+  }
+  return shuffled_with_repeats(std::move(coo), seed ^ 0x5EED);
+}
+
+TEST_P(FuzzBgpc, BuildersMatchComparisonSortOracle) {
+  const std::uint64_t seed = GetParam();
+  for (int family = 0; family < kGeneratorFamilies; ++family) {
+    const Coo coo = generator_instance(family, seed);
+    const std::string what =
+        "family " + std::to_string(family) + ", seed " + std::to_string(seed);
+    expect_builds_match_oracle(coo, what);
+    expect_builds_match_oracle(shuffled_with_repeats(coo, seed),
+                               what + ", shuffled");
+  }
+  expect_builds_match_oracle(messy_instance(seed),
+                             "messy, seed " + std::to_string(seed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzBgpc,
@@ -165,6 +279,7 @@ TEST_P(FuzzCorruptedInput, MtxEitherParsesOrThrowsTyped) {
       const Coo back = read_matrix_market(in);
       const BipartiteGraph g = build_bipartite(back);
       EXPECT_TRUE(g.validate()) << "variant " << variant;
+      expect_builds_match_oracle(back, "variant " + std::to_string(variant));
     } catch (const Error&) {
       // Typed rejection is the expected outcome for most variants.
     }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "greedcolor/core/bgpc.hpp"
 #include "greedcolor/core/verify.hpp"
 #include "greedcolor/graph/builder.hpp"
@@ -99,6 +101,20 @@ TEST(SparseMatrix, OutOfBoundsEntryThrows) {
   coo.num_rows = coo.num_cols = 2;
   coo.add(0, 3, 1.0);
   EXPECT_THROW(CsrMatrix::from_coo(std::move(coo)), std::out_of_range);
+}
+
+TEST(SparseMatrix, InconsistentLengthsThrow) {
+  // Lengths are checked before any id is read: 100000 rows and 1 col.
+  Coo coo;
+  coo.num_rows = coo.num_cols = 4;
+  coo.rows.assign(100000, 0);
+  coo.cols.assign(1, 0);
+  EXPECT_THROW(CsrMatrix::from_coo(coo), std::invalid_argument);
+  EXPECT_THROW(CscMatrix::from_coo(coo), std::invalid_argument);
+  coo.cols.assign(100000, 0);
+  coo.vals.assign(3, 1.0);
+  EXPECT_THROW(CsrMatrix::from_coo(coo), std::invalid_argument);
+  EXPECT_THROW(CscMatrix::from_coo(coo), std::invalid_argument);
 }
 
 TEST(Compression, ExactRecoveryWithValidColoring) {
