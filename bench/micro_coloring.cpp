@@ -8,7 +8,7 @@
 //
 // With --report=FILE the collected rows are also written as a
 // gcol-report-v1 document (timings under the "bench" section), the same
-// envelope color_tool --report and chaos_sweep --json emit, so
+// envelope color_tool --report emits, so
 // tools/bench_gate.py and tools/check_trace.py parse one format.
 #include <benchmark/benchmark.h>
 

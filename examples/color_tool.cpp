@@ -8,7 +8,6 @@
 //   color_tool --mtx my.mtx --algo N1-N2 --order smallest-last --balance B2
 //   color_tool --dataset bone_s --problem d2gc --algo V-N1
 //   color_tool --list
-#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 
@@ -23,7 +22,6 @@
 #include "greedcolor/core/dsatur.hpp"
 #include "greedcolor/core/recolor.hpp"
 #include "greedcolor/core/verify.hpp"
-#include "greedcolor/dist/dist_bgpc.hpp"
 #include "greedcolor/obs/metrics.hpp"
 #include "greedcolor/obs/report.hpp"
 #include "greedcolor/obs/trace.hpp"
@@ -97,7 +95,7 @@ static int run(int argc, char** argv) {
         << "usage: color_tool [--dataset NAME | --mtx FILE | --bin FILE] "
            "[options]\n"
            "  --list               list bundled datasets and exit\n"
-           "  --problem bgpc|d2gc|d1gc|dist  (default bgpc)\n"
+           "  --problem bgpc|d2gc|d1gc  (default bgpc)\n"
            "  --algo NAME          bgpc/d2gc: V-V V-V-64 V-V-64D V-Ninf\n"
            "                       V-N1 V-N2 N1-N2 N2-N2, 'seq', 'dsatur'\n"
            "                       d1gc: seq spec jp dsatur\n"
@@ -108,20 +106,16 @@ static int run(int argc, char** argv) {
            "  --locality none|sort|full  cache-locality pre-pass "
            "(default none)\n"
            "  --threads N          0 = OpenMP default\n"
-           "  --ranks N            dist: shard count (default 4)\n"
-           "  --transport T        dist: mailbox|socket (default mailbox)\n"
-           "  --retries N          dist: batch retries before give-up "
-           "(default 8)\n"
            "  --recolor            run iterated-greedy post-pass (bgpc)\n"
            "  --stats-only         print dataset statistics and exit\n"
            "  --deadline-ms N      convergence-watchdog wall deadline\n"
-           "  --max-rounds N       speculative round / superstep budget\n"
+           "  --max-rounds N       speculative round budget\n"
            "  --fault-plan SPEC    inject faults, e.g. "
-           "'seed=7,stale=0.1,drop=0.2'\n"
+           "'seed=7,stale=0.1,delay-rounds=2,delay-ms=5'\n"
            "  --trace-out FILE     write a Chrome trace-event JSON of the "
            "run\n"
            "                       (open in Perfetto / about://tracing; "
-           "bgpc, d2gc, dist)\n"
+           "bgpc, d2gc)\n"
            "  --report FILE        write a gcol-report-v1 JSON run report\n"
            "  --analyze            structural input analysis; exit 2 if "
            "the graph is broken\n"
@@ -299,78 +293,13 @@ static int run(int argc, char** argv) {
     std::cout << "locality         " << to_string(options.locality) << "\n";
   };
 
-  if (problem == "bgpc" || problem == "dist") {
+  if (problem == "bgpc") {
     BipartiteGraph graph = have_preloaded
                                ? std::move(preloaded)
                                : build_bipartite(std::move(coo));
     if (args.get_string("side", "cols") == "rows")
       graph = transpose(graph);  // color matrix rows instead
     analyze_input(graph);
-    if (problem == "dist") {
-      DistOptions dopt;
-      dopt.num_ranks = static_cast<int>(args.get_int("ranks", 4));
-      dopt.deadline_seconds = deadline_seconds;
-      if (max_rounds > 0) dopt.max_supersteps = max_rounds;
-      if (have_fault_plan) dopt.fault_plan = &fault_plan;
-      if (args.get_string("transport", "mailbox") == "socket")
-        dopt.transport = DistOptions::TransportKind::kSocket;
-      dopt.max_retries = static_cast<int>(args.get_int("retries", 8));
-      if (want_obs) dopt.tracer = &tracer;
-      const auto r = color_bgpc_distributed_verified(graph, dopt);
-      std::cout << "instance         " << signature(graph) << "\n"
-                << "ranks            " << dopt.num_ranks << " ("
-                << (dopt.transport == DistOptions::TransportKind::kSocket
-                        ? "socket"
-                        : "mailbox")
-                << " transport)\n"
-                << "colors           " << r.num_colors << " (lower bound "
-                << graph.max_net_degree() << ")\n"
-                << "boundary         " << r.stats.boundary_vertices << " of "
-                << graph.num_vertices() << "\n"
-                << "supersteps       " << r.stats.supersteps << "\n"
-                << "messages         sent=" << r.stats.messages_sent
-                << " delivered=" << r.stats.messages_delivered
-                << " dropped=" << r.stats.messages_dropped
-                << " stale_ignored=" << r.stats.messages_stale_ignored
-                << " duplicated=" << r.stats.messages_duplicated << "\n"
-                << "conflicts        " << r.stats.conflicts << "\n"
-                << "retries          " << r.stats.retries
-                << " (simulated backoff " << r.stats.backoff_us_total
-                << " us)\n";
-      // Backoff can be accounted with zero surviving retries (the last
-      // attempt of a batch succeeds); surface the trace whenever either
-      // signal fired so the text report never hides accounted work.
-      if (!r.retry_trace.empty() || r.stats.backoff_us_total > 0) {
-        std::cout << "retry trace      " << r.retry_trace.size()
-                  << " event(s)";
-        const std::size_t shown = std::min<std::size_t>(4, r.retry_trace.size());
-        for (std::size_t i = 0; i < shown; ++i) {
-          const auto& e = r.retry_trace[i];
-          std::cout << (i == 0 ? ": " : ", ") << "s" << e.superstep << " "
-                    << e.src << "->" << e.dst << " attempt " << e.attempt
-                    << " (+" << e.backoff_us << "us)";
-        }
-        if (r.retry_trace.size() > shown) std::cout << ", ...";
-        std::cout << "\n";
-      }
-      std::cout << "robust           degraded=" << (r.degraded ? "yes" : "no")
-                << " fallback=" << (r.stats.fallback ? "yes" : "no")
-                << " deadline_hit=" << (r.stats.deadline_hit ? "yes" : "no")
-                << " dirty=" << r.stats.dirty_boundary
-                << " repair_recolored=" << r.stats.repair_recolored
-                << " repaired=" << r.repaired_vertices << "\n"
-                << "wall time        " << r.total_seconds * 1e3 << " ms\n";
-      if (want_obs) {
-        obs::RunReport rep = base_report("dist", "dist-bgpc");
-        rep.set_option("ranks", dopt.num_ranks);
-        rep.set_option("max_retries", dopt.max_retries);
-        rep.set_graph(graph);
-        rep.set_dist(dopt, r);
-        metrics.record_dist(r);
-        write_obs_artifacts(rep);
-      }
-      return EXIT_SUCCESS;
-    }
     std::cout << "instance         " << signature(graph) << "\n";
     if (args.has("stats-only")) {
       const DegreeStats nd = net_degree_stats(graph);

@@ -97,7 +97,7 @@ struct ColoringOptions {
   /// can overshoot the deadline before the check fires.
   double deadline_seconds = 0.0;
 
-  /// Deterministic fault-injection plan (tests / chaos harnesses); not
+  /// Deterministic fault-injection plan (tests / fault matrices); not
   /// owned, may be null. See greedcolor/robust/fault.hpp.
   const FaultPlan* fault_plan = nullptr;
 

@@ -1,13 +1,12 @@
 // MetricsRegistry: one named-counter surface over the repo's scattered
 // telemetry structs (the metrics half of src/obs).
 //
-// KernelCounters (util), DistStats (dist), AuditReport (analyze), the
-// contract check counter, and the tracer's own drop accounting each
-// grew their own aggregation path; every consumer (color_tool text
-// output, three bench JSON writers) re-flattened them by hand, which is
-// how DistStats fields went missing from print paths. The registry is
-// the single flattening: record_* adapters map every struct field to a
-// dotted lower-case name (`dist.messages.sent`, `audit.escaped_conflicts`,
+// KernelCounters (util), AuditReport (analyze), the contract check
+// counter, and the tracer's own drop accounting each grew their own
+// aggregation path; every consumer (color_tool text output, the bench
+// JSON writers) re-flattened them by hand. The registry is the single
+// flattening: record_* adapters map every struct field to a dotted
+// lower-case name (`core.color.edges_visited`, `audit.escaped_conflicts`,
 // `trace.dropped` — full convention in docs/OBSERVABILITY.md), and the
 // RunReport emits the whole registry under a stable schema so nothing
 // is print-path-only.
@@ -27,8 +26,6 @@ namespace gcol {
 
 struct KernelCounters;   // greedcolor/util/counters.hpp
 struct ColoringResult;   // greedcolor/core/result.hpp
-struct DistStats;        // greedcolor/dist/dist_bgpc.hpp
-struct DistResult;       // greedcolor/dist/dist_bgpc.hpp
 
 namespace audit {
 struct AuditReport;      // greedcolor/analyze/audit.hpp
@@ -72,10 +69,6 @@ class MetricsRegistry {
   /// Shared-memory run: core.rounds/colors + degradation flags +
   /// kernel totals under core.color / core.conflict.
   void record_result(const ColoringResult& r);
-
-  /// Every DistStats field (satellite: nothing stays print-path-only)
-  /// plus the retry-trace length under dist.*.
-  void record_dist(const DistResult& r);
 
   /// audit.* counters from a speculative-race audit.
   void record_audit(const audit::AuditReport& r);

@@ -2,15 +2,14 @@
 // and the graph fingerprint helper.
 //
 // One schema for everything that reports a run: color_tool --report,
-// bench/chaos_sweep, bench/micro_coloring. A document always carries
+// bench/micro_coloring, bench/e2e. A document always carries
 //   schema   "gcol-report-v1"
-//   tool     producing binary ("color_tool", "chaos_sweep", ...)
+//   tool     producing binary ("color_tool", "micro_coloring", ...)
 // and any of the optional sections the producer filled in:
 //   options      flat object of the knobs that shaped the run
 //   graph        fingerprint + dims + one-line structural signature
-//   totals       wall_ms / colors / rounds-or-supersteps
+//   totals       wall_ms / colors / rounds
 //   rounds       per-round IterationStats (the Figure 1 breakdown)
-//   dist         superstep + retry-trace telemetry
 //   degradation  watchdog / fallback / repair flags and counts
 //   metrics      the full MetricsRegistry (flat name -> uint64)
 //   trace        recorded/dropped event accounting (+ trace file path)
@@ -31,8 +30,6 @@ class BipartiteGraph;    // greedcolor/graph/bipartite.hpp
 class Graph;             // greedcolor/graph/csr.hpp
 struct ColoringResult;   // greedcolor/core/result.hpp
 struct IterationStats;   // greedcolor/core/result.hpp
-struct DistOptions;      // greedcolor/dist/dist_bgpc.hpp
-struct DistResult;       // greedcolor/dist/dist_bgpc.hpp
 
 namespace obs {
 
@@ -68,10 +65,6 @@ class RunReport {
   void set_coloring(const ColoringResult& r);
   /// Per-round breakdown only (used when the result was not kept).
   void set_rounds(const std::vector<IterationStats>& iterations);
-
-  /// Dist run: totals + dist section (full DistStats + retry trace) +
-  /// degradation.
-  void set_dist(const DistOptions& options, const DistResult& r);
 
   void set_metrics(const MetricsRegistry& m);
 

@@ -2,13 +2,13 @@
 // coloring engines (the tracing half of src/obs).
 //
 // The paper's whole evaluation is a per-round, per-phase timing story
-// (Figure 1, Table I), and the distributed/robust layers added their
-// own per-superstep and degradation timelines on top — but none of it
-// was correlated in time or exportable. A Tracer closes that gap: the
+// (Figure 1, Table I), and the robust layer added its own degradation
+// timeline on top — but none of it was correlated in time or
+// exportable. A Tracer closes that gap: the
 // drivers record span boundaries (begin/end) and instant events into
 // one fixed-capacity ring buffer per engine thread, and the result
 // exports as Chrome trace-event JSON (loadable in Perfetto or
-// about://tracing) with one track per thread and one per shard.
+// about://tracing) with one track per thread.
 //
 // Design constraints, in order:
 //  * Zero cost when absent. Recording is reached only through the
@@ -54,7 +54,6 @@ struct TraceEvent {
   const char* name = nullptr;  ///< string literal, never owned
   std::uint64_t ts_ns = 0;     ///< nanoseconds since the tracer epoch
   std::uint64_t arg = 0;       ///< one numeric payload (round, count, us)
-  std::int32_t shard = -1;     ///< >= 0 routes the event to a shard track
   std::uint16_t tid = 0;       ///< recording engine thread
   Phase phase = Phase::kInstant;
 };
@@ -96,8 +95,7 @@ struct TracerOptions {
   std::size_t ring_capacity = std::size_t{1} << 14;
 };
 
-/// The attachable trace sink (ColoringOptions::tracer /
-/// DistOptions::tracer). Not owned by the engines; one coloring at a
+/// The attachable trace sink (ColoringOptions::tracer). Not owned by the engines; one coloring at a
 /// time per tracer — concurrent colorings need separate tracers, the
 /// same contract as the auditor.
 class Tracer {
@@ -111,9 +109,9 @@ class Tracer {
   void attach(int threads);
 
   // ---- hot path (any engine thread) ----
-  void begin(const char* name, std::uint64_t arg = 0, int shard = -1);
-  void end(const char* name, int shard = -1);
-  void instant(const char* name, std::uint64_t arg = 0, int shard = -1);
+  void begin(const char* name, std::uint64_t arg = 0);
+  void end(const char* name);
+  void instant(const char* name, std::uint64_t arg = 0);
 
   // ---- driver side ----
   [[nodiscard]] int threads() const { return ring_count_; }
@@ -127,7 +125,7 @@ class Tracer {
   void clear();
 
   /// Chrome trace-event JSON: one track per engine thread under
-  /// kEnginePid, one per shard under kShardPid. Spans are balanced by
+  /// kEnginePid. Spans are balanced by
   /// construction: an end without a surviving begin (ring overflow) is
   /// skipped, and spans still open at export close at the last
   /// timestamp. Validate with tools/check_trace.py.
@@ -135,14 +133,12 @@ class Tracer {
   void write_chrome_trace_file(const std::string& path) const;
 
   static constexpr int kEnginePid = 1;
-  static constexpr int kShardPid = 2;
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
  private:
-  void record(const char* name, TraceEvent::Phase phase, std::uint64_t arg,
-              int shard);
+  void record(const char* name, TraceEvent::Phase phase, std::uint64_t arg);
   [[nodiscard]] std::uint64_t now_ns() const;
 
   TracerOptions options_;
@@ -156,13 +152,12 @@ class Tracer {
 /// GCOL_TRACE_SPAN macro, which compiles out with the build option.
 class SpanGuard {
  public:
-  SpanGuard(Tracer* tracer, const char* name, std::uint64_t arg = 0,
-            int shard = -1)
-      : tracer_(tracer), name_(name), shard_(shard) {
-    if (tracer_ != nullptr) tracer_->begin(name_, arg, shard_);
+  SpanGuard(Tracer* tracer, const char* name, std::uint64_t arg = 0)
+      : tracer_(tracer), name_(name) {
+    if (tracer_ != nullptr) tracer_->begin(name_, arg);
   }
   ~SpanGuard() {
-    if (tracer_ != nullptr) tracer_->end(name_, shard_);
+    if (tracer_ != nullptr) tracer_->end(name_);
   }
   SpanGuard(const SpanGuard&) = delete;
   SpanGuard& operator=(const SpanGuard&) = delete;
@@ -170,7 +165,6 @@ class SpanGuard {
  private:
   Tracer* tracer_;
   const char* name_;
-  int shard_;
 };
 
 }  // namespace gcol::obs

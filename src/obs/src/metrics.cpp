@@ -3,7 +3,6 @@
 #include "greedcolor/analyze/audit.hpp"
 #include "greedcolor/analyze/contract.hpp"
 #include "greedcolor/core/result.hpp"
-#include "greedcolor/dist/dist_bgpc.hpp"
 #include "greedcolor/obs/trace.hpp"
 #include "greedcolor/util/counters.hpp"
 
@@ -74,33 +73,6 @@ void MetricsRegistry::record_result(const ColoringResult& r) {
       static_cast<std::uint64_t>(r.repaired_vertices));
   record_kernel("core.color", r.total_color_counters());
   record_kernel("core.conflict", r.total_conflict_counters());
-}
-
-void MetricsRegistry::record_dist(const DistResult& r) {
-  const DistStats& s = r.stats;
-  set("dist.interior_vertices",
-      static_cast<std::uint64_t>(s.interior_vertices));
-  set("dist.boundary_vertices",
-      static_cast<std::uint64_t>(s.boundary_vertices));
-  set("dist.supersteps", static_cast<std::uint64_t>(s.supersteps));
-  set("dist.messages.sent", s.messages_sent);
-  set("dist.messages.delivered", s.messages_delivered);
-  set("dist.messages.dropped", s.messages_dropped);
-  set("dist.messages.stale_ignored", s.messages_stale_ignored);
-  set("dist.messages.duplicated", s.messages_duplicated);
-  set("dist.conflicts", s.conflicts);
-  set("dist.retries", s.retries);
-  set("dist.backoff_us_total", s.backoff_us_total);
-  set("dist.retry_trace.events", r.retry_trace.size());
-  set("dist.dirty_boundary", static_cast<std::uint64_t>(s.dirty_boundary));
-  set("dist.repair_recolored",
-      static_cast<std::uint64_t>(s.repair_recolored));
-  set_flag("dist.fallback", s.fallback);
-  set_flag("dist.deadline_hit", s.deadline_hit);
-  set("dist.colors", static_cast<std::uint64_t>(r.num_colors));
-  set_flag("dist.degraded", r.degraded);
-  set("dist.repaired_vertices",
-      static_cast<std::uint64_t>(r.repaired_vertices));
 }
 
 void MetricsRegistry::record_audit(const audit::AuditReport& r) {

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "greedcolor/core/result.hpp"
-#include "greedcolor/dist/dist_bgpc.hpp"
 #include "greedcolor/graph/bipartite.hpp"
 #include "greedcolor/graph/csr.hpp"
 #include "greedcolor/graph/graph_stats.hpp"
@@ -145,61 +144,6 @@ void RunReport::set_rounds(const std::vector<IterationStats>& iterations) {
     rounds.push_back(std::move(row));
   }
   root_.set("rounds", std::move(rounds));
-}
-
-void RunReport::set_dist(const DistOptions& options, const DistResult& r) {
-  Json& totals = section("totals");
-  totals.set("wall_ms", r.total_seconds * 1000.0);
-  totals.set("colors", static_cast<std::uint64_t>(r.num_colors));
-  totals.set("supersteps", static_cast<std::uint64_t>(r.stats.supersteps));
-
-  Json& sec = section("dist");
-  sec.set("ranks", static_cast<std::uint64_t>(options.num_ranks));
-  sec.set("partition", options.partition == DistOptions::Partition::kHash
-                           ? "hash"
-                           : "block");
-  sec.set("transport",
-          options.transport == DistOptions::TransportKind::kSocket
-              ? "socket"
-              : "mailbox");
-  sec.set("max_retries", static_cast<std::uint64_t>(options.max_retries));
-  sec.set("interior_vertices",
-          static_cast<std::uint64_t>(r.stats.interior_vertices));
-  sec.set("boundary_vertices",
-          static_cast<std::uint64_t>(r.stats.boundary_vertices));
-  Json messages = Json::object();
-  messages.set("sent", r.stats.messages_sent);
-  messages.set("delivered", r.stats.messages_delivered);
-  messages.set("dropped", r.stats.messages_dropped);
-  messages.set("stale_ignored", r.stats.messages_stale_ignored);
-  messages.set("duplicated", r.stats.messages_duplicated);
-  sec.set("messages", std::move(messages));
-  sec.set("conflicts", r.stats.conflicts);
-  sec.set("retries", r.stats.retries);
-  sec.set("backoff_us_total", r.stats.backoff_us_total);
-  Json trace = Json::array();
-  for (const RetryEvent& ev : r.retry_trace) {
-    Json row = Json::object();
-    row.set("superstep", static_cast<std::uint64_t>(ev.superstep));
-    row.set("src", static_cast<std::uint64_t>(ev.src));
-    row.set("dst", static_cast<std::uint64_t>(ev.dst));
-    row.set("attempt", static_cast<std::uint64_t>(ev.attempt));
-    row.set("backoff_us", ev.backoff_us);
-    trace.push_back(std::move(row));
-  }
-  sec.set("retry_trace", std::move(trace));
-
-  Json deg = Json::object();
-  deg.set("degraded", r.degraded);
-  deg.set("fallback", r.stats.fallback);
-  deg.set("deadline_hit", r.stats.deadline_hit);
-  deg.set("dirty_boundary",
-          static_cast<std::uint64_t>(r.stats.dirty_boundary));
-  deg.set("repair_recolored",
-          static_cast<std::uint64_t>(r.stats.repair_recolored));
-  deg.set("repaired_vertices",
-          static_cast<std::uint64_t>(r.repaired_vertices));
-  root_.set("degradation", std::move(deg));
 }
 
 void RunReport::set_metrics(const MetricsRegistry& m) {

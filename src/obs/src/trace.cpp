@@ -59,22 +59,6 @@ void write_ts_us(std::ostream& os, std::uint64_t ts_ns) {
      << static_cast<char>('0' + ts_ns % 10);
 }
 
-struct Track {
-  int pid = 0;
-  int tid = 0;
-  bool operator<(const Track& o) const {
-    return pid != o.pid ? pid < o.pid : tid < o.tid;
-  }
-  bool operator==(const Track& o) const {
-    return pid == o.pid && tid == o.tid;
-  }
-};
-
-Track track_of(const TraceEvent& ev) {
-  if (ev.shard >= 0) return Track{Tracer::kShardPid, ev.shard};
-  return Track{Tracer::kEnginePid, static_cast<int>(ev.tid)};
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -141,7 +125,7 @@ void Tracer::attach(int threads) {
 std::uint64_t Tracer::now_ns() const { return steady_now_ns() - epoch_ns_; }
 
 void Tracer::record(const char* name, TraceEvent::Phase phase,
-                    std::uint64_t arg, int shard) {
+                    std::uint64_t arg) {
   const int tid = current_thread();  // gcol::current_thread (omp wrapper)
   if (tid < 0 || tid >= ring_count_) {
     lost_.fetch_add(1, std::memory_order_relaxed);
@@ -151,22 +135,21 @@ void Tracer::record(const char* name, TraceEvent::Phase phase,
   ev.name = name;
   ev.ts_ns = now_ns();
   ev.arg = arg;
-  ev.shard = shard;
   ev.tid = static_cast<std::uint16_t>(tid);
   ev.phase = phase;
   rings_[tid].push(ev);
 }
 
-void Tracer::begin(const char* name, std::uint64_t arg, int shard) {
-  record(name, TraceEvent::Phase::kBegin, arg, shard);
+void Tracer::begin(const char* name, std::uint64_t arg) {
+  record(name, TraceEvent::Phase::kBegin, arg);
 }
 
-void Tracer::end(const char* name, int shard) {
-  record(name, TraceEvent::Phase::kEnd, 0, shard);
+void Tracer::end(const char* name) {
+  record(name, TraceEvent::Phase::kEnd, 0);
 }
 
-void Tracer::instant(const char* name, std::uint64_t arg, int shard) {
-  record(name, TraceEvent::Phase::kInstant, arg, shard);
+void Tracer::instant(const char* name, std::uint64_t arg) {
+  record(name, TraceEvent::Phase::kInstant, arg);
 }
 
 std::uint64_t Tracer::recorded() const {
@@ -208,16 +191,16 @@ void Tracer::clear() {
 void Tracer::write_chrome_trace(std::ostream& os) const {
   const std::vector<TraceEvent> evs = events();
 
-  // Collect the tracks that actually recorded something so metadata
+  // Collect the threads that actually recorded something so metadata
   // rows match the data rows exactly.
-  std::vector<Track> tracks;
+  std::vector<int> tids;
   std::uint64_t max_ts = 0;
   for (const TraceEvent& ev : evs) {
-    tracks.push_back(track_of(ev));
+    tids.push_back(ev.tid);
     max_ts = std::max(max_ts, ev.ts_ns);
   }
-  std::sort(tracks.begin(), tracks.end());
-  tracks.erase(std::unique(tracks.begin(), tracks.end()), tracks.end());
+  std::sort(tids.begin(), tids.end());
+  tids.erase(std::unique(tids.begin(), tids.end()), tids.end());
 
   os << "{\n";
   os << "  \"displayTimeUnit\": \"ms\",\n";
@@ -233,84 +216,67 @@ void Tracer::write_chrome_trace(std::ostream& os) const {
     os << "\n    ";
   };
 
-  // Metadata: name the processes once and every track that appears.
-  bool engine_seen = false;
-  bool shard_seen = false;
-  for (const Track& tr : tracks) {
-    engine_seen = engine_seen || tr.pid == kEnginePid;
-    shard_seen = shard_seen || tr.pid == kShardPid;
-  }
-  if (engine_seen) {
+  // Metadata: name the process once and every thread that appears.
+  if (!tids.empty()) {
     sep();
     os << "{\"ph\": \"M\", \"pid\": " << kEnginePid
        << ", \"tid\": 0, \"name\": \"process_name\", "
        << "\"args\": {\"name\": \"gcol engine\"}}";
   }
-  if (shard_seen) {
+  for (const int tid : tids) {
     sep();
-    os << "{\"ph\": \"M\", \"pid\": " << kShardPid
-       << ", \"tid\": 0, \"name\": \"process_name\", "
-       << "\"args\": {\"name\": \"gcol shards\"}}";
-  }
-  for (const Track& tr : tracks) {
-    sep();
-    os << "{\"ph\": \"M\", \"pid\": " << tr.pid << ", \"tid\": " << tr.tid
-       << ", \"name\": \"thread_name\", \"args\": {\"name\": \""
-       << (tr.pid == kShardPid ? "shard " : "thread ") << tr.tid << "\"}}";
+    os << "{\"ph\": \"M\", \"pid\": " << kEnginePid << ", \"tid\": " << tid
+       << ", \"name\": \"thread_name\", \"args\": {\"name\": \"thread "
+       << tid << "\"}}";
   }
 
-  // Data rows, kept balanced per track: drop-oldest overflow can leave
+  // Data rows, kept balanced per thread: drop-oldest overflow can leave
   // an end without its begin (skip it) or a begin without its end
   // (close it at the final timestamp), so the export is always loadable
   // and tools/check_trace.py-clean.
-  struct Open {
-    const char* name;
-    Track track;
-  };
-  std::vector<std::pair<Track, std::vector<const char*>>> stacks;
-  auto stack_of = [&](const Track& tr) -> std::vector<const char*>& {
+  std::vector<std::pair<int, std::vector<const char*>>> stacks;
+  auto stack_of = [&](int tid) -> std::vector<const char*>& {
     for (auto& [key, st] : stacks) {
-      if (key == tr) return st;
+      if (key == tid) return st;
     }
-    stacks.emplace_back(tr, std::vector<const char*>{});
+    stacks.emplace_back(tid, std::vector<const char*>{});
     return stacks.back().second;
   };
 
-  auto emit = [&](const char* name, char ph, std::uint64_t ts_ns,
-                  const Track& tr, const std::uint64_t* arg) {
+  auto emit = [&](const char* name, char ph, std::uint64_t ts_ns, int tid,
+                  const std::uint64_t* arg) {
     sep();
     os << "{\"name\": ";
     write_json_string(os, name);
     os << ", \"ph\": \"" << ph << "\", \"ts\": ";
     write_ts_us(os, ts_ns);
-    os << ", \"pid\": " << tr.pid << ", \"tid\": " << tr.tid;
+    os << ", \"pid\": " << kEnginePid << ", \"tid\": " << tid;
     if (ph == 'i') os << ", \"s\": \"t\"";
     if (arg != nullptr) os << ", \"args\": {\"v\": " << *arg << "}";
     os << "}";
   };
 
   for (const TraceEvent& ev : evs) {
-    const Track tr = track_of(ev);
     switch (ev.phase) {
       case TraceEvent::Phase::kBegin:
-        stack_of(tr).push_back(ev.name);
-        emit(ev.name, 'B', ev.ts_ns, tr, &ev.arg);
+        stack_of(ev.tid).push_back(ev.name);
+        emit(ev.name, 'B', ev.ts_ns, ev.tid, &ev.arg);
         break;
       case TraceEvent::Phase::kEnd: {
-        auto& st = stack_of(tr);
+        auto& st = stack_of(ev.tid);
         if (st.empty()) break;  // begin fell off the ring: skip
         st.pop_back();
-        emit(ev.name, 'E', ev.ts_ns, tr, nullptr);
+        emit(ev.name, 'E', ev.ts_ns, ev.tid, nullptr);
         break;
       }
       case TraceEvent::Phase::kInstant:
-        emit(ev.name, 'i', ev.ts_ns, tr, &ev.arg);
+        emit(ev.name, 'i', ev.ts_ns, ev.tid, &ev.arg);
         break;
     }
   }
-  for (auto& [tr, st] : stacks) {
+  for (auto& [tid, st] : stacks) {
     while (!st.empty()) {
-      emit(st.back(), 'E', max_ts, tr, nullptr);
+      emit(st.back(), 'E', max_ts, tid, nullptr);
       st.pop_back();
     }
   }

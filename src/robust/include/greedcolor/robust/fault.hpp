@@ -3,13 +3,11 @@
 // A FaultPlan is a seeded description of the failure modes the robust
 // pipeline must survive: stale speculative color writes in the parallel
 // kernels (a delayed thread publishing a decision computed from an old
-// view), dropped or out-of-order superstep color exchanges in the
-// distributed simulation, artificial straggler stalls that trip the
-// convergence watchdog, and truncated / bit-flipped bytes on the ingest
-// path. Every decision is a pure function of (seed, fault kind, round,
+// view), artificial straggler stalls that trip the convergence watchdog,
+// and truncated / bit-flipped bytes on the ingest path. Every decision is a pure function of (seed, fault kind, round,
 // item), so a failing scenario replays bit-for-bit from its spec string.
 //
-// Plans are attached to ColoringOptions / DistOptions by pointer and are
+// Plans are attached to ColoringOptions by pointer and are
 // never consulted on the happy path beyond one null check per round.
 #pragma once
 
@@ -37,37 +35,14 @@ struct FaultPlan {
   /// Stall length per delayed round, in milliseconds.
   int delay_ms = 0;
 
-  // --- sharded runtime (color_bgpc_distributed boundary exchange) ---
-  /// Fraction of end-of-superstep boundary batches that are silently
-  /// dropped (remote shards keep reading stale ghost colors until a
-  /// retry or a later cumulative batch gets through).
-  double drop_update_rate = 0.0;
-  /// Fraction delivered late (out of order); the ghost-version guard
-  /// keeps a late batch from overwriting newer state.
-  double reorder_update_rate = 0.0;
-  /// Fraction of delivered batches that arrive twice (the duplicate is
-  /// detected by the version guard and counted as stale).
-  double duplicate_update_rate = 0.0;
-  /// How many supersteps a reorder victim is withheld (0 behaves as 1).
-  int delay_update_supersteps = 0;
-  /// Partition window: every batch shard `partition_shard` sends during
-  /// supersteps [partition_start_superstep, partition_start_superstep +
-  /// partition_supersteps) is dropped, retries included — the full
-  /// outage that forces the dirty/repair path. Disabled while
-  /// partition_supersteps == 0.
-  int partition_shard = 0;
-  int partition_start_superstep = 0;
-  int partition_supersteps = 0;
-
   // --- ingest (harness-side corruption of byte streams) ---
   /// Per-byte bit-flip probability applied by corrupt_bytes().
   double flip_byte_rate = 0.0;
   /// Fraction of the tail corrupt_bytes() cuts off (0 keeps everything).
   double truncate_fraction = 0.0;
 
-  /// Parse a comma-separated spec: "seed=42,stale=0.05,drop=0.2,
-  /// reorder=0.1,dup=0.1,delay-steps=2,part=1,part-start=0,part-steps=3,
-  /// delay-rounds=3,delay-ms=10,flip=0.01,trunc=0.5".
+  /// Parse a comma-separated spec: "seed=42,stale=0.05,delay-rounds=3,
+  /// delay-ms=10,flip=0.01,trunc=0.5".
   /// Unknown keys or unparsable values throw Error(kInvalidArgument).
   [[nodiscard]] static FaultPlan parse(const std::string& spec);
 
@@ -77,19 +52,12 @@ struct FaultPlan {
   [[nodiscard]] bool any_kernel_faults() const {
     return stale_color_rate > 0.0 || delay_rounds > 0;
   }
-  [[nodiscard]] bool any_dist_faults() const {
-    return drop_update_rate > 0.0 || reorder_update_rate > 0.0 ||
-           duplicate_update_rate > 0.0 || partition_supersteps > 0;
-  }
 
   // Deterministic per-item decisions.
   [[nodiscard]] bool corrupt_color(int round, vid_t u) const;
   [[nodiscard]] bool delay_round(int round) const {
     return delay_ms > 0 && round <= delay_rounds;
   }
-  [[nodiscard]] bool drop_update(int superstep, vid_t u) const;
-  [[nodiscard]] bool reorder_update(int superstep, vid_t u) const;
-  [[nodiscard]] bool duplicate_update(int superstep, vid_t u) const;
 
   /// Corrupted copy of `bytes`: truncated to (1 - truncate_fraction) of
   /// its length, then bit-flipped per flip_byte_rate. `variant` selects

@@ -16,7 +16,6 @@
 
 #include "greedcolor/core/options.hpp"
 #include "greedcolor/core/result.hpp"
-#include "greedcolor/dist/dist_bgpc.hpp"
 #include "greedcolor/graph/bipartite.hpp"
 #include "greedcolor/graph/csr.hpp"
 
@@ -32,9 +31,5 @@ namespace gcol {
 [[nodiscard]] ColoringResult color_d2gc_verified(
     const Graph& g, const ColoringOptions& options = {},
     const std::vector<vid_t>& order = {});
-
-/// color_bgpc_distributed + verify + incremental repair.
-[[nodiscard]] DistResult color_bgpc_distributed_verified(
-    const BipartiteGraph& g, const DistOptions& options = {});
 
 }  // namespace gcol

@@ -14,10 +14,7 @@ namespace {
 // Distinct stream tags keep the per-kind decision sequences independent
 // even for equal (round, item) pairs.
 constexpr std::uint64_t kStreamStale = 0x5741'4c45'0000'0001ULL;
-constexpr std::uint64_t kStreamDrop = 0x4452'4f50'0000'0002ULL;
-constexpr std::uint64_t kStreamReorder = 0x5245'4f52'0000'0003ULL;
 constexpr std::uint64_t kStreamFlip = 0x464c'4950'0000'0004ULL;
-constexpr std::uint64_t kStreamDup = 0x4455'504c'0000'0005ULL;
 
 /// Bernoulli(rate) as a pure function of the mixed key.
 bool hit(std::uint64_t seed, std::uint64_t stream, std::uint64_t a,
@@ -67,21 +64,6 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       plan.seed = static_cast<std::uint64_t>(parse_count(key, value));
     } else if (key == "stale") {
       plan.stale_color_rate = parse_rate(key, value);
-    } else if (key == "drop") {
-      plan.drop_update_rate = parse_rate(key, value);
-    } else if (key == "reorder") {
-      plan.reorder_update_rate = parse_rate(key, value);
-    } else if (key == "dup") {
-      plan.duplicate_update_rate = parse_rate(key, value);
-    } else if (key == "delay-steps") {
-      plan.delay_update_supersteps = static_cast<int>(parse_count(key, value));
-    } else if (key == "part") {
-      plan.partition_shard = static_cast<int>(parse_count(key, value));
-    } else if (key == "part-start") {
-      plan.partition_start_superstep =
-          static_cast<int>(parse_count(key, value));
-    } else if (key == "part-steps") {
-      plan.partition_supersteps = static_cast<int>(parse_count(key, value));
     } else if (key == "delay-rounds") {
       plan.delay_rounds = static_cast<int>(parse_count(key, value));
     } else if (key == "delay-ms") {
@@ -102,17 +84,6 @@ std::string FaultPlan::to_spec() const {
   std::ostringstream out;
   out << "seed=" << seed;
   if (stale_color_rate > 0) out << ",stale=" << stale_color_rate;
-  if (drop_update_rate > 0) out << ",drop=" << drop_update_rate;
-  if (reorder_update_rate > 0) out << ",reorder=" << reorder_update_rate;
-  if (duplicate_update_rate > 0) out << ",dup=" << duplicate_update_rate;
-  if (delay_update_supersteps > 0)
-    out << ",delay-steps=" << delay_update_supersteps;
-  if (partition_supersteps > 0) {
-    out << ",part=" << partition_shard;
-    if (partition_start_superstep > 0)
-      out << ",part-start=" << partition_start_superstep;
-    out << ",part-steps=" << partition_supersteps;
-  }
   if (delay_rounds > 0) out << ",delay-rounds=" << delay_rounds;
   if (delay_ms > 0) out << ",delay-ms=" << delay_ms;
   if (flip_byte_rate > 0) out << ",flip=" << flip_byte_rate;
@@ -123,21 +94,6 @@ std::string FaultPlan::to_spec() const {
 bool FaultPlan::corrupt_color(int round, vid_t u) const {
   return hit(seed, kStreamStale, static_cast<std::uint64_t>(round),
              static_cast<std::uint64_t>(u), stale_color_rate);
-}
-
-bool FaultPlan::drop_update(int superstep, vid_t u) const {
-  return hit(seed, kStreamDrop, static_cast<std::uint64_t>(superstep),
-             static_cast<std::uint64_t>(u), drop_update_rate);
-}
-
-bool FaultPlan::reorder_update(int superstep, vid_t u) const {
-  return hit(seed, kStreamReorder, static_cast<std::uint64_t>(superstep),
-             static_cast<std::uint64_t>(u), reorder_update_rate);
-}
-
-bool FaultPlan::duplicate_update(int superstep, vid_t u) const {
-  return hit(seed, kStreamDup, static_cast<std::uint64_t>(superstep),
-             static_cast<std::uint64_t>(u), duplicate_update_rate);
 }
 
 std::string FaultPlan::corrupt_bytes(const std::string& bytes,

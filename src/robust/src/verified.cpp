@@ -70,16 +70,4 @@ ColoringResult color_d2gc_verified(const Graph& g,
   return result;
 }
 
-DistResult color_bgpc_distributed_verified(const BipartiteGraph& g,
-                                           const DistOptions& options) {
-  DistResult result = translate_invalid_argument(
-      [&] { return color_bgpc_distributed(g, options); });
-  verify_or_repair(g, result.colors, check_bgpc, repair_bgpc,
-                   result.degraded, result.repaired_vertices,
-                   options.tracer);
-  if (result.repaired_vertices > 0)
-    result.num_colors = count_colors(result.colors);
-  return result;
-}
-
 }  // namespace gcol

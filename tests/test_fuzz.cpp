@@ -16,7 +16,6 @@
 #include "greedcolor/core/dsatur.hpp"
 #include "greedcolor/core/recolor.hpp"
 #include "greedcolor/core/verify.hpp"
-#include "greedcolor/dist/dist_bgpc.hpp"
 #include "greedcolor/graph/binary_io.hpp"
 #include "greedcolor/graph/builder.hpp"
 #include "greedcolor/graph/generators.hpp"
@@ -379,45 +378,6 @@ INSTANTIATE_TEST_SUITE_P(Kernel, FaultMatrix,
                              if (c == '-') c = '_';
                            return id;
                          });
-
-struct DistScenario {
-  const char* name;
-  const char* spec;
-  double deadline;
-};
-
-constexpr DistScenario kDistScenarios[] = {
-    {"clean", "", 0.0},
-    {"drop", "seed=11,drop=0.3", 0.0},
-    {"reorder", "seed=13,reorder=0.4", 0.0},
-    {"drop_reorder", "seed=17,drop=0.2,reorder=0.2", 0.0},
-    {"drop_deadline", "seed=19,drop=0.8", 1e-6},
-};
-
-void PrintTo(const DistScenario& s, std::ostream* os) { *os << s.name; }
-
-class DistFaultMatrix : public ::testing::TestWithParam<DistScenario> {};
-
-TEST_P(DistFaultMatrix, DistAlwaysEndsValid) {
-  const DistScenario& s = GetParam();
-  const BipartiteGraph g = build_bipartite(random_instance(0xD157));
-  const FaultPlan plan = FaultPlan::parse(s.spec);
-  for (const int ranks : {2, 5}) {
-    DistOptions opt;
-    opt.num_ranks = ranks;
-    if (*s.spec) opt.fault_plan = &plan;
-    opt.deadline_seconds = s.deadline;
-    const auto r = color_bgpc_distributed_verified(g, opt);
-    const auto violation = check_bgpc(g, r.colors);
-    EXPECT_FALSE(violation.has_value())
-        << s.name << "/ranks=" << ranks
-        << (violation ? ": " + violation->to_string() : "");
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Dist, DistFaultMatrix,
-                         ::testing::ValuesIn(kDistScenarios),
-                         [](const auto& info) { return info.param.name; });
 
 }  // namespace
 }  // namespace gcol

@@ -1,10 +1,8 @@
 // gcol-trace / metrics / run-report tests: ring semantics (overflow
 // drops oldest, counted), span nesting under a forced 1-thread run,
-// Chrome-trace balance under multi-thread and adversarial input, shard
-// tracks from the dist runtime, the MetricsRegistry adapters (every
-// DistStats field surfaced — nothing print-path-only), and the
-// gcol-report-v1 envelope. The GCOL_TRACE=OFF macro contract lives in
-// test_obs_off.cpp.
+// Chrome-trace balance under multi-thread and adversarial input, the
+// MetricsRegistry adapters, and the gcol-report-v1 envelope. The
+// GCOL_TRACE=OFF macro contract lives in test_obs_off.cpp.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -14,7 +12,6 @@
 #include "greedcolor/core/bgpc.hpp"
 #include "greedcolor/core/d1gc.hpp"
 #include "greedcolor/core/d2gc.hpp"
-#include "greedcolor/dist/dist_bgpc.hpp"
 #include "greedcolor/graph/builder.hpp"
 #include "greedcolor/graph/generators.hpp"
 #include "greedcolor/obs/json.hpp"
@@ -176,32 +173,6 @@ TEST(Tracer, ChromeTraceBalancesAdversarialInput) {
   EXPECT_EQ(count_occurrences(json, "\"ph\": \"B\""), 1u);
 }
 
-TEST(Tracer, DistRunProducesShardTracks) {
-  const BipartiteGraph g = small_graph();
-  Tracer tracer;
-  DistOptions opt;
-  opt.num_ranks = 4;
-  opt.tracer = &tracer;
-  const auto r = color_bgpc_distributed(g, opt);
-  EXPECT_GT(r.num_colors, 0);
-
-  bool saw_shard = false;
-  bool saw_superstep = false;
-  for (const TraceEvent& ev : tracer.events()) {
-    if (ev.shard >= 0) saw_shard = true;
-    if (std::string(ev.name) == "dist.superstep") saw_superstep = true;
-  }
-  EXPECT_TRUE(saw_shard);
-  EXPECT_TRUE(saw_superstep);
-
-  std::ostringstream os;
-  tracer.write_chrome_trace(os);
-  const std::string json = os.str();
-  EXPECT_GT(count_occurrences(json, "\"pid\": 2"), 0u);  // shard tracks
-  EXPECT_EQ(count_occurrences(json, "\"ph\": \"B\""),
-            count_occurrences(json, "\"ph\": \"E\""));
-}
-
 TEST(MetricsRegistry, BasicCountersAndFlags) {
   MetricsRegistry m;
   EXPECT_TRUE(m.empty());
@@ -228,53 +199,6 @@ TEST(MetricsRegistry, RecordResultMatchesRun) {
             r.total_color_counters().colored);
   EXPECT_EQ(m.value("core.conflict.conflicts"),
             r.total_conflict_counters().conflicts);
-}
-
-// Satellite guard: every DistStats field reaches the registry — the
-// text printer can never again be the only place a field shows up.
-TEST(MetricsRegistry, SurfacesEveryDistStatsField) {
-  DistResult r;
-  r.num_colors = 5;
-  r.stats.interior_vertices = 1;
-  r.stats.boundary_vertices = 2;
-  r.stats.supersteps = 3;
-  r.stats.messages_sent = 4;
-  r.stats.messages_delivered = 5;
-  r.stats.messages_dropped = 6;
-  r.stats.messages_stale_ignored = 7;
-  r.stats.messages_duplicated = 8;
-  r.stats.conflicts = 9;
-  r.stats.retries = 10;
-  r.stats.backoff_us_total = 11;  // accounted even when retries prints 0
-  r.stats.dirty_boundary = 12;
-  r.stats.repair_recolored = 13;
-  r.stats.fallback = true;
-  r.stats.deadline_hit = true;
-  r.degraded = true;
-  r.repaired_vertices = 14;
-  r.retry_trace.push_back({1, 0, 1, 1, 100});
-
-  MetricsRegistry m;
-  m.record_dist(r);
-  EXPECT_EQ(m.value("dist.interior_vertices"), 1u);
-  EXPECT_EQ(m.value("dist.boundary_vertices"), 2u);
-  EXPECT_EQ(m.value("dist.supersteps"), 3u);
-  EXPECT_EQ(m.value("dist.messages.sent"), 4u);
-  EXPECT_EQ(m.value("dist.messages.delivered"), 5u);
-  EXPECT_EQ(m.value("dist.messages.dropped"), 6u);
-  EXPECT_EQ(m.value("dist.messages.stale_ignored"), 7u);
-  EXPECT_EQ(m.value("dist.messages.duplicated"), 8u);
-  EXPECT_EQ(m.value("dist.conflicts"), 9u);
-  EXPECT_EQ(m.value("dist.retries"), 10u);
-  EXPECT_EQ(m.value("dist.backoff_us_total"), 11u);
-  EXPECT_EQ(m.value("dist.dirty_boundary"), 12u);
-  EXPECT_EQ(m.value("dist.repair_recolored"), 13u);
-  EXPECT_EQ(m.value("dist.fallback"), 1u);
-  EXPECT_EQ(m.value("dist.deadline_hit"), 1u);
-  EXPECT_EQ(m.value("dist.degraded"), 1u);
-  EXPECT_EQ(m.value("dist.repaired_vertices"), 14u);
-  EXPECT_EQ(m.value("dist.retry_trace.events"), 1u);
-  EXPECT_EQ(m.value("dist.colors"), 5u);
 }
 
 TEST(Json, OrderedWriterEscapesAndNests) {

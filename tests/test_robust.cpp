@@ -10,7 +10,6 @@
 #include "greedcolor/core/bgpc.hpp"
 #include "greedcolor/core/d2gc.hpp"
 #include "greedcolor/core/verify.hpp"
-#include "greedcolor/dist/dist_bgpc.hpp"
 #include "greedcolor/graph/builder.hpp"
 #include "greedcolor/graph/generators.hpp"
 #include "greedcolor/robust/error.hpp"
@@ -61,32 +60,15 @@ TEST(RobustError, ToStringIsStableAndDistinct) {
 
 TEST(FaultPlan, SpecRoundTrips) {
   const auto plan = FaultPlan::parse(
-      "seed=42,stale=0.05,drop=0.2,reorder=0.1,dup=0.15,delay-steps=2,"
-      "part=1,part-start=2,part-steps=3,delay-rounds=3,delay-ms=10,"
-      "flip=0.01,trunc=0.5");
+      "seed=42,stale=0.05,delay-rounds=3,delay-ms=10,flip=0.01,trunc=0.5");
   EXPECT_EQ(plan.seed, 42u);
   EXPECT_DOUBLE_EQ(plan.stale_color_rate, 0.05);
-  EXPECT_DOUBLE_EQ(plan.drop_update_rate, 0.2);
-  EXPECT_DOUBLE_EQ(plan.reorder_update_rate, 0.1);
-  EXPECT_DOUBLE_EQ(plan.duplicate_update_rate, 0.15);
-  EXPECT_EQ(plan.delay_update_supersteps, 2);
-  EXPECT_EQ(plan.partition_shard, 1);
-  EXPECT_EQ(plan.partition_start_superstep, 2);
-  EXPECT_EQ(plan.partition_supersteps, 3);
   EXPECT_EQ(plan.delay_rounds, 3);
   EXPECT_EQ(plan.delay_ms, 10);
   EXPECT_DOUBLE_EQ(plan.flip_byte_rate, 0.01);
   EXPECT_DOUBLE_EQ(plan.truncate_fraction, 0.5);
   const auto back = FaultPlan::parse(plan.to_spec());
   EXPECT_EQ(back.to_spec(), plan.to_spec());
-}
-
-TEST(FaultPlan, DistFaultDetectionCoversNewKinds) {
-  EXPECT_FALSE(FaultPlan{}.any_dist_faults());
-  EXPECT_TRUE(FaultPlan::parse("dup=0.1").any_dist_faults());
-  EXPECT_TRUE(FaultPlan::parse("part=0,part-steps=2").any_dist_faults());
-  // delay-steps alone only shapes reorder victims; it is not a fault.
-  EXPECT_FALSE(FaultPlan::parse("delay-steps=3").any_dist_faults());
 }
 
 TEST(FaultPlan, UnderscoresNormalizeToDashes) {
@@ -96,8 +78,12 @@ TEST(FaultPlan, UnderscoresNormalizeToDashes) {
 }
 
 TEST(FaultPlan, BadSpecsThrowTyped) {
-  for (const auto* spec : {"bogus=1", "stale=nope", "stale=-0.5", "stale=1.5",
-                           "delay-ms=-2", "seed=", "=3"}) {
+  // The superstep-exchange keys (drop, reorder, dup, delay-steps, part*)
+  // are unknown keys like any other.
+  for (const auto* spec :
+       {"bogus=1", "stale=nope", "stale=-0.5", "stale=1.5", "delay-ms=-2",
+        "seed=", "=3", "drop=0.2", "reorder=0.1", "dup=0.1", "delay-steps=2",
+        "part=1", "part-start=0", "part-steps=3"}) {
     try {
       (void)FaultPlan::parse(spec);
       FAIL() << "accepted '" << spec << "'";
@@ -111,7 +97,6 @@ TEST(FaultPlan, DecisionsAreDeterministic) {
   FaultPlan plan;
   plan.seed = 7;
   plan.stale_color_rate = 0.3;
-  plan.drop_update_rate = 0.3;
   int hits = 0;
   for (vid_t u = 0; u < 1000; ++u) {
     EXPECT_EQ(plan.corrupt_color(2, u), plan.corrupt_color(2, u));
@@ -120,11 +105,6 @@ TEST(FaultPlan, DecisionsAreDeterministic) {
   // A Bernoulli(0.3) over 1000 items lands well inside [150, 450].
   EXPECT_GT(hits, 150);
   EXPECT_LT(hits, 450);
-  // Streams are independent: drop decisions differ from stale decisions.
-  int agree = 0;
-  for (vid_t u = 0; u < 1000; ++u)
-    if (plan.corrupt_color(1, u) == plan.drop_update(1, u)) ++agree;
-  EXPECT_LT(agree, 1000);
 }
 
 TEST(FaultPlan, CorruptBytesIsDeterministicAndVaried) {
@@ -318,40 +298,6 @@ TEST(Verified, TranslatesApiMisuseToTypedError) {
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
   }
-}
-
-TEST(Verified, DistSurvivesDroppedAndReorderedUpdates) {
-  const BipartiteGraph g =
-      build_bipartite(gen_random_bipartite(60, 240, 1400, 77));
-  FaultPlan plan;
-  plan.seed = 19;
-  plan.drop_update_rate = 0.4;
-  plan.reorder_update_rate = 0.3;
-  DistOptions opt;
-  opt.num_ranks = 4;
-  opt.fault_plan = &plan;
-  const auto r = color_bgpc_distributed_verified(g, opt);
-  EXPECT_FALSE(check_bgpc(g, r.colors).has_value());
-  EXPECT_GT(r.stats.messages_dropped, 0u);
-  EXPECT_GT(r.stats.retries, 0u);
-  EXPECT_FALSE(r.stats.fallback);
-}
-
-TEST(Verified, DistDeadlineFallsBackToSequential) {
-  const BipartiteGraph g =
-      build_bipartite(gen_random_bipartite(60, 240, 1400, 78));
-  FaultPlan plan;
-  plan.seed = 23;
-  plan.drop_update_rate = 0.9;  // starve convergence so the deadline fires
-  DistOptions opt;
-  opt.num_ranks = 4;
-  opt.fault_plan = &plan;
-  opt.deadline_seconds = 1e-9;
-  const auto r = color_bgpc_distributed_verified(g, opt);
-  EXPECT_TRUE(r.stats.fallback);
-  EXPECT_TRUE(r.stats.deadline_hit);
-  EXPECT_TRUE(r.degraded);
-  EXPECT_FALSE(check_bgpc(g, r.colors).has_value());
 }
 
 TEST(Verified, D2gcRepairsFaultedRun) {

@@ -5,8 +5,9 @@
 #   1. default preset: build everything, run the whole test suite
 #   2. lint gate: gcol-sa self-test (engine + fixtures + exit codes) +
 #      repo scan over compile_commands inside the wall-time budget
-#   3. bench + obs gates: kernel trajectory (micro_kernels) through
-#      bench_gate.py, a traced chaos sweep validated by check_trace.py
+#   3. bench gate: kernel trajectory (micro_kernels) through
+#      bench_gate.py (the obs label in step 1 already validated the
+#      traced color_tool artifacts with check_trace.py)
 #   4. analysis preset: GCOL_AUDIT + -Werror (+ clang-tidy if present),
 #      full suite with contracts and audit ledgers live
 #   5. modelcheck preset: GCOL_MC build, gcol-mc schedule exploration
@@ -62,14 +63,6 @@ python3 tools/gcol_sa --compile-commands build/compile_commands.json \
 # build/BENCH_kernels.json; every row must be a valid coloring.
 step "bench gate"
 python3 tools/bench_gate.py build/BENCH_kernels.json
-
-# The default suite's obs label already ran the traced color_tool runs;
-# add the traced chaos sweep + artifact validation the obs CI job does.
-step "obs gate: traced chaos sweep + artifact validation"
-./build/bench/chaos_sweep --smoke --ranks 4 --datasets afshell_s \
-  --json build/obs_chaos_report.json --trace-out build/obs_chaos_trace.json
-python3 tools/check_trace.py build/obs_chaos_trace.json \
-  --expect-shards --report build/obs_chaos_report.json
 
 step "analysis: GCOL_AUDIT + -Werror, full suite"
 cmake --preset analysis

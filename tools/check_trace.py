@@ -2,7 +2,7 @@
 """check_trace: validator for gcol-trace artifacts.
 
 Validates a Chrome trace-event JSON written by the gcol-trace exporter
-(color_tool --trace-out, chaos_sweep --trace-out) and, optionally, a
+(color_tool --trace-out) and, optionally, a
 gcol-report-v1 run report (--report). Checks, in order:
 
   T1 envelope        top-level traceEvents array + the exporter's
@@ -11,20 +11,17 @@ gcol-report-v1 run report (--report). Checks, in order:
                      of B/E/i/M; ts is a non-negative number.
   T3 balance         per (pid, tid) track, B/E strictly nest: no end
                      without a begin, nothing left open at the end.
-  T4 round-phases    every round span (*.round / dist.superstep) at
-                     the engine pid contains >= 1 begin of a color/
-                     speculate span and >= 1 of a conflict span —
-                     the per-round, per-phase story the paper's
-                     evaluation is built on. Skipped for tracks with
-                     no round spans.
-  T5 shard-tracks    with --expect-shards: at least one track rides
-                     the shard pid (2).
+  T4 round-phases    every round span (*.round) at the engine pid
+                     contains >= 1 begin of a color span and >= 1 of
+                     a conflict span — the per-round, per-phase story
+                     the paper's evaluation is built on. Skipped for
+                     tracks with no round spans.
 
 With --report FILE also validates the run-report envelope:
 
   R1 schema          "schema": "gcol-report-v1" + a "tool" string.
   R2 sections        every present section among options/graph/totals/
-                     rounds/dist/degradation/metrics/trace/bench is an
+                     rounds/degradation/metrics/trace/bench is an
                      object (rounds: array); metrics values are
                      non-negative integers.
   R3 fingerprint     graph.fingerprint (when present) matches
@@ -44,12 +41,10 @@ import sys
 TRACE_SCHEMA = "gcol-trace-chrome-v1"
 REPORT_SCHEMA = "gcol-report-v1"
 ENGINE_PID = 1
-SHARD_PID = 2
 
-ROUND_NAMES = {"bgpc.round", "d2gc.round", "d1gc.round", "dist.superstep"}
-COLOR_NAMES = {"bgpc.color", "d2gc.color", "d1gc.color", "dist.speculate"}
-CONFLICT_NAMES = {"bgpc.conflict", "d2gc.conflict", "d1gc.conflict",
-                  "dist.conflict"}
+ROUND_NAMES = {"bgpc.round", "d2gc.round", "d1gc.round"}
+COLOR_NAMES = {"bgpc.color", "d2gc.color", "d1gc.color"}
+CONFLICT_NAMES = {"bgpc.conflict", "d2gc.conflict", "d1gc.conflict"}
 
 FINGERPRINT_RE = re.compile(r"fnv1a64w:[0-9a-f]{16}")
 
@@ -129,7 +124,7 @@ def check_balance(events: list[dict], failures: list[str]) -> None:
 def check_round_phases(events: list[dict], failures: list[str]) -> int:
     """Each round span on the engine pid must contain >= 1 color-phase
     and >= 1 conflict-phase begin (driver-side events, so engine-pid
-    only; shard tracks repeat the phases per shard)."""
+    only)."""
     rounds_checked = 0
     open_rounds: dict[tuple, list[dict]] = {}
     for ev in events:
@@ -157,14 +152,8 @@ def check_round_phases(events: list[dict], failures: list[str]) -> int:
             # color phase always, the conflict phase only when present.
             if frame["color"] == 0:
                 failures.append(f"T4 round-phases: a {frame['name']} span "
-                                "contains no color/speculate span")
+                                "contains no color span")
     return rounds_checked
-
-
-def check_shard_tracks(events: list[dict], failures: list[str]) -> None:
-    if not any(ev["pid"] == SHARD_PID and ev["ph"] != "M" for ev in events):
-        failures.append("T5 shard-tracks: --expect-shards but no event on "
-                        f"the shard pid ({SHARD_PID})")
 
 
 def check_report(path: str, failures: list[str]) -> None:
@@ -175,8 +164,8 @@ def check_report(path: str, failures: list[str]) -> None:
         return
     if not isinstance(data.get("tool"), str):
         failures.append("R1 schema: missing tool string")
-    for key in ("options", "graph", "totals", "dist", "degradation",
-                "metrics", "trace", "bench"):
+    for key in ("options", "graph", "totals", "degradation", "metrics",
+                "trace", "bench"):
         if key in data and not isinstance(data[key], dict):
             failures.append(f"R2 sections: {key} is not an object")
     if "rounds" in data and not isinstance(data["rounds"], list):
@@ -197,8 +186,6 @@ def main() -> int:
                                      description=__doc__.splitlines()[0])
     parser.add_argument("trace", nargs="?",
                         help="Chrome trace-event JSON to validate")
-    parser.add_argument("--expect-shards", action="store_true",
-                        help="require shard tracks (a --dist / sharded run)")
     parser.add_argument("--report", metavar="JSON",
                         help="also validate a gcol-report-v1 run report")
     args = parser.parse_args()
@@ -212,8 +199,6 @@ def main() -> int:
         events = check_events(events, failures)
         check_balance(events, failures)
         rounds = check_round_phases(events, failures)
-        if args.expect_shards:
-            check_shard_tracks(events, failures)
         print(f"check_trace: {args.trace}: {len(events)} event(s), "
               f"{rounds} round span(s)")
     if args.report:

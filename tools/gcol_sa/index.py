@@ -30,8 +30,7 @@ from .symbols import ALIASING_KINDS, param_table, scan_accesses
 
 REPO_MARKERS = ("CMakeLists.txt", "CMakePresets.json")
 
-ALL_ROLES = frozenset({"core", "dist_guard", "timing_guard",
-                       "trace_scope", "race"})
+ALL_ROLES = frozenset({"core", "timing_guard", "trace_scope", "race"})
 
 # All-caps identifiers are macro invocations by repo convention
 # (GCOL_TRACE_*, GCOL_CONTRACT, TEST, EXPECT_EQ...); they are not call
@@ -141,7 +140,7 @@ def collect_files(root: str, compile_commands: str | None) -> list[str]:
 def roles_for(rel: str, explicit: bool) -> frozenset:
     rel = rel.replace(os.sep, "/")
     if explicit:
-        # R014's scope is architectural (src/core + src/dist), so the
+        # R014's scope is architectural (src/core), so the
         # fixture corpus opts in by name — keeping the pre-existing
         # R001-R012 fixtures (and their golden verdicts) byte-stable.
         roles = set(ALL_ROLES)
@@ -149,18 +148,10 @@ def roles_for(rel: str, explicit: bool) -> frozenset:
             roles.add("sharing")
         return frozenset(roles)
     roles = set()
-    if rel.startswith("src/core/") or rel.startswith("src/dist/"):
-        roles.add("sharing")
-    if rel.startswith("src/"):
-        roles.add("race")
     if rel.startswith("src/core/"):
-        roles.add("core")
-    if rel.startswith("src/") and not rel.startswith("src/dist/"):
-        roles.add("dist_guard")
-    if rel.startswith("src/core/") or rel.startswith("src/dist/"):
-        roles.add("timing_guard")
+        roles.update(("core", "sharing", "timing_guard"))
     if rel.startswith("src/"):
-        roles.add("trace_scope")
+        roles.update(("race", "trace_scope"))
     return frozenset(roles)
 
 

@@ -54,12 +54,7 @@ RULES: list[RuleInfo] = [
              "accessor seam, where the audit ledgers and gcol-mc schedule "
              "points hook every access",
              "r005_raw_atomic_ref.cpp"),
-    RuleInfo("R006", "transport-outside-dist", "src/ outside src/dist",
-             "the boundary-exchange `Transport` layer is private to "
-             "src/dist; everything else selects a transport through "
-             "`DistOptions::transport` (`TransportKind`)",
-             "r006_transport_outside_dist.cpp"),
-    RuleInfo("R008", "raw-timing", "src/core + src/dist",
+    RuleInfo("R008", "raw-timing", "src/core",
              "engine timing goes through `WallTimer` or gcol-trace spans; "
              "an ad-hoc clock is invisible to the trace timeline and the "
              "run report",
@@ -95,7 +90,7 @@ RULES: list[RuleInfo] = [
              "iteration-owned index — anything else is the unsanctioned "
              "race the benign-race argument does not cover",
              "r013_shared_write.cpp"),
-    RuleInfo("R014", "implicit-data-sharing", "src/core + src/dist",
+    RuleInfo("R014", "implicit-data-sharing", "src/core",
              "`omp parallel` constructs in the engine layers carry "
              "`default(none)` or name every escaping variable in an "
              "explicit clause; implicit `default(shared)` capture is how "
@@ -147,20 +142,12 @@ MSG = {
     "R005": "raw std::atomic_ref outside the kernels_common.hpp accessor "
             "seam; go through load_color/store_color/exchange_uncolor so "
             "audit and gcol-mc hooks see the access",
-    "R006_type": "Transport type used outside src/dist; the "
-                 "boundary-exchange layer is private — select a transport "
-                 "with DistOptions::transport (TransportKind)",
-    "R006_include": "greedcolor/dist/transport.hpp is private to src/dist; "
-                    "drive the runtime through DistOptions (TransportKind) "
-                    "instead",
     "R008": "raw std::chrono / omp_get_wtime in an engine layer; time "
             "through WallTimer (result totals) or gcol-trace spans "
             "(src/obs) so the measurement reaches the trace timeline and "
             "the run report",
 }
 
-TRANSPORT_NAMES = {"Transport", "MailboxTransport", "LoopbackTransport",
-                   "LossyTransport"}
 CONTAINER_NAMES = {"vector", "string", "map", "unordered_map", "set",
                    "unordered_set"}
 # The narrow allocation set R003 has always enforced (direct sites).
@@ -265,20 +252,13 @@ def _is_r003_site(toks, i) -> bool:
 
 
 def check_token_rules(fa, roles) -> list[Finding]:
-    """R005 / R006 / R008 — identifier-level rules, one finding per line
-    as before."""
+    """R005 / R008 — identifier-level rules, one finding per line as
+    before."""
     out = []
     toks = fa.lexed.tokens
     rel = fa.rel.replace("\\", "/")
     seam = rel.endswith(ATOMIC_SEAM_SUFFIX)
-    seen: dict[str, set[int]] = {"R005": set(), "R006": set(),
-                                 "R008": set()}
-
-    if "dist_guard" in roles:
-        for d in fa.lexed.directives:
-            path = d.include_path() or ""
-            if path.endswith("greedcolor/dist/transport.hpp"):
-                out.append(fa.finding("R006", d.line, MSG["R006_include"]))
+    seen: dict[str, set[int]] = {"R005": set(), "R008": set()}
 
     for i, t in enumerate(toks):
         if t.kind != "id":
@@ -287,10 +267,6 @@ def check_token_rules(fa, roles) -> list[Finding]:
                 and t.line not in seen["R005"]:
             seen["R005"].add(t.line)
             out.append(fa.finding("R005", t.line, MSG["R005"]))
-        if "dist_guard" in roles and t.val in TRANSPORT_NAMES \
-                and t.line not in seen["R006"]:
-            seen["R006"].add(t.line)
-            out.append(fa.finding("R006", t.line, MSG["R006_type"]))
         if "timing_guard" in roles and t.line not in seen["R008"]:
             if t.val == "omp_get_wtime" or (
                     t.val == "std" and i + 2 < len(toks)

@@ -62,9 +62,9 @@ def _t_digit_separator():
 
 
 def _t_include_paths():
-    lf = lex('#include "greedcolor/dist/transport.hpp"\n#include <vector>\n')
+    lf = lex('#include "greedcolor/robust/fault.hpp"\n#include <vector>\n')
     paths = [d.include_path() for d in lf.directives]
-    assert paths == ["greedcolor/dist/transport.hpp", "vector"]
+    assert paths == ["greedcolor/robust/fault.hpp", "vector"]
 
 
 def _t_find_functions():
