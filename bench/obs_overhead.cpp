@@ -16,7 +16,6 @@
 #include <iostream>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "greedcolor/core/bgpc.hpp"
 #include "greedcolor/graph/builder.hpp"
 #include "greedcolor/graph/generators.hpp"

@@ -125,17 +125,10 @@ struct ColoringOptions {
   /// Use the most-optimistic net coloring (Alg. 6, "Net-V1") instead of
   /// the two-pass Alg. 8 during net-colored rounds, optionally with its
   /// first-fit replaced by reverse first-fit ("Alg. 6 + reverse" in
-  /// Table I). Only exercised by the Table I harness and tests.
+  /// Table I). Only exercised by the paper driver's Table I experiment
+  /// and tests.
   bool net_v1 = false;
   bool net_v1_reverse = false;
-
-  /// Adaptive hybrid (the paper's SVIII "better net-based (or hybrid)
-  /// coloring approach" direction): when > 0, a round uses the
-  /// net-based kernels iff the live work queue still holds at least
-  /// this fraction of the vertices — net passes are linear in |E|
-  /// regardless of |W|, so they only pay off while |W| is large. When
-  /// set, net_color_rounds/net_conflict_rounds are ignored.
-  double adaptive_threshold = 0.0;
 
   /// Throws std::invalid_argument when fields are inconsistent.
   void validate() const;

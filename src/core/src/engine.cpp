@@ -159,7 +159,6 @@ ColoringResult speculative_color(const V& view, const ColoringOptions& options,
   const FaultPlan* faults = options.fault_plan;
   std::vector<vid_t> wnext;
   int round = 0;
-  int net_color_uses = 0;
   while (!w.empty()) {
     ++round;
     GCOL_TRACE_BEGIN(tracer, V::kNames.round,
@@ -170,23 +169,9 @@ ColoringResult speculative_color(const V& view, const ColoringOptions& options,
     bool net_color = false;
     bool net_conflict = false;
     if constexpr (V::kNetKernels) {
-      if (options.adaptive_threshold > 0.0) {
-        // Hybrid rule. Net *conflict removal* is O(|E|) and beats the
-        // vertex-based scan while W is a sizable fraction of V. Net
-        // *coloring* is only worth it when W is a majority — and
-        // looping it regenerates conflicts (the paper's observation
-        // 5), so it is capped at two uses.
-        const double frac =
-            static_cast<double>(w.size()) / static_cast<double>(n);
-        net_color = frac >= std::max(options.adaptive_threshold, 0.5) &&
-                    net_color_uses < 2;
-        if (net_color) ++net_color_uses;
-        net_conflict = net_color || frac >= options.adaptive_threshold;
-      } else {
-        net_color = round <= options.net_color_rounds;
-        net_conflict = options.net_conflict_rounds == -1 ||
-                       round <= options.net_conflict_rounds;
-      }
+      net_color = round <= options.net_color_rounds;
+      net_conflict = options.net_conflict_rounds == -1 ||
+                     round <= options.net_conflict_rounds;
     }
 
     IterationStats stats;

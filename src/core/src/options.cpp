@@ -57,10 +57,6 @@ void ColoringOptions::validate() const {
     throw std::invalid_argument("deadline_seconds must be >= 0");
   if ((net_v1 || net_v1_reverse) && net_color_rounds == 0)
     throw std::invalid_argument("net_v1 requires net_color_rounds >= 1");
-  if (adaptive_threshold < 0.0 || adaptive_threshold > 1.0)
-    throw std::invalid_argument("adaptive_threshold must be in [0, 1]");
-  if (adaptive_threshold > 0.0 && (net_v1 || net_v1_reverse))
-    throw std::invalid_argument("adaptive mode is incompatible with net_v1");
 }
 
 namespace {
@@ -102,11 +98,6 @@ ColoringOptions make_preset(const std::string& name) {
     o.queue = QueuePolicy::kLazy;
     o.net_color_rounds = 2;
     o.net_conflict_rounds = 2;
-  } else if (name == "ADAPTIVE") {
-    // SVIII hybrid: net kernels while |W| >= 5% of the vertices.
-    o.chunk_size = 64;
-    o.queue = QueuePolicy::kLazy;
-    o.adaptive_threshold = 0.05;
   } else {
     throw std::invalid_argument("unknown algorithm preset: " + name);
   }

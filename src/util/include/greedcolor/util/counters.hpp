@@ -1,11 +1,11 @@
 // Deterministic work counters for the coloring kernels.
 //
-// The reproduction machine has a single physical core, so wall-clock
-// thread scaling cannot be observed directly. These counters capture the
-// machine-independent work profile of every kernel (edges traversed,
-// color probes, conflicts, recolored vertices) and are what the bench
-// harnesses use, next to wall time, to reproduce the paper's relative
-// results. Compiled out when GCOL_COUNTERS is not defined.
+// Wall-clock thread scaling depends on how many cores the host has.
+// These counters capture the machine-independent work profile of every
+// kernel (edges traversed, color probes, conflicts, recolored vertices)
+// and are what the paper driver records, next to wall time, to compare
+// with the paper's relative results on any host. Compiled out when
+// GCOL_COUNTERS is not defined.
 #pragma once
 
 #include <algorithm>

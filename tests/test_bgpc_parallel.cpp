@@ -219,34 +219,6 @@ TEST(BgpcParallel, HandlesGraphWithIsolatedVertices) {
   }
 }
 
-TEST(BgpcParallel, AdaptivePresetValidOnAllShapes) {
-  for (const char* shape : {"mesh", "powerlaw", "cliques", "blockrows"}) {
-    const BipartiteGraph g = make_test_graph(shape);
-    ColoringOptions opt = bgpc_preset("ADAPTIVE");
-    opt.num_threads = 2;
-    const auto r = color_bgpc(g, opt);
-    EXPECT_TRUE(is_valid_bgpc(g, r.colors)) << shape;
-    EXPECT_FALSE(r.sequential_fallback) << shape;
-    // The hybrid must never loop net coloring (observation 5): at most
-    // two net-colored rounds.
-    int net_rounds = 0;
-    for (const auto& it : r.iterations) net_rounds += it.net_based_coloring;
-    EXPECT_LE(net_rounds, 2) << shape;
-  }
-}
-
-TEST(BgpcParallel, AdaptiveOptionValidation) {
-  const BipartiteGraph g = testing::single_net(3);
-  ColoringOptions opt;
-  opt.adaptive_threshold = 1.5;
-  EXPECT_THROW(color_bgpc(g, opt), std::invalid_argument);
-  opt.adaptive_threshold = 0.1;
-  opt.net_v1 = true;
-  opt.net_color_rounds = 1;
-  opt.net_conflict_rounds = 1;
-  EXPECT_THROW(color_bgpc(g, opt), std::invalid_argument);
-}
-
 TEST(BgpcParallel, ManyThreadsOversubscriptionStillValid) {
   const BipartiteGraph g = make_test_graph("powerlaw");
   ColoringOptions opt = bgpc_preset("N1-N2");

@@ -86,9 +86,9 @@ TEST(Schedules, TracesMatchAlgorithmNames) {
 }
 
 TEST(Schedules, SharedAndLazyQueuesFindTheSameConflictsSequentially) {
-  // At one thread the two queue strategies are semantically identical
-  // (order may differ; V-V at t=1 is conflict-free anyway, so compare
-  // on a forced multi-round adaptive run instead: t=1 => same rounds).
+  // At one thread the two queue strategies are semantically identical:
+  // a single-threaded V-V run is conflict-free, so shared and lazy
+  // queues must give the same colors in the same number of rounds.
   const BipartiteGraph g = busy_graph();
   ColoringOptions shared = bgpc_preset("V-V");
   shared.num_threads = 1;
