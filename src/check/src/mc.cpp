@@ -314,7 +314,7 @@ void McContext::check_queue_and_bound(const V& view, const color_t* c,
   // sets to the color bound + 2; any color at or past that capacity
   // means a first-fit scan escaped its forbidden set (a later
   // MarkerSet::insert of it would write out of bounds).
-  const color_t cap = view.color_bound() + 2;
+  const color_t cap = view.color_bound(1) + 2;
   for (std::size_t u = 0; u < n; ++u) {
     const color_t col = c[u];
     if (col == kNoColor || col < cap) continue;

@@ -24,12 +24,16 @@ struct ColoringViolation {
 
 /// BGPC validity: every V_A vertex colored (>= 0) and no two vertices
 /// sharing a net have equal colors. Runs net-side in O(|E|) with one
-/// marker pass per net.
+/// marker pass per net, on the calling thread's OpenMP team
+/// (omp_get_max_threads()). The violation reported is the first one in
+/// vertex, then net order, whatever the team size, and the working
+/// memory is O(|V|) per thread whatever the color values.
 [[nodiscard]] std::optional<ColoringViolation> check_bgpc(
     const BipartiteGraph& g, const std::vector<color_t>& colors);
 
 /// D2GC validity: every vertex colored and all distance-<=2 pairs
-/// differently colored (checked per closed neighborhood, O(|E|)).
+/// differently colored (checked per closed neighborhood, O(|E|)). Same
+/// team, violation order and memory bound as check_bgpc.
 [[nodiscard]] std::optional<ColoringViolation> check_d2gc(
     const Graph& g, const std::vector<color_t>& colors);
 

@@ -120,7 +120,8 @@ ColoringResult speculative_color(const V& view, const ColoringOptions& options,
   // GCOL_AUDIT accessor hooks can reach it; one null check per round on
   // the happy path (same contract as fault_plan).
   audit::AuditScope audit_scope(options.auditor, threads);
-  const auto marker_cap = static_cast<std::size_t>(view.color_bound()) + 2;
+  const auto marker_cap =
+      static_cast<std::size_t>(view.color_bound(threads)) + 2;
   std::vector<ThreadWorkspace> workspaces(
       static_cast<std::size_t>(threads));
   for (auto& ws : workspaces)
@@ -271,7 +272,7 @@ ColoringResult sequential_color(const V& view,
 
   ColoringResult result;
   result.colors.assign(static_cast<std::size_t>(n), kNoColor);
-  MarkerSet forbidden(static_cast<std::size_t>(view.color_bound()) + 2);
+  MarkerSet forbidden(static_cast<std::size_t>(view.color_bound(1)) + 2);
 
   WallTimer total;
   IterationStats stats;
@@ -300,7 +301,7 @@ ColoringResult sequential_color(const V& view,
 }  // namespace
 
 color_t bgpc_color_bound(const BipartiteGraph& g) {
-  return BipartiteView{g}.color_bound();
+  return BipartiteView{g}.color_bound(max_threads());
 }
 
 ColoringResult color_bgpc(const BipartiteGraph& g,
@@ -315,7 +316,7 @@ ColoringResult color_bgpc_sequential(const BipartiteGraph& g,
 }
 
 color_t d2gc_color_bound(const Graph& g) {
-  return ClosedView{g}.color_bound();
+  return ClosedView{g}.color_bound(max_threads());
 }
 
 ColoringResult color_d2gc(const Graph& g, const ColoringOptions& options,
@@ -331,7 +332,7 @@ ColoringResult color_d2gc_sequential(const Graph& g,
 }
 
 color_t d1gc_color_bound(const Graph& g) {
-  return Distance1View{g}.color_bound();
+  return Distance1View{g}.color_bound(max_threads());
 }
 
 ColoringResult color_d1gc(const Graph& g, const ColoringOptions& options,

@@ -91,6 +91,13 @@ inline color_t load_color(color_t* c, vid_t v) {
   return col;
 }
 
+/// Read-only sweeps (the validity check) load a caller's const array
+/// through the same seam. A load never writes, so the const_cast that
+/// forms the atomic_ref is sound.
+inline color_t load_color(const color_t* c, vid_t v) {
+  return load_color(const_cast<color_t*>(c), v);
+}
+
 inline void store_color(color_t* c, vid_t v, color_t col) {
   GCOL_MC_YIELD(v, kStore);
   GCOL_AUDIT_WRITE(v, col);

@@ -21,10 +21,12 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 
 #include "greedcolor/graph/bipartite.hpp"
 #include "greedcolor/graph/csr.hpp"
+#include "greedcolor/util/parallel.hpp"
 #include "greedcolor/util/types.hpp"
 
 namespace gcol {
@@ -38,6 +40,10 @@ struct EngineNames {
   const char* conflict;
   const char* cleanup;
 };
+
+/// Vertices per static chunk of a color_bound() sweep: interleaved
+/// chunks spread a skewed degree distribution over the team.
+inline constexpr int kBoundChunk = 512;
 
 struct BipartiteView {
   static constexpr bool kCenter = false;
@@ -61,15 +67,26 @@ struct BipartiteView {
   [[nodiscard]] vid_t max_net_size() const { return g.max_net_degree(); }
 
   /// 1 + the maximum distance-2 degree (with multiplicity): no kernel
-  /// can assign a color id above it.
-  [[nodiscard]] color_t color_bound() const {
-    eid_t best = 0;
-    for (vid_t u = 0; u < g.num_vertices(); ++u) {
-      eid_t d2 = 0;
-      for (const vid_t v : g.nets(u)) d2 += g.net_degree(v) - 1;
-      best = std::max(best, d2);
+  /// can assign a color id above it. A max fold over the vertices on
+  /// `threads` threads.
+  [[nodiscard]] color_t color_bound(int threads) const {
+    const BipartiteGraph& graph = g;
+    const vid_t n = graph.num_vertices();
+    TeamFold<eid_t> best(0);
+#pragma omp parallel num_threads(threads) default(none) shared(graph, best) \
+    firstprivate(n)
+    {
+      eid_t mine = best.get();
+#pragma omp for schedule(static, kBoundChunk) nowait
+      for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
+        eid_t d2 = 0;
+        for (const vid_t v : graph.nets(static_cast<vid_t>(i)))
+          d2 += graph.net_degree(v) - 1;
+        mine = std::max(mine, d2);
+      }
+      best.fold(mine, std::ranges::max);
     }
-    return static_cast<color_t>(best + 1);
+    return static_cast<color_t>(best.get() + 1);
   }
 };
 
@@ -93,15 +110,26 @@ struct ClosedView {
   [[nodiscard]] vid_t max_net_size() const { return g.max_degree() + 1; }
 
   /// 2 + max_v Σ_{u ∈ nbor(v)} |nbor(u)| (multiplicity bound): no
-  /// kernel can assign a color id above it.
-  [[nodiscard]] color_t color_bound() const {
-    eid_t best = 0;
-    for (vid_t v = 0; v < g.num_vertices(); ++v) {
-      eid_t d2 = g.degree(v);
-      for (const vid_t u : g.neighbors(v)) d2 += g.degree(u) - 1;
-      best = std::max(best, d2);
+  /// kernel can assign a color id above it. A max fold over the vertices
+  /// on `threads` threads.
+  [[nodiscard]] color_t color_bound(int threads) const {
+    const Graph& graph = g;
+    const vid_t n = graph.num_vertices();
+    TeamFold<eid_t> best(0);
+#pragma omp parallel num_threads(threads) default(none) shared(graph, best) \
+    firstprivate(n)
+    {
+      eid_t mine = best.get();
+#pragma omp for schedule(static, kBoundChunk) nowait
+      for (std::int64_t i = 0; i < static_cast<std::int64_t>(n); ++i) {
+        const auto v = static_cast<vid_t>(i);
+        eid_t d2 = graph.degree(v);
+        for (const vid_t u : graph.neighbors(v)) d2 += graph.degree(u) - 1;
+        mine = std::max(mine, d2);
+      }
+      best.fold(mine, std::ranges::max);
     }
-    return static_cast<color_t>(best + 2);
+    return static_cast<color_t>(best.get() + 2);
   }
 };
 
@@ -125,8 +153,10 @@ struct Distance1View {
   }
   [[nodiscard]] vid_t max_net_size() const { return 1; }
 
-  /// Greedy bound: 1 + max degree.
-  [[nodiscard]] color_t color_bound() const { return g.max_degree() + 1; }
+  /// Greedy bound: 1 + max degree (already stored: no sweep to share).
+  [[nodiscard]] color_t color_bound(int /*threads*/) const {
+    return g.max_degree() + 1;
+  }
 };
 
 }  // namespace gcol

@@ -28,10 +28,6 @@ class ArgParser {
                                   double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
-  /// Comma-separated integer list, e.g. `--threads 1,2,4,8,16`.
-  [[nodiscard]] std::vector<int> get_int_list(
-      const std::string& name, const std::vector<int>& fallback) const;
-
   /// Positional arguments (tokens not starting with `--`).
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;

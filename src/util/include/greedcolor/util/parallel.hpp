@@ -1,6 +1,8 @@
 // Thin OpenMP helpers shared by kernels, benches, and tests.
 #pragma once
 
+#include <atomic>
+
 #if defined(_OPENMP)
 #include <omp.h>
 #endif
@@ -58,6 +60,40 @@ class ThreadCountScope {
 #if defined(_OPENMP)
   int previous_ = 1;
 #endif
+};
+
+/// The value a parallel region's threads fold their partial results
+/// into: an OpenMP `reduction` whose fork and join ThreadSanitizer can
+/// see. libgomp forks and joins its team on futexes tsan cannot see, so
+/// the team's reads of what the caller wrote just before the region,
+/// and the caller's next access after it (freeing what the team read,
+/// say), would report as races. Construct it right before the region (a
+/// release store); each thread starts from get() (an acquire load: the
+/// fork edge) and ends with fold() (a release CAS), and get() after the
+/// region is the acquire load that pairs with every fold (the join
+/// edge). CounterSlots::publish is the kernels' form of the join.
+template <class T>
+class TeamFold {
+ public:
+  explicit TeamFold(T init) { value_.store(init, std::memory_order_release); }
+
+  [[nodiscard]] T get() const {
+    return value_.load(std::memory_order_acquire);
+  }
+
+  /// value = op(value, partial), e.g. op = std::ranges::min. Must be the
+  /// thread's last action in the region.
+  template <class Op>
+  void fold(T partial, Op op) {
+    T seen = value_.load(std::memory_order_relaxed);
+    while (!value_.compare_exchange_weak(seen, op(seen, partial),
+                                         std::memory_order_release,
+                                         std::memory_order_relaxed)) {
+    }
+  }
+
+ private:
+  std::atomic<T> value_;
 };
 
 }  // namespace gcol

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
 #include <stdexcept>
 
 namespace gcol {
@@ -56,19 +55,6 @@ bool ArgParser::get_bool(const std::string& name, bool fallback) const {
   if (it->second.empty()) return true;  // bare --flag
   return it->second == "1" || it->second == "true" || it->second == "yes" ||
          it->second == "on";
-}
-
-std::vector<int> ArgParser::get_int_list(
-    const std::string& name, const std::vector<int>& fallback) const {
-  const auto it = options_.find(name);
-  if (it == options_.end() || it->second.empty()) return fallback;
-  std::vector<int> values;
-  std::stringstream ss(it->second);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) values.push_back(std::stoi(item));
-  }
-  return values;
 }
 
 std::vector<std::string> ArgParser::unknown_options(

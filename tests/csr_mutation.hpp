@@ -42,19 +42,19 @@ inline const char* to_string(CsrMutation m) {
 }
 
 /// Apply `m` to the half (ptr, adj), whose ids range over [0, universe),
-/// at the first row from a random start that admits it. The edit keeps
-/// ptr monotone and, except for kSelfLoop, |adj| unchanged, so the graph
-/// still constructs. Returns false when no row admits the edit.
-inline bool mutate(CsrMutation m, std::vector<eid_t>& ptr,
-                   std::vector<vid_t>& adj, vid_t universe,
-                   Xoshiro256& rng) {
+/// at the first row from `start` (wrapping around) that admits it. The
+/// edit keeps ptr monotone and, except for kSelfLoop, |adj| unchanged,
+/// so the graph still constructs. Returns false when no row admits the
+/// edit.
+inline bool mutate_from(CsrMutation m, std::vector<eid_t>& ptr,
+                        std::vector<vid_t>& adj, vid_t universe,
+                        std::size_t start, Xoshiro256& rng) {
   const std::size_t rows = ptr.size() - 1;
   if (m == CsrMutation::kPtrStart) {
     if (rows == 0 || ptr[1] == 0) return false;
     ptr[0] = 1;
     return true;
   }
-  const std::size_t start = rng.bounded(rows);
   for (std::size_t k = 0; k < rows; ++k) {
     const std::size_t r = (start + k) % rows;
     const auto lo = static_cast<std::size_t>(ptr[r]);
@@ -103,6 +103,15 @@ inline bool mutate(CsrMutation m, std::vector<eid_t>& ptr,
     }
   }
   return false;
+}
+
+/// mutate_from() at a random start row.
+inline bool mutate(CsrMutation m, std::vector<eid_t>& ptr,
+                   std::vector<vid_t>& adj, vid_t universe,
+                   Xoshiro256& rng) {
+  const std::size_t start =
+      m == CsrMutation::kPtrStart ? 0 : rng.bounded(ptr.size() - 1);
+  return mutate_from(m, ptr, adj, universe, start, rng);
 }
 
 }  // namespace gcol::testing

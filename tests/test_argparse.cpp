@@ -47,17 +47,6 @@ TEST(ArgParser, DoubleParsing) {
   EXPECT_DOUBLE_EQ(a.get_double("alpha", 0.0), 1.75);
 }
 
-TEST(ArgParser, IntList) {
-  const auto a = parse({"prog", "--threads", "1,2,4,8,16"});
-  EXPECT_EQ(a.get_int_list("threads", {}),
-            (std::vector<int>{1, 2, 4, 8, 16}));
-}
-
-TEST(ArgParser, IntListFallback) {
-  const auto a = parse({"prog"});
-  EXPECT_EQ(a.get_int_list("threads", {3}), (std::vector<int>{3}));
-}
-
 TEST(ArgParser, Positional) {
   const auto a = parse({"prog", "input.mtx", "--algo", "V-V", "more"});
   EXPECT_EQ(a.positional(),

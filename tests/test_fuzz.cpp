@@ -23,6 +23,7 @@
 #include "greedcolor/robust/error.hpp"
 #include "greedcolor/robust/fault.hpp"
 #include "greedcolor/robust/verified.hpp"
+#include "greedcolor/util/parallel.hpp"
 #include "greedcolor/util/prng.hpp"
 
 namespace gcol {
@@ -296,14 +297,23 @@ TEST_P(FuzzCorruptedInput, BinaryEitherParsesOrThrowsTyped) {
   plan.flip_byte_rate = 0.01;
   plan.truncate_fraction = 0.7;
   for (std::uint64_t variant = 0; variant < 16; ++variant) {
-    std::istringstream in(plan.corrupt_bytes(good, variant),
-                          std::ios::binary);
-    try {
-      const BipartiteGraph back = read_binary_bipartite(in);
-      EXPECT_TRUE(back.validate()) << "variant " << variant;
-    } catch (const Error&) {
-      // Typed rejection expected; anything else propagates and fails.
+    const std::string bytes = plan.corrupt_bytes(good, variant);
+    // The verdict ("ok" or the error code) must not depend on the team
+    // that validates the graph.
+    std::string verdict[2];
+    for (const int i : {0, 1}) {
+      const ThreadCountScope team(i == 0 ? 1 : 4);
+      std::istringstream in(bytes, std::ios::binary);
+      try {
+        const BipartiteGraph back = read_binary_bipartite(in);
+        EXPECT_TRUE(back.validate()) << "variant " << variant;
+        verdict[i] = "ok";
+      } catch (const Error& e) {
+        // Typed rejection expected; anything else propagates and fails.
+        verdict[i] = to_string(e.code());
+      }
     }
+    EXPECT_EQ(verdict[0], verdict[1]) << "variant " << variant;
   }
 }
 

@@ -137,6 +137,37 @@ TEST(Tracer, SpansNestUnderSingleThreadRun) {
   }
 }
 
+// The verified entry points record their check as its own span after
+// the engine's rounds, so a trace tells the check apart from the engine.
+TEST(Tracer, VerifiedRunRecordsCheckSpanAfterEngine) {
+  Tracer tracer;
+  ColoringOptions opt = d2gc_preset("N1-N2");
+  opt.num_threads = 2;
+  opt.tracer = &tracer;
+  const Graph g = build_graph(gen_mesh2d(30, 30, 1));
+  const auto r = color_d2gc_verified(g, opt);
+  EXPECT_FALSE(r.degraded);
+  int checks = 0;
+  bool round_open = false;
+  bool after_rounds = false;
+  for (const TraceEvent& ev : tracer.events()) {
+    const std::string name = ev.name;
+    if (name == "d2gc.round") {
+      round_open = ev.phase == TraceEvent::Phase::kBegin;
+      EXPECT_EQ(checks, 0) << "engine round after the check";
+      after_rounds = true;
+    }
+    if (name == "verify.check" && ev.phase == TraceEvent::Phase::kBegin) {
+      EXPECT_FALSE(round_open) << "check inside an engine round";
+      EXPECT_EQ(ev.arg, static_cast<std::uint64_t>(g.num_vertices()));
+      ++checks;
+    }
+  }
+  EXPECT_TRUE(after_rounds);
+  EXPECT_EQ(checks, 1);
+  expect_spans_nest(tracer, "d2gc", r.rounds);
+}
+
 TEST(Tracer, ChromeTraceBalancedUnderMultiThreadRun) {
   const BipartiteGraph g = small_graph();
   Tracer tracer;
