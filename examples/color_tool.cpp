@@ -103,7 +103,7 @@ static int run(int argc, char** argv) {
            "                       smallest-last smallest-last-relaxed\n"
            "                       incidence-degree\n"
            "  --balance U|B1|B2    balancing heuristic (default U)\n"
-           "  --locality none|sort|full  cache-locality pre-pass "
+           "  --locality none|full  cache-locality pre-pass "
            "(default none)\n"
            "  --threads N          0 = OpenMP default\n"
            "  --recolor            run iterated-greedy post-pass (bgpc)\n"

@@ -17,7 +17,8 @@ namespace gcol {
 
 /// Parallel speculative BGPC. `order` optionally permutes the initial
 /// work queue (natural order when empty); it must be a permutation of
-/// [0, g.num_vertices()).
+/// [0, g.num_vertices()), else std::invalid_argument is thrown (also by
+/// color_bgpc_sequential).
 [[nodiscard]] ColoringResult color_bgpc(
     const BipartiteGraph& g, const ColoringOptions& options = {},
     const std::vector<vid_t>& order = {});

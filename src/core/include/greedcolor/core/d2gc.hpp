@@ -15,7 +15,9 @@
 namespace gcol {
 
 /// Parallel speculative D2GC. Accepts the same presets as BGPC that
-/// Table V evaluates (V-V, V-V-64D, V-N1, V-N2, N1-N2).
+/// Table V evaluates (V-V, V-V-64D, V-N1, V-N2, N1-N2). A non-empty
+/// `order` must be a permutation of [0, g.num_vertices()), here and in
+/// color_d2gc_sequential, else std::invalid_argument is thrown.
 [[nodiscard]] ColoringResult color_d2gc(
     const Graph& g, const ColoringOptions& options = {},
     const std::vector<vid_t>& order = {});

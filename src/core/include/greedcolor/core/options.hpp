@@ -43,7 +43,6 @@ enum class BalancePolicy {
 /// the caller-visible result is always in original vertex ids.
 enum class LocalityMode {
   kNone,     ///< color the graph as given
-  kSortAdj,  ///< sort adjacency lists ascending (same ids, better scans)
   kFull,     ///< degree-aware renumbering + sorted rebuilt CSR
 };
 
@@ -51,7 +50,7 @@ enum class LocalityMode {
 [[nodiscard]] std::string to_string(BalancePolicy b);
 [[nodiscard]] std::string to_string(LocalityMode m);
 
-/// Parse "none" / "sort" / "full"; throws std::invalid_argument otherwise.
+/// Parse "none" / "full"; throws std::invalid_argument otherwise.
 [[nodiscard]] LocalityMode locality_from_string(const std::string& name);
 
 struct ColoringOptions {

@@ -18,6 +18,7 @@
 #include "greedcolor/graph/net_view.hpp"
 #include "greedcolor/obs/trace.hpp"
 #include "greedcolor/order/locality.hpp"
+#include "greedcolor/order/ordering.hpp"
 #include "greedcolor/robust/fault.hpp"
 #include "greedcolor/util/marker_set.hpp"
 #include "greedcolor/util/timer.hpp"
@@ -33,13 +34,15 @@ std::vector<vid_t> natural_order(vid_t n) {
   return order;
 }
 
+/// A non-empty `order` must be a permutation of the vertex ids: a
+/// repeated id leaves another vertex uncolored, and one out of range
+/// would index the CSR out of bounds.
 template <class V>
 void check_order(const V& view, const std::vector<vid_t>& order,
                  const char* suffix) {
-  if (!order.empty() &&
-      order.size() != static_cast<std::size_t>(view.num_vertices()))
+  if (!order.empty() && !is_permutation_of(order, view.num_vertices()))
     throw std::invalid_argument(std::string("color_") + V::kNames.name +
-                                suffix + ": order size mismatch");
+                                suffix + ": order is not a permutation");
 }
 
 /// Color every remaining uncolored vertex sequentially (first-fit):
@@ -58,10 +61,14 @@ void sequential_cleanup(const V& view, color_t* c,
 }
 
 /// Color phase of one round: vertex-based (Alg. 4) or, where the view
-/// has nets to sweep, net-based (Alg. 8/9, or BGPC's Alg. 6).
+/// has nets to sweep, net-based (Alg. 8/9, or BGPC's Alg. 6). A
+/// vertex-based phase first zeroes (round 1) or rebuilds the large
+/// nets' color summaries.
 template <class V>
-void color_phase(const V& view, bool net_color, const std::vector<vid_t>& w,
-                 color_t* c, std::vector<ThreadWorkspace>& ws,
+void color_phase(const V& view, int round, bool net_color,
+                 const std::vector<vid_t>& w, color_t* c,
+                 const detail::NetSummaries& summaries,
+                 std::vector<ThreadWorkspace>& ws,
                  const ColoringOptions& options, int threads,
                  KernelCounters& counters) {
   const int chunk = options.chunk_size;
@@ -81,9 +88,12 @@ void color_phase(const V& view, bool net_color, const std::vector<vid_t>& w,
       return;
     }
   }
+  if (summaries.enabled())
+    detail::reset_summaries(view, round == 1 ? nullptr : c, summaries,
+                            threads);
   detail::with_balance(options.balance, [&](auto b) {
-    detail::color_vertex<V, decltype(b)::value>(view, w, c, ws, chunk,
-                                                threads, counters);
+    detail::color_vertex<V, decltype(b)::value>(view, w, c, summaries, ws,
+                                                chunk, threads, counters);
   });
 }
 
@@ -120,12 +130,14 @@ ColoringResult speculative_color(const V& view, const ColoringOptions& options,
   // GCOL_AUDIT accessor hooks can reach it; one null check per round on
   // the happy path (same contract as fault_plan).
   audit::AuditScope audit_scope(options.auditor, threads);
-  const auto marker_cap =
-      static_cast<std::size_t>(view.color_bound(threads)) + 2;
+  const color_t bound = view.color_bound(threads);
+  const detail::NetSummaries summaries(view, bound);
   std::vector<ThreadWorkspace> workspaces(
       static_cast<std::size_t>(threads));
   for (auto& ws : workspaces)
-    ws.prepare(marker_cap, static_cast<std::size_t>(view.max_net_size()));
+    ws.prepare(static_cast<std::size_t>(bound) + 2,
+               static_cast<std::size_t>(view.max_net_size()),
+               summaries.words_per_net());
 
   ColoringResult result;
   // Raw buffer + static parallel fill: the same threads that will color
@@ -184,8 +196,8 @@ ColoringResult speculative_color(const V& view, const ColoringOptions& options,
     WallTimer phase;
     GCOL_TRACE_BEGIN(tracer, V::kNames.color,
                      static_cast<std::uint64_t>(w.size()));
-    color_phase(view, net_color, w, c, workspaces, options, threads,
-                stats.color_counters);
+    color_phase(view, round, net_color, w, c, summaries, workspaces, options,
+                threads, stats.color_counters);
     GCOL_TRACE_END(tracer, V::kNames.color);
     stats.color_seconds = phase.seconds();
 
@@ -263,7 +275,10 @@ ColoringResult speculative_color(const V& view, const ColoringOptions& options,
 }
 
 /// Deterministic sequential greedy (first-fit over `order`): the
-/// Table II / Table V baselines. Never needs conflict removal.
+/// Table II / Table V baselines. Never needs conflict removal. It runs
+/// the same summary-backed Alg. 4 as the vertex kernels, so speedups
+/// compare like with like; every vertex starts uncolored, so the zeroed
+/// summaries never need a rebuild.
 template <class V>
 ColoringResult sequential_color(const V& view,
                                 const std::vector<vid_t>& order) {
@@ -272,24 +287,30 @@ ColoringResult sequential_color(const V& view,
 
   ColoringResult result;
   result.colors.assign(static_cast<std::size_t>(n), kNoColor);
-  MarkerSet forbidden(static_cast<std::size_t>(view.color_bound(1)) + 2);
+  const color_t bound = view.color_bound(1);
+  const detail::NetSummaries summaries(view, bound);
+  ThreadWorkspace ws;
+  ws.prepare(static_cast<std::size_t>(bound) + 2, 0,
+             summaries.words_per_net());
 
   WallTimer total;
+  if (summaries.enabled())
+    detail::reset_summaries(view, nullptr, summaries, 1);
   IterationStats stats;
   stats.round = 1;
   stats.queue_size = static_cast<std::size_t>(n);
-  std::uint64_t probes = 0;
+  detail::PolicyState st;
+  KernelCounters local;
   const std::vector<vid_t>& base = order.empty() ? natural_order(n) : order;
   for (const vid_t w : base) {
-    forbidden.clear();
-    [[maybe_unused]] const std::size_t visited =
-        detail::forbid_nets(view, result.colors.data(), w, forbidden);
-    GCOL_COUNT(stats.color_counters.edges_visited += visited);
-    result.colors[static_cast<std::size_t>(w)] =
-        detail::pick_up(forbidden, 0, probes);
-    GCOL_COUNT(++stats.color_counters.colored);
+    (void)detail::color_one_vertex(
+        view, result.colors.data(), w, summaries, ws, st, local,
+        detail::BalanceTag<BalancePolicy::kNone>{});
+    GCOL_COUNT(++local.colored);
   }
-  GCOL_COUNT(stats.color_counters.color_probes = probes);
+  GCOL_COUNT(stats.color_counters.edges_visited = local.edges_visited);
+  GCOL_COUNT(stats.color_counters.color_probes = local.color_probes);
+  GCOL_COUNT(stats.color_counters.colored = local.colored);
   stats.color_seconds = total.seconds();
   result.total_seconds = stats.color_seconds;
   result.rounds = 1;

@@ -1,13 +1,15 @@
 // Internal helpers shared by the BGPC and D2GC kernel translation units:
-// relaxed atomic access to the shared color array (speculative phases
-// race on it by design), the distance-2 walk over one adjacency list
-// (scalar, or AVX-512 gather/scatter where GCOL_VECTOR_GATHER allows),
-// and the color-selection policies of Algorithms 2 (first-fit), 8
-// (reverse first-fit), 11 (B1) and 12 (B2).
+// relaxed atomic access to the shared color array and to the large
+// nets' color summaries (speculative phases race on both by design),
+// the distance-2 walk over one adjacency list (scalar, or AVX-512
+// gather/scatter where GCOL_VECTOR_GATHER allows), and the
+// color-selection policies of Algorithms 2 (first-fit), 8 (reverse
+// first-fit), 11 (B1) and 12 (B2).
 #pragma once
 
 #include <atomic>
 #include <bit>
+#include <cstdint>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -135,6 +137,116 @@ inline void prefetch_color(const color_t* c, vid_t v) {
   (void)v;
 #endif
 }
+
+// --- Net color summaries ---------------------------------------------------
+//
+// A large net keeps one bit per color below the summary cap, set for the
+// colors its members hold (NetSummaries, phase_kernels.hpp). Alg. 4
+// reads a large net's words instead of walking its members, while peer
+// threads set bits in them, so every word access is a relaxed atomic,
+// like the color array's. GCOL_AUDIT and GCOL_MC builds keep the exact
+// walk: their hooks must see every member's color load.
+
+#if defined(GCOL_AUDIT) || defined(GCOL_MC)
+inline constexpr bool kNetSummaries = false;
+#else
+inline constexpr bool kNetSummaries = true;
+#endif
+
+/// A load never writes, so the const_cast that forms the atomic_ref is
+/// sound (as in load_color).
+inline std::uint64_t load_summary_word(const std::uint64_t* words,
+                                       std::size_t k) {
+  return std::atomic_ref<std::uint64_t>(const_cast<std::uint64_t*>(words)[k])
+      .load(std::memory_order_relaxed);
+}
+
+/// Overwrite one word. Only the owner of a net's words in a rebuild
+/// (one thread per net) stores.
+inline void store_summary_word(std::uint64_t* words, std::size_t k,
+                               std::uint64_t bits) {
+  std::atomic_ref<std::uint64_t>(words[k]).store(bits,
+                                                 std::memory_order_relaxed);
+}
+
+/// Whether color col's bit (0 <= col < the cap) is set.
+inline bool summary_holds(const std::uint64_t* words, color_t col) {
+  return ((load_summary_word(words, static_cast<std::size_t>(col) >> 6) >>
+           (col & 63)) &
+          1) != 0;
+}
+
+/// Set color col's bit (0 <= col < the cap): one relaxed fetch_or, so
+/// concurrent publishers into one word never lose a bit.
+inline void publish_summary_bit(std::uint64_t* words, color_t col) {
+  const auto k = static_cast<std::size_t>(col) >> 6;
+  const std::uint64_t bit = std::uint64_t{1} << (col & 63);
+  // A bit already set (a common color) skips the locked op.
+  if (!summary_holds(words, col))
+    std::atomic_ref<std::uint64_t>(words[k]).fetch_or(
+        bit, std::memory_order_relaxed);
+}
+
+/// Rebuild step: set color col's bit in words that only the calling
+/// thread writes, so no locked op is needed. Returns the number of
+/// words that now hold a bit from col: (col >> 6) + 1, or 0 when col is
+/// kNoColor or at or beyond the cap.
+inline std::size_t own_summary_bit(std::uint64_t* words, color_t col,
+                                   color_t cap) {
+  if (col == kNoColor || col >= cap) return 0;
+  const auto k = static_cast<std::size_t>(col) >> 6;
+  store_summary_word(words, k,
+                     load_summary_word(words, k) |
+                         (std::uint64_t{1} << (col & 63)));
+  return k + 1;
+}
+
+/// Raise a summary high-water mark to at least k (a relaxed CAS max).
+/// The mark only grows within a phase, so a mark already at or above k
+/// costs one load.
+inline void raise_summary_mark(std::uint64_t* mark, std::uint64_t k) {
+  std::atomic_ref<std::uint64_t> ref(*mark);
+  std::uint64_t cur = ref.load(std::memory_order_relaxed);
+  while (cur < k &&
+         !ref.compare_exchange_weak(cur, k, std::memory_order_relaxed)) {
+  }
+}
+
+/// acc = words (first) or acc |= words, over n words.
+[[gnu::always_inline]] inline void gather_summary(const std::uint64_t* words,
+                                                  std::size_t n,
+                                                  std::uint64_t* acc,
+                                                  bool first) {
+  if (first) {
+    for (std::size_t k = 0; k < n; ++k) acc[k] = load_summary_word(words, k);
+  } else {
+    for (std::size_t k = 0; k < n; ++k) acc[k] |= load_summary_word(words, k);
+  }
+}
+
+/// Alg. 4's forbidden set on the summary path: the OR of a vertex's
+/// large-net summaries (`bits`, its first `live` words; every later
+/// word is zero in every net) plus the colors of its small nets, walked
+/// into `walked`. A probe at or beyond the cap cannot be answered: it
+/// sets `overflow`, and the caller redoes the vertex with the exact
+/// walk.
+struct SummarySet {
+  const std::uint64_t* bits;
+  std::size_t live;
+  const MarkerSet& walked;
+  color_t cap;
+  mutable bool overflow = false;
+
+  [[nodiscard]] bool contains(color_t col) const {
+    if (col >= cap) {
+      overflow = true;
+      return false;
+    }
+    const auto k = static_cast<std::size_t>(col) >> 6;
+    return (k < live && ((bits[k] >> (col & 63)) & 1) != 0) ||
+           walked.contains(col);
+  }
+};
 
 // --- The distance-2 walk over one adjacency list -------------------------
 //
@@ -280,9 +392,10 @@ inline __m512i capacity_lanes(const MarkerSet& f) {
 #endif
 }
 
-/// Smallest color >= start not in F (plain first-fit).
-inline color_t pick_up(const MarkerSet& f, color_t start,
-                       std::uint64_t& probes) {
+/// Smallest color >= start not in F (plain first-fit). F is a
+/// MarkerSet or a SummarySet.
+template <class Set>
+inline color_t pick_up(const Set& f, color_t start, std::uint64_t& probes) {
   GCOL_ASSUME(start >= 0);
   color_t col = start;
   while (f.contains(col)) {
@@ -294,8 +407,8 @@ inline color_t pick_up(const MarkerSet& f, color_t start,
 }
 
 /// Largest color <= start not in F, or kNoColor when the scan passes 0.
-inline color_t pick_down(const MarkerSet& f, color_t start,
-                         std::uint64_t& probes) {
+template <class Set>
+inline color_t pick_down(const Set& f, color_t start, std::uint64_t& probes) {
   color_t col = start;
   while (col >= 0 && f.contains(col)) {
     --col;
@@ -304,6 +417,10 @@ inline color_t pick_down(const MarkerSet& f, color_t start,
   GCOL_COUNT(++probes);
   return col;
 }
+
+/// A balance policy as a type, for deducing it from an argument.
+template <BalancePolicy B>
+using BalanceTag = std::integral_constant<BalancePolicy, B>;
 
 /// Run `fn` with the balance policy lifted to a compile-time constant.
 template <class Fn>
@@ -364,9 +481,9 @@ struct PolicyState {
 
 /// Vertex-kernel color selection (Algorithms 2 / 11 / 12). `w` is the
 /// vertex id (B1 alternates policy on its parity).
-template <BalancePolicy B>
+template <BalancePolicy B, class Set>
 [[gnu::always_inline]] inline color_t pick_vertex_color(
-    PolicyState& st, const MarkerSet& f, vid_t w, std::uint64_t& probes) {
+    PolicyState& st, const Set& f, vid_t w, std::uint64_t& probes) {
   if constexpr (B == BalancePolicy::kNone) {
     (void)st;
     (void)w;
@@ -388,6 +505,22 @@ template <BalancePolicy B>
     st.col_next = std::min<color_t>(col + 1, st.col_max / 3 + 1);
     return col;
   }
+}
+
+/// pick_vertex_color over a SummarySet. Commits the policy state and
+/// the probe count only when no probe reached the cap; otherwise
+/// returns kNoColor and leaves both as they were, for the exact walk's
+/// pick to redo.
+template <BalancePolicy B>
+[[gnu::always_inline]] inline color_t try_pick_vertex_color(
+    PolicyState& st, const SummarySet& f, vid_t w, std::uint64_t& probes) {
+  PolicyState trial = st;
+  std::uint64_t trial_probes = 0;
+  const color_t col = pick_vertex_color<B>(trial, f, w, trial_probes);
+  if (f.overflow) return kNoColor;
+  st = trial;
+  GCOL_COUNT(probes += trial_probes);
+  return col;
 }
 
 /// Net-kernel coloring of one net's local queue (Algorithm 8 lines 9-14

@@ -24,8 +24,6 @@ std::string to_string(LocalityMode m) {
   switch (m) {
     case LocalityMode::kNone:
       return "none";
-    case LocalityMode::kSortAdj:
-      return "sort";
     case LocalityMode::kFull:
       return "full";
   }
@@ -34,10 +32,9 @@ std::string to_string(LocalityMode m) {
 
 LocalityMode locality_from_string(const std::string& name) {
   if (name == "none") return LocalityMode::kNone;
-  if (name == "sort") return LocalityMode::kSortAdj;
   if (name == "full") return LocalityMode::kFull;
   throw std::invalid_argument("unknown locality mode: " + name +
-                              " (expected none, sort, or full)");
+                              " (expected none or full)");
 }
 
 void ColoringOptions::validate() const {

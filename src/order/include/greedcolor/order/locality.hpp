@@ -2,13 +2,12 @@
 // ColoringOptions::locality knob).
 //
 // The speculative kernels are memory-bound: almost every cycle is spent
-// streaming adjacency lists and loading neighbor colors. Two structural
-// rewrites help without touching the algorithms: sorting adjacency
-// lists (sequential scans instead of random-order id walks) and a full
-// degree-aware renumbering that places vertices sharing a net at
-// consecutive ids, so their colors share cache lines during the
-// net-based passes. The driver colors the rewritten graph and maps the
-// colors back through the permutation — callers always see original
+// streaming adjacency lists and loading neighbor colors. A degree-aware
+// renumbering (kFull) places vertices sharing a net at consecutive ids,
+// so their colors share cache lines during the net-based passes. (Lists
+// need no separate sorting pass: validate() already requires them
+// strictly ascending.) The driver colors the rewritten graph and maps
+// the colors back through the permutation — callers always see original
 // ids.
 #pragma once
 
@@ -22,7 +21,7 @@
 namespace gcol {
 
 /// Rewritten BGPC input plus the permutations (old id -> new id) that
-/// produced it. Empty permutation = identity (kSortAdj keeps ids).
+/// produced it. Empty permutation = identity (kNone keeps ids).
 struct BgpcLocalityPlan {
   BipartiteGraph graph;
   std::vector<vid_t> vertex_perm;
@@ -35,14 +34,12 @@ struct GraphLocalityPlan {
   std::vector<vid_t> vertex_perm;
 };
 
-/// kSortAdj: same ids, both CSR halves' lists sorted ascending.
 /// kFull: nets renumbered by descending degree (stable by id), vertices
 /// by first-touch order over the renumbered nets, lists sorted.
 [[nodiscard]] BgpcLocalityPlan make_locality_plan(const BipartiteGraph& g,
                                                   LocalityMode mode);
 
-/// kSortAdj: adjacency re-sorted (already a Graph invariant, kept for
-/// symmetry). kFull: BFS numbering seeded from the highest-degree
+/// kFull: BFS numbering seeded from the highest-degree
 /// vertex of each component (components in descending seed degree).
 [[nodiscard]] GraphLocalityPlan make_locality_plan(const Graph& g,
                                                    LocalityMode mode);

@@ -9,12 +9,6 @@ namespace gcol {
 
 namespace {
 
-/// Sort every CSR segment ascending.
-void sort_segments(const std::vector<eid_t>& ptr, std::vector<vid_t>& adj) {
-  for (std::size_t i = 0; i + 1 < ptr.size(); ++i)
-    std::sort(adj.begin() + ptr[i], adj.begin() + ptr[i + 1]);
-}
-
 /// Rebuild one CSR half under old->new permutations of both its row and
 /// column spaces: row_inv[new_row] = old_row, col_perm[old_col] =
 /// new_col. Segments come out sorted.
@@ -56,19 +50,6 @@ BgpcLocalityPlan make_locality_plan(const BipartiteGraph& g,
     plan.graph = g;
     return plan;
   }
-  if (mode == LocalityMode::kSortAdj) {
-    std::vector<eid_t> vptr = g.vptr();
-    std::vector<vid_t> vadj = g.vadj();
-    std::vector<eid_t> nptr = g.nptr();
-    std::vector<vid_t> nadj = g.nadj();
-    sort_segments(vptr, vadj);
-    sort_segments(nptr, nadj);
-    plan.graph = BipartiteGraph(g.num_vertices(), g.num_nets(),
-                                std::move(vptr), std::move(vadj),
-                                std::move(nptr), std::move(nadj));
-    return plan;
-  }
-
   // kFull. Nets by descending degree (stable on id): the widest nets —
   // the ones every kernel spends the most time in — get the smallest
   // ids and the front of the nadj array.
@@ -112,14 +93,6 @@ GraphLocalityPlan make_locality_plan(const Graph& g, LocalityMode mode) {
     plan.graph = g;
     return plan;
   }
-  if (mode == LocalityMode::kSortAdj) {
-    std::vector<eid_t> ptr = g.ptr();
-    std::vector<vid_t> adj = g.adj();
-    sort_segments(ptr, adj);
-    plan.graph = Graph(g.num_vertices(), std::move(ptr), std::move(adj));
-    return plan;
-  }
-
   // kFull: BFS numbering — distance-2 neighborhoods become id-compact.
   // Components are seeded in descending degree of their seed vertex.
   const vid_t n = g.num_vertices();

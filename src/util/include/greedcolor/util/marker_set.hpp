@@ -96,18 +96,23 @@ class MarkerSet {
 };
 
 /// Thread-private scratch space for one coloring worker: its forbidden
-/// set and the local vertex queue of Algorithm 8 (emptied by resetting
-/// a cursor, never deallocated). Cache-line aligned: the kernels bump
-/// the set's stamp once per vertex or net, and the workspaces sit side
-/// by side in one vector, so unaligned neighbors would share a line.
+/// set, the local vertex queue of Algorithm 8 (emptied by resetting a
+/// cursor, never deallocated) and the bitmap Algorithm 4 ORs the large
+/// nets' color summaries into. Cache-line aligned: the kernels bump the
+/// set's stamp once per vertex or net, and the workspaces sit side by
+/// side in one vector, so unaligned neighbors would share a line.
 struct alignas(64) ThreadWorkspace {
   MarkerSet forbidden;
   std::vector<vid_t> local_queue;
+  std::vector<std::uint64_t> summary_bits;
 
-  void prepare(std::size_t color_capacity, std::size_t queue_capacity) {
+  void prepare(std::size_t color_capacity, std::size_t queue_capacity,
+               std::size_t summary_words = 0) {
     forbidden.ensure_capacity(color_capacity);
     if (local_queue.capacity() < queue_capacity)
       local_queue.reserve(queue_capacity);
+    if (summary_bits.size() < summary_words)
+      summary_bits.resize(summary_words);
   }
 };
 

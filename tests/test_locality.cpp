@@ -2,6 +2,7 @@
 // renumbering (identical colors at one thread, valid in parallel).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "greedcolor/core/bgpc.hpp"
@@ -31,27 +32,18 @@ TEST(Locality, BgpcFullReorderIsPureRenumbering) {
   ColoringOptions base = bgpc_preset("V-V");
   base.num_threads = 1;
   const auto plain = color_bgpc(g, base);
-  for (const LocalityMode mode :
-       {LocalityMode::kSortAdj, LocalityMode::kFull}) {
-    ColoringOptions opt = base;
-    opt.locality = mode;
-    const auto reordered = color_bgpc(g, opt);
-    EXPECT_EQ(plain.colors, reordered.colors) << to_string(mode);
-  }
+  ColoringOptions opt = base;
+  opt.locality = LocalityMode::kFull;
+  EXPECT_EQ(plain.colors, color_bgpc(g, opt).colors);
 }
 
 TEST(Locality, BgpcParallelLocalityValid) {
   const auto& g = test_bgraph();
   for (const auto& name : {"V-V", "N1-N2"}) {
-    for (const LocalityMode mode :
-         {LocalityMode::kSortAdj, LocalityMode::kFull}) {
-      ColoringOptions opt = bgpc_preset(name);
-      opt.num_threads = 4;
-      opt.locality = mode;
-      const auto r = color_bgpc(g, opt);
-      EXPECT_TRUE(is_valid_bgpc(g, r.colors))
-          << name << " locality=" << to_string(mode);
-    }
+    ColoringOptions opt = bgpc_preset(name);
+    opt.num_threads = 4;
+    opt.locality = LocalityMode::kFull;
+    EXPECT_TRUE(is_valid_bgpc(g, color_bgpc(g, opt).colors)) << name;
   }
 }
 
@@ -72,25 +64,23 @@ TEST(Locality, D2gcFullReorderIsPureRenumbering) {
   ColoringOptions base = d2gc_preset("V-V-64D");
   base.num_threads = 1;
   const auto plain = color_d2gc(g, base);
-  for (const LocalityMode mode :
-       {LocalityMode::kSortAdj, LocalityMode::kFull}) {
-    ColoringOptions opt = base;
-    opt.locality = mode;
-    const auto reordered = color_d2gc(g, opt);
-    EXPECT_EQ(plain.colors, reordered.colors) << to_string(mode);
-  }
+  ColoringOptions opt = base;
+  opt.locality = LocalityMode::kFull;
+  EXPECT_EQ(plain.colors, color_d2gc(g, opt).colors);
 }
 
 TEST(Locality, D2gcParallelLocalityValid) {
   const auto& g = test_ugraph();
-  for (const LocalityMode mode :
-       {LocalityMode::kSortAdj, LocalityMode::kFull}) {
-    ColoringOptions opt = d2gc_preset("N1-N2");
-    opt.num_threads = 4;
-    opt.locality = mode;
-    const auto r = color_d2gc(g, opt);
-    EXPECT_TRUE(is_valid_d2gc(g, r.colors)) << "locality=" << to_string(mode);
-  }
+  ColoringOptions opt = d2gc_preset("N1-N2");
+  opt.num_threads = 4;
+  opt.locality = LocalityMode::kFull;
+  EXPECT_TRUE(is_valid_d2gc(g, color_d2gc(g, opt).colors));
+}
+
+TEST(Locality, ParsesOnlyNoneAndFull) {
+  for (const LocalityMode mode : {LocalityMode::kNone, LocalityMode::kFull})
+    EXPECT_EQ(locality_from_string(to_string(mode)), mode);
+  EXPECT_THROW((void)locality_from_string("sort"), std::invalid_argument);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <vector>
 
 #include "greedcolor/core/bgpc.hpp"
 #include "greedcolor/core/d2gc.hpp"
@@ -297,6 +299,41 @@ TEST(Verified, TranslatesApiMisuseToTypedError) {
     FAIL() << "accepted bad order";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+  }
+}
+
+// An order of the right length that is not a permutation is a caller
+// mistake too: a repeated id left another vertex uncolored (-1) without
+// an error, and an id out of range read past the CSR's row pointers.
+TEST(Verified, RejectsOrdersThatAreNotPermutations) {
+  const BipartiteGraph bg = testing::single_net(4);
+  const Graph ug = build_graph(testing::path_coo(4));
+  const std::vector<std::vector<vid_t>> bad = {
+      {0, 0, 2, 3},   // duplicate id
+      {0, 1, 2, 4},   // id == |V|
+      {0, 1, 2, -1},  // negative id
+  };
+  for (const std::vector<vid_t>& order : bad) {
+    EXPECT_THROW((void)color_bgpc(bg, bgpc_preset("V-V"), order),
+                 std::invalid_argument);
+    EXPECT_THROW((void)color_bgpc_sequential(bg, order),
+                 std::invalid_argument);
+    EXPECT_THROW((void)color_d2gc(ug, d2gc_preset("N1-N2"), order),
+                 std::invalid_argument);
+    EXPECT_THROW((void)color_d2gc_sequential(ug, order),
+                 std::invalid_argument);
+    try {
+      (void)color_bgpc_verified(bg, bgpc_preset("V-V"), order);
+      FAIL() << "accepted a non-permutation order";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+    }
+    try {
+      (void)color_d2gc_verified(ug, d2gc_preset("V-V-64D"), order);
+      FAIL() << "accepted a non-permutation order";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+    }
   }
 }
 

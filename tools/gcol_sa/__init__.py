@@ -1,6 +1,6 @@
 """gcol-sa: the greedcolor interprocedural static analyzer.
 
-Supersedes the regex-based tools/gcol_lint.py with a real engine:
+Supersedes the retired regex-based gcol_lint.py with a real engine:
 
   lexer.py      a C++ tokenizer (comments, raw strings, char/string
                 literals, line continuations, preprocessor directives)
@@ -24,8 +24,7 @@ Supersedes the regex-based tools/gcol_lint.py with a real engine:
   cli.py        the command-line front end (exit 0 clean / 1 findings /
                 2 broken gate)
 
-The old gcol_lint.py remains as a thin compatibility shim that forwards
-to this package with the same flags and exit codes.
+Run it as `python3 tools/gcol_sa` (or `python3 -m gcol_sa` from tools/).
 """
 
 # Bump to invalidate every cached per-file analysis result.

@@ -1,6 +1,6 @@
 """gcol-sa command line: the lint gate's process boundary.
 
-Exit-code contract (unchanged from gcol_lint.py):
+Exit-code contract (unchanged from the retired regex lint):
   0  clean (or every finding baselined)
   1  findings
   2  the gate itself could not do its job (bad inputs, internal error,
@@ -67,7 +67,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gcol_sa",
         description="gcol-sa: token-accurate static analysis gate for the "
-                    "greedcolor repo (supersedes tools/gcol_lint.py)")
+                    "greedcolor repo")
     p.add_argument("paths", nargs="*",
                    help="analyze only these files (all rules apply)")
     p.add_argument("--compile-commands", metavar="JSON",

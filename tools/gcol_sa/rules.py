@@ -5,7 +5,7 @@ scanner fundamentally cannot express.
 File-scope rules run over one file's token stream / statement tree;
 program rules run over the whole-program call graph built from every
 translation unit's facts. Messages for R001-R008 are byte-identical to
-tools/gcol_lint.py so the fixture verdicts do not change.
+the retired regex lint's, so the fixture verdicts do not change.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class Finding:
                 f"[{self.rule}/{RULE_NAMES[self.rule]}] {self.message}")
 
 
-# Messages for the ported rules, byte-identical to gcol_lint.py.
+# Messages for the ported rules, byte-identical to the retired regex lint.
 MSG = {
     "R001": "`#pragma omp critical` outside util/counters.hpp; "
             "use CounterSlots / per-thread state instead",
