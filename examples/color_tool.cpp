@@ -103,8 +103,6 @@ static int run(int argc, char** argv) {
            "                       smallest-last smallest-last-relaxed\n"
            "                       incidence-degree\n"
            "  --balance U|B1|B2    balancing heuristic (default U)\n"
-           "  --locality none|full  cache-locality pre-pass "
-           "(default none)\n"
            "  --threads N          0 = OpenMP default\n"
            "  --recolor            run iterated-greedy post-pass (bgpc)\n"
            "  --stats-only         print dataset statistics and exit\n"
@@ -180,8 +178,6 @@ static int run(int argc, char** argv) {
     have_fault_plan = true;
     std::cout << "fault plan       " << fault_plan.to_spec() << "\n";
   }
-  const LocalityMode locality =
-      locality_from_string(args.get_string("locality", "none"));
   // Speculative-race auditor (--audit): checks the partial coloring
   // after every conflict-removal pass; report printed after the run.
   audit::AuditContext audit_ctx;
@@ -220,7 +216,6 @@ static int run(int argc, char** argv) {
     rep.set_option("algo", algo_name);
     rep.set_option("order", args.get_string("order", "natural"));
     rep.set_option("balance", balance);
-    rep.set_option("locality", to_string(locality));
     rep.set_option("threads", threads);
     if (have_fault_plan) rep.set_option("fault_plan", fault_plan.to_spec());
     return rep;
@@ -289,8 +284,6 @@ static int run(int argc, char** argv) {
     if (have_fault_plan) options.fault_plan = &fault_plan;
     if (want_audit) options.auditor = &audit_ctx;
     if (want_obs) options.tracer = &tracer;
-    options.locality = locality;
-    std::cout << "locality         " << to_string(options.locality) << "\n";
   };
 
   if (problem == "bgpc") {

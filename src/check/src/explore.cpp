@@ -391,9 +391,6 @@ ColoringOptions checked_options(const ColoringOptions& base,
   opt.max_rounds =
       std::min(opt.max_rounds, std::max(1, opts.convergence_round_limit));
   opt.collect_iteration_stats = false;
-  // Locality would rewrite the graph; the invariant sweeps must see the
-  // same ids the caller handed in.
-  opt.locality = LocalityMode::kNone;
   opt.checker = &ctx;
   return opt;
 }

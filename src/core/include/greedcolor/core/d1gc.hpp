@@ -25,7 +25,7 @@ namespace gcol {
 
 /// Speculative parallel D1GC: optimistic coloring + conflict removal
 /// rounds on the same engine as color_bgpc. Honors chunk_size, queue
-/// policy, balance, locality, num_threads and the watchdog / fault /
+/// policy, balance, num_threads and the watchdog / fault /
 /// auditor / checker / tracer fields; net_color_rounds and
 /// net_conflict_rounds must be 0 (no net kernels in D1).
 [[nodiscard]] ColoringResult color_d1gc(

@@ -38,20 +38,8 @@ enum class BalancePolicy {
   kB2,    ///< Alg. 12: rotating cursor col_next, aggressive balancing
 };
 
-/// Optional pre-pass that reorders the graph for cache locality before
-/// coloring; colors are mapped back through the inverse permutation, so
-/// the caller-visible result is always in original vertex ids.
-enum class LocalityMode {
-  kNone,     ///< color the graph as given
-  kFull,     ///< degree-aware renumbering + sorted rebuilt CSR
-};
-
 [[nodiscard]] std::string to_string(QueuePolicy q);
 [[nodiscard]] std::string to_string(BalancePolicy b);
-[[nodiscard]] std::string to_string(LocalityMode m);
-
-/// Parse "none" / "full"; throws std::invalid_argument otherwise.
-[[nodiscard]] LocalityMode locality_from_string(const std::string& name);
 
 struct ColoringOptions {
   /// Display name ("V-V", "N1-N2", ...). Informational only.
@@ -75,9 +63,6 @@ struct ColoringOptions {
   QueuePolicy queue = QueuePolicy::kShared;
 
   BalancePolicy balance = BalancePolicy::kNone;
-
-  /// Opt-in locality reordering pre-pass (see LocalityMode).
-  LocalityMode locality = LocalityMode::kNone;
 
   /// Thread count; 0 uses the ambient OpenMP default.
   int num_threads = 0;

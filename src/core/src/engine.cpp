@@ -17,7 +17,6 @@
 #include "greedcolor/core/d2gc.hpp"
 #include "greedcolor/graph/net_view.hpp"
 #include "greedcolor/obs/trace.hpp"
-#include "greedcolor/order/locality.hpp"
 #include "greedcolor/order/ordering.hpp"
 #include "greedcolor/robust/fault.hpp"
 #include "greedcolor/util/marker_set.hpp"
@@ -106,20 +105,6 @@ ColoringResult speculative_color(const V& view, const ColoringOptions& options,
   check_order(view, order, "");
   const vid_t n = view.num_vertices();
 
-  // Locality pre-pass: color a rewritten copy of the graph, then map
-  // the colors back through the permutation. The processing order is
-  // translated too, so position i still handles the same logical
-  // vertex as without the pass.
-  if (options.locality != LocalityMode::kNone) {
-    const auto plan = make_locality_plan(view.g, options.locality);
-    ColoringOptions inner = options;
-    inner.locality = LocalityMode::kNone;
-    ColoringResult r = speculative_color(
-        V{plan.graph}, inner, apply_vertex_perm(plan.vertex_perm, order, n));
-    r.colors = restore_colors(plan.vertex_perm, std::move(r.colors));
-    return r;
-  }
-
   const int threads = detail::resolve_threads(options.num_threads);
   // gcol-trace: spans/events recorded only through the GCOL_TRACE_*
   // macros, which compile out with the build option (same seam contract
@@ -205,8 +190,9 @@ ColoringResult speculative_color(const V& view, const ColoringOptions& options,
     GCOL_TRACE_BEGIN(tracer, V::kNames.conflict,
                      static_cast<std::uint64_t>(w.size()));
     if (!net_conflict)
-      detail::conflict_vertex(view, w, c, options.queue, options.chunk_size,
-                              threads, wnext, stats.conflict_counters);
+      detail::conflict_vertex(view, w, c, summaries, options.queue,
+                              options.chunk_size, threads, wnext,
+                              stats.conflict_counters);
     else if constexpr (V::kNetKernels)
       detail::conflict_net(view, c, workspaces, options.chunk_size, threads,
                            wnext, stats.conflict_counters);

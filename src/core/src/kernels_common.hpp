@@ -141,11 +141,13 @@ inline void prefetch_color(const color_t* c, vid_t v) {
 // --- Net color summaries ---------------------------------------------------
 //
 // A large net keeps one bit per color below the summary cap, set for the
-// colors its members hold (NetSummaries, phase_kernels.hpp). Alg. 4
-// reads a large net's words instead of walking its members, while peer
-// threads set bits in them, so every word access is a relaxed atomic,
-// like the color array's. GCOL_AUDIT and GCOL_MC builds keep the exact
-// walk: their hooks must see every member's color load.
+// colors its members hold, and one repeat bit per color, set for the
+// colors two or more members hold (NetSummaries, phase_kernels.hpp).
+// Alg. 4 reads a large net's words instead of walking its members, and
+// Alg. 5 skips a large net whose repeat bit for the vertex's color is
+// clear, while peer threads set bits in them, so every word access is a
+// relaxed atomic, like the color array's. GCOL_AUDIT and GCOL_MC builds
+// keep the exact walk: their hooks must see every member's color load.
 
 #if defined(GCOL_AUDIT) || defined(GCOL_MC)
 inline constexpr bool kNetSummaries = false;
@@ -177,27 +179,36 @@ inline bool summary_holds(const std::uint64_t* words, color_t col) {
 }
 
 /// Set color col's bit (0 <= col < the cap): one relaxed fetch_or, so
-/// concurrent publishers into one word never lose a bit.
-inline void publish_summary_bit(std::uint64_t* words, color_t col) {
+/// concurrent publishers into one word never lose a bit. Returns whether
+/// the bit was already set. Of two publishers of one bit, the later in
+/// the word's modification order sees the earlier's bit, so at least
+/// one of them returns true.
+inline bool publish_summary_bit(std::uint64_t* words, color_t col) {
   const auto k = static_cast<std::size_t>(col) >> 6;
   const std::uint64_t bit = std::uint64_t{1} << (col & 63);
   // A bit already set (a common color) skips the locked op.
-  if (!summary_holds(words, col))
-    std::atomic_ref<std::uint64_t>(words[k]).fetch_or(
-        bit, std::memory_order_relaxed);
+  if (summary_holds(words, col)) return true;
+  return (std::atomic_ref<std::uint64_t>(words[k]).fetch_or(
+              bit, std::memory_order_relaxed) &
+          bit) != 0;
 }
 
 /// Rebuild step: set color col's bit in words that only the calling
-/// thread writes, so no locked op is needed. Returns the number of
-/// words that now hold a bit from col: (col >> 6) + 1, or 0 when col is
-/// kNoColor or at or beyond the cap.
-inline std::size_t own_summary_bit(std::uint64_t* words, color_t col,
+/// thread writes, so no locked op is needed; a bit already set goes
+/// into `repeats` instead. Returns the number of words that now hold a
+/// bit from col: (col >> 6) + 1, or 0 when col is kNoColor or at or
+/// beyond the cap.
+inline std::size_t own_summary_bit(std::uint64_t* words,
+                                   std::uint64_t* repeats, color_t col,
                                    color_t cap) {
   if (col == kNoColor || col >= cap) return 0;
   const auto k = static_cast<std::size_t>(col) >> 6;
-  store_summary_word(words, k,
-                     load_summary_word(words, k) |
-                         (std::uint64_t{1} << (col & 63)));
+  const std::uint64_t bit = std::uint64_t{1} << (col & 63);
+  const std::uint64_t present = load_summary_word(words, k);
+  if ((present & bit) != 0)
+    store_summary_word(repeats, k, load_summary_word(repeats, k) | bit);
+  else
+    store_summary_word(words, k, present | bit);
   return k + 1;
 }
 

@@ -20,23 +20,6 @@ std::string to_string(BalancePolicy b) {
   return "?";
 }
 
-std::string to_string(LocalityMode m) {
-  switch (m) {
-    case LocalityMode::kNone:
-      return "none";
-    case LocalityMode::kFull:
-      return "full";
-  }
-  return "?";
-}
-
-LocalityMode locality_from_string(const std::string& name) {
-  if (name == "none") return LocalityMode::kNone;
-  if (name == "full") return LocalityMode::kFull;
-  throw std::invalid_argument("unknown locality mode: " + name +
-                              " (expected none or full)");
-}
-
 void ColoringOptions::validate() const {
   if (net_color_rounds < 0)
     throw std::invalid_argument("net_color_rounds must be >= 0");

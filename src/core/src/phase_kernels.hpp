@@ -14,8 +14,9 @@
 // reproduces the D2GC kernels exactly, colors and counters alike.
 //
 // Alg. 4 reads a large net's color summary (NetSummaries) instead of
-// walking its members; the walk stays for small nets, for the colors
-// the summaries cannot answer, and for the net kernels.
+// walking its members, and Alg. 5 skips a large net in which its
+// vertex's color does not repeat; the walk stays for small nets, for
+// the colors the summaries cannot answer, and for the net kernels.
 #pragma once
 
 #include <omp.h>
@@ -61,18 +62,28 @@ template <class V>
 /// A net is large when it has at least max(64, W) members (its center
 /// included), where W = cap / 64 words and cap = min(color bound,
 /// max(4·L, 1024)) rounded up to a multiple of 64, L being the largest
-/// net. A large net keeps W words: bit k is set when a member holds
-/// color k < cap, so the words cost at most 8 bytes per member. One
-/// high-water mark, shared by all nets, counts the words that hold any
-/// bit: a vertex ORs only those, per large net, instead of loading
-/// every member's color.
+/// net. A large net keeps W present words, where bit k is set when a
+/// member holds color k < cap, and W repeat words, where bit k is set
+/// when two or more members (the center included) hold it; the words
+/// cost at most 16 bytes per member. One high-water mark, shared by all
+/// nets, counts the present words that hold any bit: a vertex ORs only
+/// those, per large net, instead of loading every member's color.
 ///
 /// Bits are only ever added during a color phase; conflict removal does
 /// not clear them. So a vertex-colored round starts from zeroed words
 /// (round 1, every vertex uncolored) or rebuilds them from c[] (any
 /// later round), and then the words hold exactly the colors below cap
-/// that the members hold. With one thread, the summary path therefore
-/// picks the same color with the same probe count as the exact walk.
+/// that the members hold, and which of them repeat. With one thread, the
+/// summary path therefore picks the same color with the same probe count
+/// as the exact walk.
+///
+/// Alg. 5 follows only a vertex-colored phase (options.validate()
+/// forces net_conflict_rounds >= net_color_rounds), and it only ever
+/// uncolors. So when a large net's repeat bit for w's color is clear at
+/// the phase's end, w is the only member holding that color, and the
+/// walk of that net finds no clash whatever the interleaving. A vertex
+/// recolored in one phase (a fault-injected stale write) only leaves
+/// extra bits, which cost walks, never a missed clash.
 class NetSummaries {
  public:
   /// Disabled: no net is large.
@@ -93,9 +104,11 @@ class NetSummaries {
   }
   void clear_live_words() const { store_summary_word(&mark_->live, 0, 0); }
 
-  /// Set col's bit (col < cap) in the words of large net v.
+  /// Set col's bit (col < cap) in the words of large net v, and its
+  /// repeat bit when a member already held it.
   void publish(vid_t v, color_t col) const {
-    publish_summary_bit(words(v), col);
+    if (publish_summary_bit(words(v), col))
+      (void)publish_summary_bit(repeats(v), col);
     raise_live_words((static_cast<std::size_t>(col) >> 6) + 1);
   }
 
@@ -124,11 +137,24 @@ class NetSummaries {
     return size_with_center >= threshold_;
   }
 
-  /// The words of large net v.
+  /// The present words of large net v; its repeat words follow them.
   [[nodiscard]] std::uint64_t* words(vid_t v) const {
     return words_.get() +
-           static_cast<std::size_t>(slot_[static_cast<std::size_t>(v)]) *
+           static_cast<std::size_t>(slot_[static_cast<std::size_t>(v)]) * 2 *
                words_per_net_;
+  }
+
+  /// The repeat words of large net v.
+  [[nodiscard]] std::uint64_t* repeats(vid_t v) const {
+    return words(v) + words_per_net_;
+  }
+
+  /// Whether Alg. 5 must walk net v, of this many members (its center
+  /// included), for a vertex of color col < cap: v is small, or col
+  /// repeats in v.
+  [[nodiscard]] bool may_clash(vid_t v, std::size_t size_with_center,
+                               color_t col) const {
+    return !is_large(size_with_center) || summary_holds(repeats(v), col);
   }
 
  private:
@@ -153,7 +179,7 @@ class NetSummaries {
       slot_[static_cast<std::size_t>(large_[i])] = static_cast<vid_t>(i);
     // Zeroed or rebuilt on the team before every vertex-colored round.
     words_ = std::make_unique_for_overwrite<std::uint64_t[]>(large_.size() *
-                                                             words);
+                                                             2 * words);
     mark_ = std::make_unique<Mark>();
   }
 
@@ -172,9 +198,10 @@ class NetSummaries {
   color_t cap_ = 0;
 };
 
-/// Start a vertex-colored round: zero every large net's words (`c` null:
-/// every vertex is uncolored) or rebuild them from c[]. One thread owns
-/// each net, so plain relaxed loads and stores suffice. O(Σ large |net|).
+/// Start a vertex-colored round: zero every large net's present and
+/// repeat words (`c` null: every vertex is uncolored) or rebuild them
+/// from c[]. One thread owns each net, so plain relaxed loads and stores
+/// suffice. O(Σ large |net|).
 template <class V>
 void reset_summaries(const V& view, const color_t* c, const NetSummaries& s,
                      int threads) {
@@ -188,13 +215,15 @@ void reset_summaries(const V& view, const color_t* c, const NetSummaries& s,
   for (std::int64_t i = 0; i < nl; ++i) {
     const vid_t v = large[static_cast<std::size_t>(i)];
     std::uint64_t* words = s.words(v);
-    for (std::size_t k = 0; k < nw; ++k) store_summary_word(words, k, 0);
+    std::uint64_t* repeats = s.repeats(v);
+    for (std::size_t k = 0; k < 2 * nw; ++k) store_summary_word(words, k, 0);
     if (c == nullptr) continue;
     std::size_t live = 0;
     if constexpr (V::kCenter)
-      live = own_summary_bit(words, load_color(c, v), cap);
+      live = own_summary_bit(words, repeats, load_color(c, v), cap);
     for (const vid_t u : view.others(v))
-      live = std::max(live, own_summary_bit(words, load_color(c, u), cap));
+      live = std::max(live,
+                      own_summary_bit(words, repeats, load_color(c, u), cap));
     s.raise_live_words(live);
   }
 }
@@ -409,13 +438,17 @@ inline void color_net_v1(const BipartiteView& view, color_t* c,
   slots.merge_into(counters);
 }
 
-/// Alg. 5: vertex-based conflict removal over W. Conflicting vertices
-/// (ties broken toward the larger id) are uncolored and collected into
-/// `wnext` through the selected queue strategy.
+/// Alg. 5: vertex-based conflict removal over W. Of two clashing
+/// vertices the larger id loses: it is uncolored and collected into
+/// `wnext` through the selected queue strategy. A vertex of color below
+/// the summary cap skips every large net in which its color does not
+/// repeat (see NetSummaries) and counts the entries the walk would have
+/// found clash-free, so edges_visited counts the same logical entries.
 template <class V>
 void conflict_vertex(const V& view, const std::vector<vid_t>& w, color_t* c,
-                     QueuePolicy queue, int chunk, int threads,
-                     std::vector<vid_t>& wnext, KernelCounters& counters) {
+                     const NetSummaries& summaries, QueuePolicy queue,
+                     int chunk, int threads, std::vector<vid_t>& wnext,
+                     KernelCounters& counters) {
   const auto n = static_cast<std::int64_t>(w.size());
   SharedWorkQueue shared;
   LocalWorkQueues lazy;
@@ -427,7 +460,7 @@ void conflict_vertex(const V& view, const std::vector<vid_t>& w, color_t* c,
 
   CounterSlots slots(threads);
 #pragma omp parallel num_threads(threads) default(none) \
-    shared(view, w, c, slots, shared, lazy) \
+    shared(view, w, c, summaries, slots, shared, lazy) \
     firstprivate(chunk, n, use_shared)
   {
     const int tid = current_thread();
@@ -438,8 +471,16 @@ void conflict_vertex(const V& view, const std::vector<vid_t>& w, color_t* c,
       const vid_t wv = w[static_cast<std::size_t>(i)];
       const color_t cw = load_color(c, wv);
       if (cw == kNoColor) continue;  // already uncolored by a peer race
+      const bool summarized = summaries.enabled() && cw < summaries.cap();
       bool conflicted = false;
       for (const vid_t v : view.nets(wv)) {
+        if (summarized) {
+          const std::size_t size = view.others(v).size() + V::kCenter;
+          if (!summaries.may_clash(v, size, cw)) {
+            GCOL_COUNT(local.edges_visited += size);
+            continue;
+          }
+        }
         if constexpr (V::kCenter) {
           GCOL_COUNT(++local.edges_visited);
           conflicted = load_color(c, v) == cw && wv > v;

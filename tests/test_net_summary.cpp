@@ -8,6 +8,12 @@
 // vertices with colors at and beyond the summary cap, so the picks that
 // must fall back to the exact walk are covered too. With 2 and 4 threads
 // the colorings must be valid.
+//
+// The repeat bits must mark exactly the colors below the cap that two or
+// more members of a large net hold, after a rebuild and after a parallel
+// color phase, and Alg. 5 over the summaries (which skips the large nets
+// where the vertex's color does not repeat) must uncolor, queue and count
+// exactly what the walk over every net does.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -534,6 +540,238 @@ TEST(NetSummary, ParallelColoringsAreValid) {
       }
     }
   }
+}
+
+/// A partial coloring dense in repeats: about a quarter of the vertices
+/// stay uncolored, an eighth take a color in [cap, 1.5·cap), and the rest
+/// a color below 48 or, one in eight, anywhere below the cap.
+std::vector<color_t> repeating_coloring(vid_t n, color_t cap, Lcg& rng) {
+  std::vector<color_t> colors(static_cast<std::size_t>(n), kNoColor);
+  const auto ucap = static_cast<std::uint32_t>(cap);
+  for (color_t& col : colors) {
+    const std::uint32_t kind = rng.below(8);
+    if (kind < 2) continue;
+    if (kind == 2)
+      col = static_cast<color_t>(ucap + rng.below(ucap / 2));
+    else if (kind == 3)
+      col = static_cast<color_t>(rng.below(ucap));
+    else
+      col = static_cast<color_t>(rng.below(48));
+  }
+  return colors;
+}
+
+/// Every member of net v, its center included.
+template <class V>
+std::vector<vid_t> members(const V& view, vid_t v) {
+  const auto vs = view.others(v);
+  std::vector<vid_t> m(vs.begin(), vs.end());
+  if constexpr (V::kCenter) m.push_back(v);
+  return m;
+}
+
+/// Require, for every large net and every color k below the cap, that
+/// the present bit is set iff one or more members hold k in `colors`,
+/// that the repeat bit is set iff two or more do, and that no present
+/// bit lies beyond the live words. Returns the repeat bits seen.
+template <class V>
+int expect_bits_match(const V& view, const NetSummaries& s,
+                      const std::vector<color_t>& colors,
+                      const std::string& what) {
+  const color_t cap = s.cap();
+  std::vector<int> held(static_cast<std::size_t>(cap));
+  const std::size_t live = s.live_words();
+  int repeats = 0;
+  for (const vid_t v : s.large_nets()) {
+    std::fill(held.begin(), held.end(), 0);
+    for (const vid_t u : members(view, v)) {
+      const color_t col = colors[static_cast<std::size_t>(u)];
+      if (col != kNoColor && col < cap) ++held[static_cast<std::size_t>(col)];
+    }
+    for (color_t k = 0; k < cap; ++k) {
+      const int h = held[static_cast<std::size_t>(k)];
+      const bool present = detail::summary_holds(s.words(v), k);
+      const bool repeat = detail::summary_holds(s.repeats(v), k);
+      if (present != (h >= 1) || repeat != (h >= 2) ||
+          (present && (static_cast<std::size_t>(k) >> 6) >= live)) {
+        ADD_FAILURE() << what << ": net " << v << " color " << k << " held "
+                      << h << " times, present " << present << ", repeat "
+                      << repeat << ", live words " << live;
+        return repeats;
+      }
+      repeats += repeat ? 1 : 0;
+    }
+  }
+  return repeats;
+}
+
+TEST(NetSummary, RebuildSetsPresentAndRepeatBits) {
+  if constexpr (!detail::kNetSummaries) GTEST_SKIP() << "exact-walk build";
+  const BipartiteGraph bg = threshold_bgpc();
+  const Graph ug = threshold_d2gc();
+  const BipartiteView bv{bg};
+  const ClosedView cv{ug};
+  const NetSummaries bs(bv, bv.color_bound(1));
+  const NetSummaries cs(cv, cv.color_bound(1));
+  Lcg rng{0x2E9Eu};
+  for (int trial = 0; trial < 4; ++trial) {
+    const std::string tag = "trial " + std::to_string(trial);
+    const std::vector<color_t> bc =
+        repeating_coloring(bg.num_vertices(), bs.cap(), rng);
+    detail::reset_summaries(bv, bc.data(), bs, 1 + trial % 2);
+    EXPECT_GT(expect_bits_match(bv, bs, bc, "bgpc " + tag), 0);
+    const std::vector<color_t> uc =
+        repeating_coloring(ug.num_vertices(), cs.cap(), rng);
+    detail::reset_summaries(cv, uc.data(), cs, 1 + trial % 2);
+    EXPECT_GT(expect_bits_match(cv, cs, uc, "d2gc " + tag), 0);
+  }
+  // Zeroed (round 1): no bit anywhere.
+  detail::reset_summaries(bv, nullptr, bs, 2);
+  EXPECT_EQ(expect_bits_match(
+                bv, bs, std::vector<color_t>(bg.num_vertices(), kNoColor),
+                "bgpc zeroed"),
+            0);
+}
+
+/// Run one parallel Alg. 4 phase over `order` from `colors`, as the
+/// engine does: zero (`rebuild` false) or rebuild the summaries, then
+/// color_vertex.
+template <class V, BalancePolicy B>
+void parallel_color_phase(const V& view, const NetSummaries& s,
+                          std::vector<color_t>& colors,
+                          const std::vector<vid_t>& order, bool rebuild,
+                          int threads) {
+  const color_t bound = view.color_bound(threads);
+  std::vector<ThreadWorkspace> ws(static_cast<std::size_t>(threads));
+  for (ThreadWorkspace& t : ws)
+    t.prepare(static_cast<std::size_t>(bound) + 2,
+              static_cast<std::size_t>(view.max_net_size()),
+              s.words_per_net());
+  detail::reset_summaries(view, rebuild ? colors.data() : nullptr, s,
+                          threads);
+  KernelCounters counters;
+  detail::color_vertex<V, B>(view, order, colors.data(), s, ws, 1, threads,
+                             counters);
+}
+
+template <class V>
+void expect_phase_bits_match(const V& view, Lcg& rng, const std::string& what) {
+  const NetSummaries s(view, view.color_bound(1));
+  ASSERT_TRUE(s.enabled());
+  for (const int threads : {2, 4}) {
+    for (const BalancePolicy b : kBalances) {
+      const std::string tag =
+          what + " t=" + std::to_string(threads) + " " + balance_tag(b);
+      detail::with_balance(b, [&](auto bal) {
+        constexpr BalancePolicy B = decltype(bal)::value;
+        // From scratch (round 1): every vertex in a net is queued.
+        std::vector<color_t> colors(
+            static_cast<std::size_t>(view.num_vertices()), kNoColor);
+        parallel_color_phase<V, B>(view, s, colors, with_nets(view), false,
+                                   threads);
+        expect_bits_match(view, s, colors, tag + " zeroed");
+        // A later round: the uncolored vertices in a net are queued over
+        // summaries rebuilt from the rest.
+        colors = repeating_coloring(view.num_vertices(), s.cap(), rng);
+        std::vector<vid_t> order;
+        for (const vid_t u : with_nets(view))
+          if (colors[static_cast<std::size_t>(u)] == kNoColor)
+            order.push_back(u);
+        parallel_color_phase<V, B>(view, s, colors, order, true, threads);
+        EXPECT_GT(expect_bits_match(view, s, colors, tag + " rebuilt"), 0);
+      });
+    }
+  }
+}
+
+TEST(NetSummary, ParallelColorPhaseSetsPresentAndRepeatBits) {
+  if constexpr (!detail::kNetSummaries) GTEST_SKIP() << "exact-walk build";
+  const BipartiteGraph bg = threshold_bgpc();
+  const Graph ug = threshold_d2gc();
+  Lcg rng{0xB175u};
+  expect_phase_bits_match(BipartiteView{bg}, rng, "bgpc");
+  expect_phase_bits_match(ClosedView{ug}, rng, "d2gc");
+}
+
+/// A valid first-fit coloring of `view` with clashes planted into it:
+/// in large nets (colors below the cap and, in one net, beyond it) and
+/// in small ones, plus some uncolored vertices. Returns the planted
+/// coloring; `w` gets every vertex in a net, shuffled.
+template <class V>
+std::vector<color_t> clashing_coloring(const V& view, const NetSummaries& s,
+                                       Lcg& rng, std::vector<vid_t>& w) {
+  std::vector<color_t> colors =
+      exact_first_fit<V, BalancePolicy::kNone>(
+          view,
+          std::vector<color_t>(static_cast<std::size_t>(view.num_vertices()),
+                               kNoColor),
+          natural(view.num_vertices()))
+          .colors;
+  const auto nn = static_cast<vid_t>(view.num_nets());
+  int beyond = 0;
+  for (vid_t v = 0; v < nn; ++v) {
+    const std::vector<vid_t> m = members(view, v);
+    if (m.size() < 2 || rng.below(3) != 0) continue;
+    const vid_t a = m[rng.below(static_cast<std::uint32_t>(m.size()))];
+    const vid_t b = m[rng.below(static_cast<std::uint32_t>(m.size()))];
+    if (a == b) continue;
+    if (s.is_large(m.size()) && beyond++ == 0) {
+      // Both at one color beyond the cap: only the walk can see it.
+      colors[static_cast<std::size_t>(a)] = s.cap() + 3;
+      colors[static_cast<std::size_t>(b)] = s.cap() + 3;
+    } else {
+      colors[static_cast<std::size_t>(a)] = colors[static_cast<std::size_t>(b)];
+    }
+  }
+  for (color_t& col : colors)
+    if (rng.below(16) == 0) col = kNoColor;
+  w = with_nets(view);
+  for (std::size_t i = w.size(); i > 1; --i)
+    std::swap(w[i - 1], w[rng.below(static_cast<std::uint32_t>(i))]);
+  return colors;
+}
+
+template <class V>
+void expect_conflict_skip_matches_walk(const V& view, Lcg& rng,
+                                       const std::string& what) {
+  const NetSummaries s(view, view.color_bound(1));
+  ASSERT_TRUE(s.enabled());
+  const NetSummaries none;
+  for (int trial = 0; trial < 3; ++trial) {
+    std::vector<vid_t> w;
+    const std::vector<color_t> planted = clashing_coloring(view, s, rng, w);
+    for (const QueuePolicy q : {QueuePolicy::kShared, QueuePolicy::kLazy}) {
+      const std::string tag = what + " trial " + std::to_string(trial) +
+                              (q == QueuePolicy::kShared ? " shared" : " lazy");
+      std::vector<color_t> walked = planted;
+      std::vector<vid_t> next_walked;
+      KernelCounters k_walked;
+      detail::conflict_vertex(view, w, walked.data(), none, q, 1, 1,
+                              next_walked, k_walked);
+      std::vector<color_t> skipped = planted;
+      detail::reset_summaries(view, skipped.data(), s, 1);
+      std::vector<vid_t> next_skipped;
+      KernelCounters k_skipped;
+      detail::conflict_vertex(view, w, skipped.data(), s, q, 1, 1,
+                              next_skipped, k_skipped);
+      EXPECT_FALSE(next_walked.empty()) << tag;
+      EXPECT_EQ(next_skipped, next_walked) << tag;
+      EXPECT_EQ(skipped, walked) << tag;
+      if constexpr (kCountersEnabled) {
+        EXPECT_EQ(k_skipped.edges_visited, k_walked.edges_visited) << tag;
+        EXPECT_EQ(k_skipped.conflicts, k_walked.conflicts) << tag;
+      }
+    }
+  }
+}
+
+TEST(NetSummary, ConflictRemovalSkipEqualsTheWalk) {
+  if constexpr (!detail::kNetSummaries) GTEST_SKIP() << "exact-walk build";
+  const BipartiteGraph bg = threshold_bgpc();
+  const Graph ug = threshold_d2gc();
+  Lcg rng{0xC1A5u};
+  expect_conflict_skip_matches_walk(BipartiteView{bg}, rng, "bgpc");
+  expect_conflict_skip_matches_walk(ClosedView{ug}, rng, "d2gc");
 }
 
 }  // namespace

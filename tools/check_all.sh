@@ -3,11 +3,14 @@
 # .github/workflows/ci.yml:
 #
 #   1. default preset: build everything, run the whole test suite
-#   2. lint gate: gcol-sa self-test (engine + fixtures + exit codes) +
-#      repo scan over compile_commands inside the wall-time budget
+#   2. lint gate: gcol-sa self-test (engine + fixtures + exit codes),
+#      the `lint` build target (tier1's gate) and the repo scan over
+#      compile_commands inside the wall-time budget, plus the
+#      race-surface drift check
 #   3. bench gate: kernel trajectory (micro_kernels) through
 #      bench_gate.py (the obs label in step 1 already validated the
-#      traced color_tool artifacts with check_trace.py)
+#      traced color_tool artifacts with check_trace.py), then the
+#      end-to-end benchmark smoke (bench/e2e/run.py --smoke)
 #   4. analysis preset: GCOL_AUDIT + -Werror (+ clang-tidy if present),
 #      full suite with contracts and audit ledgers live
 #   5. modelcheck preset: GCOL_MC build, gcol-mc schedule exploration
@@ -31,6 +34,8 @@ ctest --preset default -j"$JOBS"
 
 step "lint gate"
 python3 tools/gcol_sa --self-test
+# tier1's lint step: the same engine through the `lint` build target.
+cmake --build build --target lint
 # Budgeted: the repo gate exits 2 if it stops being fast enough to run
 # on every build (cold < 30s; warm cache runs are sub-second). The
 # exit contract is tri-state — keep 1 (findings) and 2 (broken gate /
@@ -63,6 +68,8 @@ python3 tools/gcol_sa --compile-commands build/compile_commands.json \
 # build/BENCH_kernels.json; every row must be a valid coloring.
 step "bench gate"
 python3 tools/bench_gate.py build/BENCH_kernels.json
+# perf job: binary load -> verified coloring -> report on every workload.
+python3 bench/e2e/run.py --smoke
 
 step "analysis: GCOL_AUDIT + -Werror, full suite"
 cmake --preset analysis
