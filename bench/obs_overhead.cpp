@@ -29,7 +29,6 @@ using namespace gcol;
 double run_once(const BipartiteGraph& g, obs::Tracer* tracer) {
   ColoringOptions opt = bgpc_preset("N1-N2");
   opt.num_threads = 4;
-  opt.collect_iteration_stats = false;
   opt.tracer = tracer;
   // The kernel times itself; no extra clock needed here.
   return color_bgpc(g, opt).total_seconds * 1e3;

@@ -103,6 +103,9 @@ static int run(int argc, char** argv) {
            "                       smallest-last smallest-last-relaxed\n"
            "                       incidence-degree\n"
            "  --balance U|B1|B2    balancing heuristic (default U)\n"
+           "  --side cols|rows     bgpc: color matrix columns or rows "
+           "(default cols)\n"
+           "  --seed N             d1gc jp: priority seed (default 1)\n"
            "  --threads N          0 = OpenMP default\n"
            "  --recolor            run iterated-greedy post-pass (bgpc)\n"
            "  --stats-only         print dataset statistics and exit\n"
@@ -133,6 +136,20 @@ static int run(int argc, char** argv) {
            "exit codes: 0 ok, 1 usage, 2 bad input (typed), 3 internal / "
            "schedule violation\n";
     return EXIT_SUCCESS;
+  }
+  const auto unknown = args.unknown_options(
+      {"help", "list", "dataset", "mtx", "bin", "problem", "algo", "order",
+       "balance", "side", "seed", "threads", "recolor", "stats-only",
+       "deadline-ms", "max-rounds", "fault-plan", "trace-out", "report",
+       "analyze", "audit", "model-check", "mc-seed", "mc-schedules",
+       "mc-vthreads", "mc-replay", "mc-trace-out"});
+  if (!unknown.empty() || !args.positional().empty()) {
+    for (const auto& name : unknown)
+      std::cerr << "unknown option --" << name << "\n";
+    for (const auto& arg : args.positional())
+      std::cerr << "unexpected argument " << arg << "\n";
+    std::cerr << "see " << args.program() << " --help\n";
+    return EXIT_FAILURE;
   }
   if (args.has("list")) {
     TextTable t;

@@ -390,7 +390,6 @@ ColoringOptions checked_options(const ColoringOptions& base,
   opt.num_threads = std::max(2, opts.virtual_threads);
   opt.max_rounds =
       std::min(opt.max_rounds, std::max(1, opts.convergence_round_limit));
-  opt.collect_iteration_stats = false;
   opt.checker = &ctx;
   return opt;
 }

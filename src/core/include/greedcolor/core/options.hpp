@@ -67,9 +67,6 @@ struct ColoringOptions {
   /// Thread count; 0 uses the ambient OpenMP default.
   int num_threads = 0;
 
-  /// Keep per-round phase timings and counters in the result.
-  bool collect_iteration_stats = true;
-
   /// Safety valve: after this many speculative rounds the remaining
   /// uncolored vertices are finished sequentially (guaranteed valid).
   int max_rounds = 200;

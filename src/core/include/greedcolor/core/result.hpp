@@ -35,7 +35,7 @@ struct ColoringResult {
   bool deadline_hit = false;    ///< the deadline_seconds watchdog expired
   vid_t faults_injected = 0;    ///< stale colors written by an attached FaultPlan
   vid_t repaired_vertices = 0;  ///< vertices recolored by verify-and-repair
-  std::vector<IterationStats> iterations;  ///< empty unless collected
+  std::vector<IterationStats> iterations;  ///< one entry per round
 
   [[nodiscard]] KernelCounters total_color_counters() const {
     KernelCounters c;

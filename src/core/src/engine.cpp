@@ -200,8 +200,7 @@ ColoringResult speculative_color(const V& view, const ColoringOptions& options,
     stats.conflict_seconds = phase.seconds();
     stats.conflicts = wnext.size();
 
-    if (options.collect_iteration_stats)
-      result.iterations.push_back(stats);
+    result.iterations.push_back(stats);
     std::swap(w, wnext);
     wnext.clear();
 

@@ -1,10 +1,10 @@
 // RunReport: the machine-readable run document (schema gcol-report-v1)
 // and the graph fingerprint helper.
 //
-// One schema for everything that reports a run: color_tool --report,
-// bench/micro_coloring, bench/e2e. A document always carries
+// One schema for everything that reports a run: color_tool --report
+// and bench/e2e. A document always carries
 //   schema   "gcol-report-v1"
-//   tool     producing binary ("color_tool", "micro_coloring", ...)
+//   tool     producing binary ("color_tool", "bench_e2e")
 // and any of the optional sections the producer filled in:
 //   options      flat object of the knobs that shaped the run
 //   graph        fingerprint + dims + one-line structural signature

@@ -177,15 +177,6 @@ TEST(BgpcParallel, IterationStatsAreCoherent) {
   EXPECT_EQ(static_cast<int>(r.iterations.size()), r.rounds);
 }
 
-TEST(BgpcParallel, StatsCollectionCanBeDisabled) {
-  const BipartiteGraph g = testing::disjoint_nets(4, 4);
-  ColoringOptions opt = bgpc_preset("V-V-64D");
-  opt.collect_iteration_stats = false;
-  const auto r = color_bgpc(g, opt);
-  EXPECT_TRUE(r.iterations.empty());
-  EXPECT_TRUE(is_valid_bgpc(g, r.colors));
-}
-
 TEST(BgpcParallel, InvalidOptionsThrow) {
   const BipartiteGraph g = testing::single_net(3);
   ColoringOptions opt;

@@ -8,6 +8,7 @@
 
 #include "greedcolor/core/bgpc.hpp"
 #include "greedcolor/core/color_stats.hpp"
+#include "greedcolor/core/d2gc.hpp"
 #include "greedcolor/core/recolor.hpp"
 #include "greedcolor/core/verify.hpp"
 #include "greedcolor/graph/builder.hpp"
@@ -85,17 +86,36 @@ TEST(Integration, JacobianCompressionRoundTrip) {
   }
 }
 
-TEST(Integration, FullRegistrySweepN1N2IsValid) {
+TEST(Integration, FullRegistrySweepIsValid) {
+  // t=4 colorings over the registry: BGPC V-V, V-N2 and N1-N2 on every
+  // dataset, D2GC V-V-64D and N1-N2 on every D2GC dataset.
   for (const auto& name : dataset_names()) {
     const BipartiteGraph g = load_bipartite(name);
-    ColoringOptions opt = bgpc_preset("N1-N2");
-    opt.num_threads = 4;
-    const auto r = color_bgpc(g, opt);
-    const auto violation = check_bgpc(g, r.colors);
-    EXPECT_FALSE(violation.has_value())
-        << name << ": " << (violation ? violation->to_string() : "");
-    EXPECT_GE(r.num_colors, g.max_net_degree()) << name;
-    EXPECT_FALSE(r.sequential_fallback) << name;
+    for (const char* algo : {"V-V", "V-N2", "N1-N2"}) {
+      ColoringOptions opt = bgpc_preset(algo);
+      opt.num_threads = 4;
+      const auto r = color_bgpc(g, opt);
+      const auto violation = check_bgpc(g, r.colors);
+      EXPECT_FALSE(violation.has_value())
+          << name << " " << algo << ": "
+          << (violation ? violation->to_string() : "");
+      EXPECT_GE(r.num_colors, g.max_net_degree()) << name << " " << algo;
+      EXPECT_FALSE(r.sequential_fallback) << name << " " << algo;
+    }
+  }
+  for (const auto& name : dataset_names(/*d2gc_only=*/true)) {
+    const Graph g = load_graph(name);
+    for (const char* algo : {"V-V-64D", "N1-N2"}) {
+      ColoringOptions opt = d2gc_preset(algo);
+      opt.num_threads = 4;
+      const auto r = color_d2gc(g, opt);
+      const auto violation = check_d2gc(g, r.colors);
+      EXPECT_FALSE(violation.has_value())
+          << name << " " << algo << ": "
+          << (violation ? violation->to_string() : "");
+      EXPECT_GE(r.num_colors, g.max_degree() + 1) << name << " " << algo;
+      EXPECT_FALSE(r.sequential_fallback) << name << " " << algo;
+    }
   }
 }
 

@@ -7,10 +7,8 @@
 #      the `lint` build target (tier1's gate) and the repo scan over
 #      compile_commands inside the wall-time budget, plus the
 #      race-surface drift check
-#   3. bench gate: kernel trajectory (micro_kernels) through
-#      bench_gate.py (the obs label in step 1 already validated the
-#      traced color_tool artifacts with check_trace.py), then the
-#      end-to-end benchmark smoke (bench/e2e/run.py --smoke)
+#   3. e2e smoke: the end-to-end benchmark's smoke run
+#      (bench/e2e/run.py --smoke)
 #   4. analysis preset: GCOL_AUDIT + -Werror (+ clang-tidy if present),
 #      full suite with contracts and audit ledgers live
 #   5. modelcheck preset: GCOL_MC build, gcol-mc schedule exploration
@@ -64,11 +62,8 @@ esac
 python3 tools/gcol_sa --compile-commands build/compile_commands.json \
   --verify-race-surface --jobs "$JOBS"
 
-# The default suite's perf label (micro_kernels) just wrote
-# build/BENCH_kernels.json; every row must be a valid coloring.
-step "bench gate"
-python3 tools/bench_gate.py build/BENCH_kernels.json
 # perf job: binary load -> verified coloring -> report on every workload.
+step "e2e smoke"
 python3 bench/e2e/run.py --smoke
 
 step "analysis: GCOL_AUDIT + -Werror, full suite"
