@@ -122,7 +122,7 @@ ColoringResult speculative_color(const V& view, const ColoringOptions& options,
   for (auto& ws : workspaces)
     ws.prepare(static_cast<std::size_t>(bound) + 2,
                static_cast<std::size_t>(view.max_net_size()),
-               summaries.words_per_net());
+               summaries.large_nets().size());
 
   ColoringResult result;
   // Raw buffer + static parallel fill: the same threads that will color
@@ -276,7 +276,7 @@ ColoringResult sequential_color(const V& view,
   const detail::NetSummaries summaries(view, bound);
   ThreadWorkspace ws;
   ws.prepare(static_cast<std::size_t>(bound) + 2, 0,
-             summaries.words_per_net());
+             summaries.large_nets().size());
 
   WallTimer total;
   if (summaries.enabled())

@@ -178,6 +178,14 @@ inline bool summary_holds(const std::uint64_t* words, color_t col) {
           1) != 0;
 }
 
+/// Whether color col's bit (0 <= col < the cap) is set in any of `nets`.
+inline bool any_summary_holds(std::span<const std::uint64_t* const> nets,
+                              color_t col) {
+  for (const std::uint64_t* words : nets)
+    if (summary_holds(words, col)) return true;
+  return false;
+}
+
 /// Set color col's bit (0 <= col < the cap): one relaxed fetch_or, so
 /// concurrent publishers into one word never lose a bit. Returns whether
 /// the bit was already set. Of two publishers of one bit, the later in
@@ -223,40 +231,19 @@ inline void raise_summary_mark(std::uint64_t* mark, std::uint64_t k) {
   }
 }
 
-/// acc = words (first) or acc |= words, over n words.
-[[gnu::always_inline]] inline void gather_summary(const std::uint64_t* words,
-                                                  std::size_t n,
-                                                  std::uint64_t* acc,
-                                                  bool first) {
-  if (first) {
-    for (std::size_t k = 0; k < n; ++k) acc[k] = load_summary_word(words, k);
-  } else {
-    for (std::size_t k = 0; k < n; ++k) acc[k] |= load_summary_word(words, k);
-  }
-}
-
-/// Alg. 4's forbidden set on the summary path: the OR of a vertex's
-/// large-net summaries (`bits`, its first `live` words; every later
-/// word is zero in every net) plus the colors of its small nets, walked
-/// into `walked`. A probe at or beyond the cap cannot be answered: it
-/// sets `overflow`, and the caller redoes the vertex with the exact
-/// walk.
+/// Alg. 4's forbidden set on the summary path: the present words of a
+/// vertex's large nets (`nets`; in each, words [live, W) are zero) plus
+/// the colors of its small nets, walked into `walked` (null when the
+/// vertex has no small net). The picks below read it one 64-color word
+/// at a time (forbidden_word), so a pick reads the summaries only as far
+/// as it gets. A pick that reaches the cap cannot be answered: it sets
+/// `overflow`, and the caller redoes the vertex with the exact walk.
 struct SummarySet {
-  const std::uint64_t* bits;
+  std::span<const std::uint64_t* const> nets;
   std::size_t live;
-  const MarkerSet& walked;
+  const MarkerSet* walked;
   color_t cap;
   mutable bool overflow = false;
-
-  [[nodiscard]] bool contains(color_t col) const {
-    if (col >= cap) {
-      overflow = true;
-      return false;
-    }
-    const auto k = static_cast<std::size_t>(col) >> 6;
-    return (k < live && ((bits[k] >> (col & 63)) & 1) != 0) ||
-           walked.contains(col);
-  }
 };
 
 // --- The distance-2 walk over one adjacency list -------------------------
@@ -310,6 +297,20 @@ struct ClashScan {
     if (load_color(c, u) == cw && w > u) return {true, j + 1};
   }
   return {false, n};
+}
+
+/// Scalar body of walked_word.
+[[gnu::always_inline]] inline std::uint64_t walked_word_scalar(
+    const MarkerSet& f, std::size_t k) {
+  const std::size_t base = k * 64;
+  if (base >= f.capacity()) return 0;
+  const std::size_t n = std::min<std::size_t>(64, f.capacity() - base);
+  const std::uint32_t* slots = f.slots() + base;
+  const std::uint32_t stamp = f.stamp();
+  std::uint64_t bits = 0;
+  for (std::size_t j = 0; j < n; ++j)
+    bits |= static_cast<std::uint64_t>(slots[j] == stamp) << j;
+  return bits;
 }
 
 #if GCOL_VECTOR_GATHER
@@ -376,6 +377,23 @@ inline __m512i capacity_lanes(const MarkerSet& f) {
   tail.visited += j;
   return tail;
 }
+
+/// AVX-512 body of walked_word: four 16-lane compares of F's stamps
+/// with its current stamp. A word that runs past F's capacity goes
+/// through the scalar body.
+[[gnu::always_inline]] inline std::uint64_t walked_word_vector(
+    const MarkerSet& f, std::size_t k) {
+  const std::size_t base = k * 64;
+  if (base + 64 > f.capacity()) return walked_word_scalar(f, k);
+  const __m512i stamp_v = _mm512_set1_epi32(static_cast<int>(f.stamp()));
+  const std::uint32_t* slots = f.slots() + base;
+  std::uint64_t bits = 0;
+  for (std::size_t q = 0; q < 4; ++q)
+    bits |= static_cast<std::uint64_t>(_mm512_cmpeq_epi32_mask(
+                _mm512_loadu_si512(slots + 16 * q), stamp_v))
+            << (16 * q);
+  return bits;
+}
 #endif
 
 /// Alg. 4's distance-2 gather over one list: insert into F the color of
@@ -403,10 +421,32 @@ inline __m512i capacity_lanes(const MarkerSet& f) {
 #endif
 }
 
-/// Smallest color >= start not in F (plain first-fit). F is a
-/// MarkerSet or a SummarySet.
-template <class Set>
-inline color_t pick_up(const Set& f, color_t start, std::uint64_t& probes) {
+/// The colors [64k, 64k + 64) that F holds, bit j for color 64k + j.
+/// Slots at or beyond F's capacity read as absent, as in
+/// MarkerSet::contains.
+[[gnu::always_inline]] inline std::uint64_t walked_word(const MarkerSet& f,
+                                                        std::size_t k) {
+#if GCOL_VECTOR_GATHER
+  return walked_word_vector(f, k);
+#else
+  return walked_word_scalar(f, k);
+#endif
+}
+
+/// The colors [64k, 64k + 64) in F (k < cap / 64): the OR of word k of
+/// every listed net (none past `live`) and of the walked colors.
+[[gnu::always_inline]] inline std::uint64_t forbidden_word(const SummarySet& f,
+                                                           std::size_t k) {
+  std::uint64_t bits = f.walked != nullptr ? walked_word(*f.walked, k) : 0;
+  if (k < f.live)
+    for (const std::uint64_t* words : f.nets)
+      bits |= load_summary_word(words, k);
+  return bits;
+}
+
+/// Smallest color >= start not in F (plain first-fit).
+inline color_t pick_up(const MarkerSet& f, color_t start,
+                       std::uint64_t& probes) {
   GCOL_ASSUME(start >= 0);
   color_t col = start;
   while (f.contains(col)) {
@@ -418,8 +458,8 @@ inline color_t pick_up(const Set& f, color_t start, std::uint64_t& probes) {
 }
 
 /// Largest color <= start not in F, or kNoColor when the scan passes 0.
-template <class Set>
-inline color_t pick_down(const Set& f, color_t start, std::uint64_t& probes) {
+inline color_t pick_down(const MarkerSet& f, color_t start,
+                         std::uint64_t& probes) {
   color_t col = start;
   while (col >= 0 && f.contains(col)) {
     --col;
@@ -427,6 +467,58 @@ inline color_t pick_down(const Set& f, color_t start, std::uint64_t& probes) {
   }
   GCOL_COUNT(++probes);
   return col;
+}
+
+// The two picks over a SummarySet take 64 colors per step: the lowest
+// (highest) clear bit of one forbidden word. They return the color and
+// count the probes the per-color loops above would (one per color
+// tested), and set `overflow` exactly when those loops would test a
+// color at or beyond the cap.
+
+/// pick_up over a SummarySet. A scan that finds every color in
+/// [start, cap) taken returns the cap (start, if start >= cap).
+[[gnu::always_inline]] inline color_t pick_up(const SummarySet& f,
+                                              color_t start,
+                                              std::uint64_t& probes) {
+  GCOL_ASSUME(start >= 0);
+  color_t got = std::max(start, f.cap);
+  if (start < f.cap) {
+    const auto words = static_cast<std::size_t>(f.cap) >> 6;
+    auto k = static_cast<std::size_t>(start) >> 6;
+    // The colors below start in its word count as taken.
+    std::uint64_t taken =
+        forbidden_word(f, k) | ((std::uint64_t{1} << (start & 63)) - 1);
+    while (taken == ~std::uint64_t{0} && ++k < words)
+      taken = forbidden_word(f, k);
+    if (k < words)
+      got = static_cast<color_t>(k * 64) + std::countr_one(taken);
+  }
+  if (got >= f.cap) f.overflow = true;
+  GCOL_COUNT(probes += static_cast<std::uint64_t>(got - start) + 1);
+  return got;
+}
+
+/// pick_down over a SummarySet. A start at or beyond the cap returns
+/// start.
+[[gnu::always_inline]] inline color_t pick_down(const SummarySet& f,
+                                                color_t start,
+                                                std::uint64_t& probes) {
+  GCOL_ASSUME(start >= 0);
+  color_t got = start;
+  if (start >= f.cap) {
+    f.overflow = true;
+  } else {
+    auto k = static_cast<std::size_t>(start) >> 6;
+    // The colors above start in its word count as taken.
+    std::uint64_t taken =
+        forbidden_word(f, k) | (~std::uint64_t{1} << (start & 63));
+    while (taken == ~std::uint64_t{0} && k > 0) taken = forbidden_word(f, --k);
+    got = taken == ~std::uint64_t{0}
+              ? kNoColor
+              : static_cast<color_t>(k * 64 + 63) - std::countl_one(taken);
+  }
+  GCOL_COUNT(probes += static_cast<std::uint64_t>(start - got) + 1);
+  return got;
 }
 
 /// A balance policy as a type, for deducing it from an argument.

@@ -66,8 +66,9 @@ template <class V>
 /// member holds color k < cap, and W repeat words, where bit k is set
 /// when two or more members (the center included) hold it; the words
 /// cost at most 16 bytes per member. One high-water mark, shared by all
-/// nets, counts the present words that hold any bit: a vertex ORs only
-/// those, per large net, instead of loading every member's color.
+/// nets, counts the present words that hold any bit: a vertex's pick
+/// reads only those, word by word as far as it gets, instead of loading
+/// every member's color.
 ///
 /// Bits are only ever added during a color phase; conflict removal does
 /// not clear them. So a vertex-colored round starts from zeroed words
@@ -114,16 +115,6 @@ class NetSummaries {
 
   void raise_live_words(std::size_t k) const {
     raise_summary_mark(&mark_->live, k);
-  }
-
-  /// Whether some large net of w already holds col (col < cap).
-  template <class V>
-  [[nodiscard]] bool holds_in_any(const V& view, vid_t w, color_t col) const {
-    for (const vid_t v : view.nets(w))
-      if (is_large(view.others(v).size() + V::kCenter) &&
-          summary_holds(words(v), col))
-        return true;
-    return false;
   }
 
   [[nodiscard]] color_t cap() const { return cap_; }
@@ -231,34 +222,34 @@ void reset_summaries(const V& view, const color_t* c, const NetSummaries& s,
 /// Re-picks a vertex may make when a peer published its pick first.
 inline constexpr int kSummaryRepicks = 2;
 
-/// Alg. 4 + policy for one vertex w: F is the OR of w's large-net
-/// summaries plus the colors of its small nets, walked. When the pick
-/// would probe a color at or beyond the cap, or w is already colored
-/// (a fault-injected stale write; its own bit would sit in the
-/// summaries), w takes the exact walk (forbid_nets) instead. Publishes
-/// the color into the summaries of the large nets w belongs to. Counts
-/// Alg. 4's logical entries (edges_visited) and the pick's probes
-/// exactly as the exact walk does.
+/// Alg. 4 + policy for one vertex w: F is w's large-net summaries, read
+/// word by word as the pick goes, plus the colors of its small nets,
+/// walked. When the pick would reach a color at or beyond the cap, or
+/// w is already colored (a fault-injected stale write; its own bit
+/// would sit in the summaries), w takes the exact walk (forbid_nets)
+/// instead. Publishes the color into the summaries of the large nets w
+/// belongs to. Counts Alg. 4's logical entries (edges_visited) and the
+/// pick's probes exactly as the exact walk does.
 template <class V, BalancePolicy B>
 [[gnu::always_inline]] inline color_t color_one_vertex(
     const V& view, color_t* c, vid_t w, const NetSummaries& s,
     ThreadWorkspace& tws, PolicyState& st, KernelCounters& local,
     BalanceTag<B> /*policy*/) {
   MarkerSet& f = tws.forbidden;
-  std::uint64_t* const bits = tws.summary_bits.data();
+  const std::uint64_t** const large = tws.summaries.data();
+  std::size_t nlarge = 0;
   f.clear();
   [[maybe_unused]] std::size_t visited = 0;
-  bool summarized = false;
+  bool walked = false;
   const bool summaries = s.enabled() && load_color(c, w) == kNoColor;
-  std::size_t live = summaries ? s.live_words() : 0;
   for (const vid_t v : view.nets(w)) {
     const auto vs = view.others(v);
     visited += V::kCenter + vs.size();
     if (summaries && s.is_large(vs.size() + V::kCenter)) {
-      gather_summary(s.words(v), live, bits, !summarized);
-      summarized = true;
+      large[nlarge++] = s.words(v);
       continue;
     }
+    walked = true;
     if constexpr (V::kCenter) {
       const color_t cv = load_color(c, v);
       if (cv != kNoColor) f.insert(cv);
@@ -267,26 +258,18 @@ template <class V, BalancePolicy B>
   }
   GCOL_COUNT(local.edges_visited += visited);
   color_t col = kNoColor;
-  if (summarized) {
-    col = try_pick_vertex_color<B>(st, SummarySet{bits, live, f, s.cap()}, w,
-                                   local.color_probes);
-    // The words were read all at once, before the pick, so a peer that
-    // published col into one of w's large nets since then would clash
-    // with w. Re-read them and pick again (a bounded number of times)
-    // rather than leave the clash to conflict removal. Never fires with
-    // one thread: nobody else publishes.
-    for (int again = 0; again < kSummaryRepicks && col != kNoColor &&
-                        s.holds_in_any(view, w, col);
-         ++again) {
-      live = s.live_words();
-      bool first = true;
-      for (const vid_t v : view.nets(w)) {
-        if (!s.is_large(view.others(v).size() + V::kCenter)) continue;
-        gather_summary(s.words(v), live, bits, first);
-        first = false;
-      }
-      col = try_pick_vertex_color<B>(st, SummarySet{bits, live, f, s.cap()},
-                                     w, local.color_probes);
+  if (nlarge > 0) {
+    const std::span<const std::uint64_t* const> nets(large, nlarge);
+    // A peer that published col into one of w's large nets after the
+    // pick read that word would clash with w: pick again (a bounded
+    // number of times) rather than leave the clash to conflict removal.
+    // Never happens with one thread: nobody else publishes.
+    for (int pick = 0; pick <= kSummaryRepicks; ++pick) {
+      col = try_pick_vertex_color<B>(
+          st,
+          SummarySet{nets, s.live_words(), walked ? &f : nullptr, s.cap()},
+          w, local.color_probes);
+      if (col == kNoColor || !any_summary_holds(nets, col)) break;
     }
     if (col == kNoColor) {
       f.clear();

@@ -36,13 +36,17 @@ namespace obs {
 class MetricsRegistry;
 class Tracer;
 
-/// FNV-1a over the dimensions and CSR arrays, one 64-bit word per step
-/// (not byte-wise FNV-1a, hence the "fnv1a64w:" prefix): a stable
-/// content hash for "same graph" checks across runs (and the cache key
-/// the service front-end will want). Not cryptographic.
+/// A stable content hash for "same graph" checks across runs, over the
+/// dimensions and one side of the CSR (`vptr`/`vadj`, or `ptr`/`adj`):
+/// a validated graph's other side is that side's transpose. The arrays
+/// are cut into chunks of a fixed 16,384 elements; each chunk runs
+/// eight independent xor-multiply chains (FNV-1a's prime, one element
+/// per step), and the chunk hashes are folded in order, so the value is
+/// the same at any team size ("fnv64x8:" prefix). The chunks are hashed
+/// on max_threads() threads. Not cryptographic.
 [[nodiscard]] std::uint64_t fingerprint(const BipartiteGraph& g);
 [[nodiscard]] std::uint64_t fingerprint(const Graph& g);
-/// "fnv1a64w:<16 hex digits>" as written into reports.
+/// "fnv64x8:<16 hex digits>" as written into reports.
 [[nodiscard]] std::string fingerprint_string(const BipartiteGraph& g);
 [[nodiscard]] std::string fingerprint_string(const Graph& g);
 

@@ -1,16 +1,20 @@
 #include "greedcolor/obs/report.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <ostream>
 #include <stdexcept>
 
+#include "greedcolor/analyze/contract.hpp"
 #include "greedcolor/core/result.hpp"
 #include "greedcolor/graph/bipartite.hpp"
 #include "greedcolor/graph/csr.hpp"
 #include "greedcolor/graph/graph_stats.hpp"
 #include "greedcolor/obs/metrics.hpp"
 #include "greedcolor/obs/trace.hpp"
+#include "greedcolor/util/parallel.hpp"
 
 namespace gcol::obs {
 
@@ -19,22 +23,97 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-// FNV-1a over 64-bit words rather than bytes: one xor-multiply per CSR
-// entry instead of eight dependent ones.
+/// Elements per chunk: a fixed constant, so the hash does not depend on
+/// the team size.
+constexpr std::size_t kChunk = std::size_t{1} << 14;
+constexpr std::size_t kLanes = 8;
+
 void fnv_u64(std::uint64_t& h, std::uint64_t v) {
   h ^= v;
   h *= kFnvPrime;
 }
 
-template <typename T>
-void fnv_vec(std::uint64_t& h, const std::vector<T>& vec) {
-  fnv_u64(h, vec.size());
-  for (const T& v : vec) fnv_u64(h, static_cast<std::uint64_t>(v));
+/// The 64-bit finalizer of MurmurHash3: spreads every input bit over
+/// the word, which one xor-multiply step does not (it carries upward
+/// only).
+std::uint64_t mix(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
+
+/// One chunk: element i goes into lane i mod 8 by an xor-multiply step,
+/// so the eight chains are independent and run at memory speed; then
+/// the lanes are folded in order and mixed.
+template <class T>
+std::uint64_t hash_chunk(const T* p, std::size_t n) {
+  std::uint64_t lane[kLanes];
+  for (std::size_t l = 0; l < kLanes; ++l) lane[l] = kFnvOffset + l;
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes)
+    for (std::size_t l = 0; l < kLanes; ++l)
+      fnv_u64(lane[l], static_cast<std::uint64_t>(p[i + l]));
+  for (; i < n; ++i)
+    fnv_u64(lane[i % kLanes], static_cast<std::uint64_t>(p[i]));
+  std::uint64_t h = kFnvOffset;
+  fnv_u64(h, n);
+  for (const std::uint64_t x : lane) fnv_u64(h, x);
+  return mix(h);
+}
+
+std::size_t chunks(std::size_t n) { return (n + kChunk - 1) / kChunk; }
+
+/// Chunk k of an array of n elements.
+template <class T>
+std::uint64_t hash_part(const T* p, std::size_t n, std::size_t k) {
+  const std::size_t at = k * kChunk;
+  return hash_chunk(p + at, std::min(kChunk, n - at));
+}
+
+/// The graph's dimensions, then its offsets and adjacency in chunks of
+/// kChunk elements, hashed on the team (max_threads()) and folded in
+/// order.
+std::uint64_t hash_csr(std::uint64_t dims_hash, const std::vector<eid_t>& ptr,
+                       const std::vector<vid_t>& adj) {
+  const std::size_t np = chunks(ptr.size());
+  const auto total = static_cast<std::int64_t>(np + chunks(adj.size()));
+  std::vector<std::uint64_t> parts(static_cast<std::size_t>(total));
+  const eid_t* const p = ptr.data();
+  const vid_t* const a = adj.data();
+  const std::size_t pn = ptr.size();
+  const std::size_t an = adj.size();
+  // The count of chunks hashed; its get() calls are the fork and join
+  // edges ThreadSanitizer can see (util/parallel.hpp).
+  TeamFold<std::int64_t> hashed(0);
+#pragma omp parallel if (total > 1) num_threads(max_threads()) default(none) \
+    shared(parts, hashed) firstprivate(p, a, pn, an, np, total)
+  {
+    (void)hashed.get();
+    std::int64_t mine = 0;
+#pragma omp for schedule(static) nowait
+    for (std::int64_t k = 0; k < total; ++k) {
+      const auto i = static_cast<std::size_t>(k);
+      parts[static_cast<std::size_t>(k)] =
+          i < np ? hash_part(p, pn, i) : hash_part(a, an, i - np);
+      ++mine;
+    }
+    hashed.fold(mine, std::plus<>{});
+  }
+  [[maybe_unused]] const std::int64_t done = hashed.get();
+  GCOL_CONTRACT(done == total, "every chunk hashed once");
+  std::uint64_t h = dims_hash;
+  fnv_u64(h, pn);
+  fnv_u64(h, an);
+  for (const std::uint64_t x : parts) fnv_u64(h, x);
+  return mix(h);
 }
 
 std::string hex16(std::uint64_t h) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "fnv1a64w:%016llx",
+  std::snprintf(buf, sizeof(buf), "fnv64x8:%016llx",
                 static_cast<unsigned long long>(h));
   return buf;
 }
@@ -62,23 +141,19 @@ Json kernel_object(const KernelCounters& c) {
 
 }  // namespace
 
+// A graph that passed validate() is determined by its dimensions and
+// one side of its CSR: the other side is that side's strict transpose.
 std::uint64_t fingerprint(const BipartiteGraph& g) {
   std::uint64_t h = kFnvOffset;
   fnv_u64(h, static_cast<std::uint64_t>(g.num_vertices()));
   fnv_u64(h, static_cast<std::uint64_t>(g.num_nets()));
-  fnv_vec(h, g.vptr());
-  fnv_vec(h, g.vadj());
-  fnv_vec(h, g.nptr());
-  fnv_vec(h, g.nadj());
-  return h;
+  return hash_csr(h, g.vptr(), g.vadj());
 }
 
 std::uint64_t fingerprint(const Graph& g) {
   std::uint64_t h = kFnvOffset;
   fnv_u64(h, static_cast<std::uint64_t>(g.num_vertices()));
-  fnv_vec(h, g.ptr());
-  fnv_vec(h, g.adj());
-  return h;
+  return hash_csr(h, g.ptr(), g.adj());
 }
 
 std::string fingerprint_string(const BipartiteGraph& g) {

@@ -77,6 +77,9 @@ class MarkerSet {
   /// slots()[k] for k < capacity() inserts k; slots()[-1] is the sink.
   /// Invalidated by any growth.
   [[nodiscard]] std::uint32_t* slots() { return marks_.data() + 1; }
+  [[nodiscard]] const std::uint32_t* slots() const {
+    return marks_.data() + 1;
+  }
   [[nodiscard]] std::uint32_t stamp() const { return stamp_; }
 
   /// Test-only hook: force the stamp near its wraparound point so the
@@ -97,22 +100,22 @@ class MarkerSet {
 
 /// Thread-private scratch space for one coloring worker: its forbidden
 /// set, the local vertex queue of Algorithm 8 (emptied by resetting a
-/// cursor, never deallocated) and the bitmap Algorithm 4 ORs the large
-/// nets' color summaries into. Cache-line aligned: the kernels bump the
-/// set's stamp once per vertex or net, and the workspaces sit side by
-/// side in one vector, so unaligned neighbors would share a line.
+/// cursor, never deallocated) and room for the pointers to one vertex's
+/// large-net color summaries, which Algorithm 4 reads. Cache-line
+/// aligned: the kernels bump the set's stamp once per vertex or net,
+/// and the workspaces sit side by side in one vector, so unaligned
+/// neighbors would share a line.
 struct alignas(64) ThreadWorkspace {
   MarkerSet forbidden;
   std::vector<vid_t> local_queue;
-  std::vector<std::uint64_t> summary_bits;
+  std::vector<const std::uint64_t*> summaries;
 
   void prepare(std::size_t color_capacity, std::size_t queue_capacity,
-               std::size_t summary_words = 0) {
+               std::size_t large_nets = 0) {
     forbidden.ensure_capacity(color_capacity);
     if (local_queue.capacity() < queue_capacity)
       local_queue.reserve(queue_capacity);
-    if (summary_bits.size() < summary_words)
-      summary_bits.resize(summary_words);
+    if (summaries.size() < large_nets) summaries.resize(large_nets);
   }
 };
 

@@ -9,6 +9,10 @@
 // must fall back to the exact walk are covered too. With 2 and 4 threads
 // the colorings must be valid.
 //
+// The picks over the summaries take 64 colors per step; on random
+// summary states they must return the color, probe count, overflow flag
+// and policy state of the per-color loop, for all three policies.
+//
 // The repeat bits must mark exactly the colors below the cap that two or
 // more members of a large net hold, after a rebuild and after a parallel
 // color phase, and Alg. 5 over the summaries (which skips the large nets
@@ -185,7 +189,8 @@ int expect_summaries_match_walk(const V& view, const std::vector<color_t>& pre,
   detail::reset_summaries(view, fast.data(), s, 1);
   MarkerSet f(static_cast<std::size_t>(bound) + 2);
   ThreadWorkspace ws;
-  ws.prepare(static_cast<std::size_t>(bound) + 2, 0, s.words_per_net());
+  ws.prepare(static_cast<std::size_t>(bound) + 2, 0,
+             s.large_nets().size());
   PolicyState st_exact;
   PolicyState st_fast;
   KernelCounters k_exact;
@@ -239,6 +244,206 @@ std::vector<vid_t> natural(vid_t n) {
   std::vector<vid_t> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), vid_t{0});
   return order;
+}
+
+/// The per-color reference for the word picks over a SummarySet: the
+/// set the summary path forbids, tested one color at a time, as the
+/// picks did before they took 64 colors per step. A test at or beyond
+/// the cap sets `overflow`.
+struct PerColorSet {
+  const detail::SummarySet& f;
+  mutable bool overflow = false;
+
+  [[nodiscard]] bool contains(color_t col) const {
+    if (col >= f.cap) {
+      overflow = true;
+      return false;
+    }
+    const auto k = static_cast<std::size_t>(col) >> 6;
+    if (k < f.live)
+      for (const std::uint64_t* words : f.nets)
+        if (((words[k] >> (col & 63)) & 1) != 0) return true;
+    return f.walked != nullptr && f.walked->contains(col);
+  }
+};
+
+// The per-color loops of pick_up / pick_down over the reference; found
+// by pick_vertex_color through argument-dependent lookup.
+color_t pick_up(const PerColorSet& f, color_t start, std::uint64_t& probes) {
+  color_t col = start;
+  while (f.contains(col)) {
+    ++col;
+    ++probes;
+  }
+  ++probes;
+  return col;
+}
+
+color_t pick_down(const PerColorSet& f, color_t start,
+                  std::uint64_t& probes) {
+  color_t col = start;
+  while (col >= 0 && f.contains(col)) {
+    --col;
+    ++probes;
+  }
+  ++probes;
+  return col;
+}
+
+/// What the word pick must reproduce, and how often each edge case
+/// came up.
+struct PickCases {
+  int overflow = 0;
+  int at_cap_minus_one = 0;
+  int down_past_zero = 0;
+  int past_walked_capacity = 0;
+  int no_live_words = 0;
+};
+
+/// One random summary state: 1-6 words per net, 0-4 nets whose words
+/// past `live` hold garbage (the picks must ignore them), each word
+/// empty, full or of random density, and a walked MarkerSet (or none)
+/// sized below the cap now and then, holding stale stamps too.
+struct PickState {
+  std::vector<std::vector<std::uint64_t>> words;
+  std::vector<const std::uint64_t*> nets;
+  MarkerSet walked;
+  bool has_walked = true;
+  std::size_t live = 0;
+  color_t cap = 0;
+
+  [[nodiscard]] detail::SummarySet set() const {
+    return detail::SummarySet{nets, live, has_walked ? &walked : nullptr,
+                              cap};
+  }
+};
+
+std::uint64_t random_word(Lcg& rng) {
+  switch (rng.below(4)) {
+    case 0:
+      return 0;
+    case 1:
+      return ~std::uint64_t{0};
+    default: {
+      // Dense words make long scans; sparse ones make short ones.
+      const std::uint32_t keep = rng.below(2) == 0 ? 15 : 3;
+      std::uint64_t w = 0;
+      for (int b = 0; b < 64; ++b)
+        if (rng.below(16) < keep) w |= std::uint64_t{1} << b;
+      return w;
+    }
+  }
+}
+
+void random_pick_state(Lcg& rng, PickState& ps) {
+  const std::size_t nw = 1 + rng.below(6);
+  ps.cap = static_cast<color_t>(nw * 64);
+  ps.live = rng.below(static_cast<std::uint32_t>(nw + 1));
+  ps.words.assign(rng.below(5), std::vector<std::uint64_t>(nw));
+  ps.nets.clear();
+  for (std::vector<std::uint64_t>& net : ps.words) {
+    for (std::uint64_t& w : net) w = random_word(rng);
+    ps.nets.push_back(net.data());
+  }
+  // As the engine sizes it: bound + 2 slots, below the cap rounded up to
+  // 64 when the bound is not a multiple of 64.
+  const std::size_t capacity =
+      rng.below(3) == 0 ? static_cast<std::size_t>(ps.cap) - 1 -
+                              rng.below(static_cast<std::uint32_t>(63))
+                        : static_cast<std::size_t>(ps.cap) + 2;
+  ps.walked = MarkerSet(capacity);
+  for (int i = 0; i < 20; ++i)
+    ps.walked.insert(rng.below(static_cast<std::uint32_t>(capacity)));
+  ps.walked.clear();
+  const std::uint32_t inserts = rng.below(static_cast<std::uint32_t>(capacity));
+  for (std::uint32_t i = 0; i < inserts; ++i)
+    ps.walked.insert(rng.below(static_cast<std::uint32_t>(capacity)));
+  ps.has_walked = rng.below(5) != 0;
+}
+
+/// Run one policy's pick over the word sets and over the per-color
+/// reference from equal states; require the same color, probes,
+/// overflow and policy state.
+template <BalancePolicy B>
+void expect_word_pick_matches(const PickState& ps, PolicyState st, vid_t w,
+                              PickCases& cases, const std::string& tag) {
+  const detail::SummarySet words = ps.set();
+  const PerColorSet ref{words};
+  PolicyState st_ref = st;
+  std::uint64_t probes = 0;
+  std::uint64_t probes_ref = 0;
+  const color_t got = detail::pick_vertex_color<B>(st, words, w, probes);
+  const color_t want = detail::pick_vertex_color<B>(st_ref, ref, w, probes_ref);
+  ASSERT_EQ(words.overflow, ref.overflow) << tag;
+  ASSERT_EQ(got, want) << tag;
+  if constexpr (kCountersEnabled) {
+    ASSERT_EQ(probes, probes_ref) << tag;
+  }
+  ASSERT_EQ(st.col_max, st_ref.col_max) << tag;
+  ASSERT_EQ(st.col_next, st_ref.col_next) << tag;
+  cases.overflow += ref.overflow ? 1 : 0;
+  cases.at_cap_minus_one += !ref.overflow && got == ps.cap - 1 ? 1 : 0;
+  cases.past_walked_capacity +=
+      ps.has_walked && ps.walked.capacity() < static_cast<std::size_t>(ps.cap)
+          ? 1
+          : 0;
+  cases.no_live_words += ps.live == 0 && !ps.nets.empty() ? 1 : 0;
+}
+
+TEST(NetSummary, WordPicksEqualThePerColorLoop) {
+  Lcg rng{0x3070u};
+  PickCases cases;
+  PickState ps;
+  for (int trial = 0; trial < 4000; ++trial) {
+    random_pick_state(rng, ps);
+    const auto top = static_cast<std::uint32_t>(ps.cap + 8);
+    const std::string tag = "trial " + std::to_string(trial);
+    // The bare picks, from every kind of start: below, at and past the
+    // cap.
+    for (int i = 0; i < 4; ++i) {
+      const auto start = static_cast<color_t>(
+          i == 0 ? ps.cap - 1 : i == 1 ? ps.cap : rng.below(top));
+      const detail::SummarySet up = ps.set();
+      const PerColorSet ref_up{up};
+      std::uint64_t probes = 0;
+      std::uint64_t probes_ref = 0;
+      ASSERT_EQ(detail::pick_up(up, start, probes),
+                pick_up(ref_up, start, probes_ref))
+          << tag << " up from " << start;
+      if constexpr (kCountersEnabled) {
+        ASSERT_EQ(probes, probes_ref) << tag << " up from " << start;
+      }
+      ASSERT_EQ(up.overflow, ref_up.overflow) << tag << " up from " << start;
+      const detail::SummarySet down = ps.set();
+      const PerColorSet ref_down{down};
+      probes = probes_ref = 0;
+      const color_t got = detail::pick_down(down, start, probes);
+      ASSERT_EQ(got, pick_down(ref_down, start, probes_ref))
+          << tag << " down from " << start;
+      if constexpr (kCountersEnabled) {
+        ASSERT_EQ(probes, probes_ref) << tag << " down from " << start;
+      }
+      ASSERT_EQ(down.overflow, ref_down.overflow)
+          << tag << " down from " << start;
+      cases.down_past_zero += got == kNoColor ? 1 : 0;
+    }
+    // The three policies, from random policy states.
+    PolicyState st;
+    st.col_max = static_cast<color_t>(rng.below(top));
+    st.col_next = static_cast<color_t>(rng.below(top));
+    const auto w = static_cast<vid_t>(rng.below(1000));
+    expect_word_pick_matches<BalancePolicy::kNone>(ps, st, w, cases,
+                                                   tag + " none");
+    expect_word_pick_matches<BalancePolicy::kB1>(ps, st, w, cases,
+                                                 tag + " B1");
+    expect_word_pick_matches<BalancePolicy::kB2>(ps, st, w, cases,
+                                                 tag + " B2");
+  }
+  EXPECT_GT(cases.overflow, 0);
+  EXPECT_GT(cases.at_cap_minus_one, 0);
+  EXPECT_GT(cases.down_past_zero, 0);
+  EXPECT_GT(cases.past_walked_capacity, 0);
+  EXPECT_GT(cases.no_live_words, 0);
 }
 
 TEST(NetSummary, LargeNetsAreThoseAtOrAboveTheThreshold) {
@@ -354,7 +559,7 @@ TEST(NetSummary, AColoredVertexTakesTheExactWalk) {
   detail::reset_summaries(view, colors.data(), s, 1);
   ThreadWorkspace ws;
   ws.prepare(static_cast<std::size_t>(view.color_bound(1)) + 2, 0,
-             s.words_per_net());
+             s.large_nets().size());
   for (vid_t w = 0; w < g.num_vertices(); w += 7) {
     PolicyState st;
     KernelCounters k;
@@ -646,7 +851,7 @@ void parallel_color_phase(const V& view, const NetSummaries& s,
   for (ThreadWorkspace& t : ws)
     t.prepare(static_cast<std::size_t>(bound) + 2,
               static_cast<std::size_t>(view.max_net_size()),
-              s.words_per_net());
+              s.large_nets().size());
   detail::reset_summaries(view, rebuild ? colors.data() : nullptr, s,
                           threads);
   KernelCounters counters;

@@ -25,7 +25,8 @@ With --report FILE also validates the run-report envelope:
                      object (rounds: array); metrics values are
                      non-negative integers.
   R3 fingerprint     graph.fingerprint (when present) matches
-                     fnv1a64w:<16 hex digits>.
+                     fnv64x8:<16 hex digits> (the chunked, 8-lane
+                     hash; the older fnv1a64w: tag is rejected).
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 unreadable or
 unparsable input / usage error.
@@ -46,7 +47,7 @@ ROUND_NAMES = {"bgpc.round", "d2gc.round", "d1gc.round"}
 COLOR_NAMES = {"bgpc.color", "d2gc.color", "d1gc.color"}
 CONFLICT_NAMES = {"bgpc.conflict", "d2gc.conflict", "d1gc.conflict"}
 
-FINGERPRINT_RE = re.compile(r"fnv1a64w:[0-9a-f]{16}")
+FINGERPRINT_RE = re.compile(r"fnv64x8:[0-9a-f]{16}")
 
 
 def load(path: str) -> dict:
@@ -178,7 +179,7 @@ def check_report(path: str, failures: list[str]) -> None:
     if fp is not None and not (isinstance(fp, str)
                                and FINGERPRINT_RE.fullmatch(fp)):
         failures.append(f"R3 fingerprint: {fp!r} does not match "
-                        "fnv1a64w:<16 hex digits>")
+                        "fnv64x8:<16 hex digits>")
 
 
 def main() -> int:
