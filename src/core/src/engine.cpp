@@ -119,10 +119,10 @@ ColoringResult speculative_color(const V& view, const ColoringOptions& options,
   const detail::NetSummaries summaries(view, bound);
   std::vector<ThreadWorkspace> workspaces(
       static_cast<std::size_t>(threads));
+  const auto queue_capacity = static_cast<std::size_t>(view.max_net_size());
   for (auto& ws : workspaces)
-    ws.prepare(static_cast<std::size_t>(bound) + 2,
-               static_cast<std::size_t>(view.max_net_size()),
-               summaries.large_nets().size());
+    ws.prepare(static_cast<std::size_t>(bound) + 2, queue_capacity,
+               summaries.max_large_per_vertex());
 
   ColoringResult result;
   // Raw buffer + static parallel fill: the same threads that will color
@@ -276,7 +276,7 @@ ColoringResult sequential_color(const V& view,
   const detail::NetSummaries summaries(view, bound);
   ThreadWorkspace ws;
   ws.prepare(static_cast<std::size_t>(bound) + 2, 0,
-             summaries.large_nets().size());
+             summaries.max_large_per_vertex());
 
   WallTimer total;
   if (summaries.enabled())

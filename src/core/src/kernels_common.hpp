@@ -299,20 +299,6 @@ struct ClashScan {
   return {false, n};
 }
 
-/// Scalar body of walked_word.
-[[gnu::always_inline]] inline std::uint64_t walked_word_scalar(
-    const MarkerSet& f, std::size_t k) {
-  const std::size_t base = k * 64;
-  if (base >= f.capacity()) return 0;
-  const std::size_t n = std::min<std::size_t>(64, f.capacity() - base);
-  const std::uint32_t* slots = f.slots() + base;
-  const std::uint32_t stamp = f.stamp();
-  std::uint64_t bits = 0;
-  for (std::size_t j = 0; j < n; ++j)
-    bits |= static_cast<std::uint64_t>(slots[j] == stamp) << j;
-  return bits;
-}
-
 #if GCOL_VECTOR_GATHER
 /// F's capacity in all 16 lanes, for an unsigned compare against
 /// colors. Colors are < 2^31, so the clamp keeps the compare exact.
@@ -378,22 +364,6 @@ inline __m512i capacity_lanes(const MarkerSet& f) {
   return tail;
 }
 
-/// AVX-512 body of walked_word: four 16-lane compares of F's stamps
-/// with its current stamp. A word that runs past F's capacity goes
-/// through the scalar body.
-[[gnu::always_inline]] inline std::uint64_t walked_word_vector(
-    const MarkerSet& f, std::size_t k) {
-  const std::size_t base = k * 64;
-  if (base + 64 > f.capacity()) return walked_word_scalar(f, k);
-  const __m512i stamp_v = _mm512_set1_epi32(static_cast<int>(f.stamp()));
-  const std::uint32_t* slots = f.slots() + base;
-  std::uint64_t bits = 0;
-  for (std::size_t q = 0; q < 4; ++q)
-    bits |= static_cast<std::uint64_t>(_mm512_cmpeq_epi32_mask(
-                _mm512_loadu_si512(slots + 16 * q), stamp_v))
-            << (16 * q);
-  return bits;
-}
 #endif
 
 /// Alg. 4's distance-2 gather over one list: insert into F the color of
@@ -426,11 +396,15 @@ inline __m512i capacity_lanes(const MarkerSet& f) {
 /// MarkerSet::contains.
 [[gnu::always_inline]] inline std::uint64_t walked_word(const MarkerSet& f,
                                                         std::size_t k) {
-#if GCOL_VECTOR_GATHER
-  return walked_word_vector(f, k);
-#else
-  return walked_word_scalar(f, k);
-#endif
+  const std::size_t base = k * 64;
+  if (base >= f.capacity()) return 0;
+  const std::size_t n = std::min<std::size_t>(64, f.capacity() - base);
+  const std::uint32_t* slots = f.slots() + base;
+  const std::uint32_t stamp = f.stamp();
+  std::uint64_t bits = 0;
+  for (std::size_t j = 0; j < n; ++j)
+    bits |= static_cast<std::uint64_t>(slots[j] == stamp) << j;
+  return bits;
 }
 
 /// The colors [64k, 64k + 64) in F (k < cap / 64): the OR of word k of

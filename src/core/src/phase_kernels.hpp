@@ -121,6 +121,12 @@ class NetSummaries {
   [[nodiscard]] const std::vector<vid_t>& large_nets() const {
     return large_;
   }
+  /// How many large nets one vertex can list (0 when disabled): the
+  /// view's most nets per vertex, with multiplicity, since nothing
+  /// keeps a vertex from listing one net twice.
+  [[nodiscard]] std::size_t max_large_per_vertex() const {
+    return max_large_per_vertex_;
+  }
 
   /// Whether a net with this many members, its center included, is
   /// large (never when the summaries are disabled).
@@ -163,6 +169,8 @@ class NetSummaries {
         large_.push_back(v);
     if (large_.empty()) return;
     words_per_net_ = words;
+    max_large_per_vertex_ =
+        static_cast<std::size_t>(view.max_nets_per_vertex());
     cap_ = static_cast<color_t>(words * 64);
     threshold_ = threshold;
     slot_.assign(static_cast<std::size_t>(nn), 0);
@@ -185,6 +193,7 @@ class NetSummaries {
   std::unique_ptr<std::uint64_t[]> words_;
   std::unique_ptr<Mark> mark_;
   std::size_t words_per_net_ = 0;
+  std::size_t max_large_per_vertex_ = 0;
   std::size_t threshold_ = std::numeric_limits<std::size_t>::max();
   color_t cap_ = 0;
 };
@@ -246,6 +255,8 @@ template <class V, BalancePolicy B>
     const auto vs = view.others(v);
     visited += V::kCenter + vs.size();
     if (summaries && s.is_large(vs.size() + V::kCenter)) {
+      GCOL_CONTRACT(nlarge < tws.summaries.size(),
+                    "w lists no more large nets than the workspace holds");
       large[nlarge++] = s.words(v);
       continue;
     }

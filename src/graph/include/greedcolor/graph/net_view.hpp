@@ -65,6 +65,10 @@ struct BipartiteView {
   }
   /// Largest net, center included (net kernels' local queue bound).
   [[nodiscard]] vid_t max_net_size() const { return g.max_net_degree(); }
+  /// Most nets one vertex lists, with multiplicity.
+  [[nodiscard]] vid_t max_nets_per_vertex() const {
+    return g.max_vertex_degree();
+  }
 
   /// 1 + the maximum distance-2 degree (with multiplicity): no kernel
   /// can assign a color id above it. A max fold over the vertices on
@@ -108,6 +112,7 @@ struct ClosedView {
     return g.neighbors(v);
   }
   [[nodiscard]] vid_t max_net_size() const { return g.max_degree() + 1; }
+  [[nodiscard]] vid_t max_nets_per_vertex() const { return g.max_degree(); }
 
   /// 2 + max_v Σ_{u ∈ nbor(v)} |nbor(u)| (multiplicity bound): no
   /// kernel can assign a color id above it. A max fold over the vertices

@@ -38,12 +38,10 @@ class Tracer;
 
 /// A stable content hash for "same graph" checks across runs, over the
 /// dimensions and one side of the CSR (`vptr`/`vadj`, or `ptr`/`adj`):
-/// a validated graph's other side is that side's transpose. The arrays
-/// are cut into chunks of a fixed 16,384 elements; each chunk runs
-/// eight independent xor-multiply chains (FNV-1a's prime, one element
-/// per step), and the chunk hashes are folded in order, so the value is
-/// the same at any team size ("fnv64x8:" prefix). The chunks are hashed
-/// on max_threads() threads. Not cryptographic.
+/// a validated graph's other side is that side's transpose. Each array
+/// runs eight independent xor-multiply chains (FNV-1a's prime, one
+/// element per step), so one thread hashes it at memory speed; the
+/// chains are folded in order ("fnv64x8:" prefix). Not cryptographic.
 [[nodiscard]] std::uint64_t fingerprint(const BipartiteGraph& g);
 [[nodiscard]] std::uint64_t fingerprint(const Graph& g);
 /// "fnv64x8:<16 hex digits>" as written into reports.

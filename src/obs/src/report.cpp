@@ -1,20 +1,16 @@
 #include "greedcolor/obs/report.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <functional>
 #include <ostream>
 #include <stdexcept>
 
-#include "greedcolor/analyze/contract.hpp"
 #include "greedcolor/core/result.hpp"
 #include "greedcolor/graph/bipartite.hpp"
 #include "greedcolor/graph/csr.hpp"
 #include "greedcolor/graph/graph_stats.hpp"
 #include "greedcolor/obs/metrics.hpp"
 #include "greedcolor/obs/trace.hpp"
-#include "greedcolor/util/parallel.hpp"
 
 namespace gcol::obs {
 
@@ -23,9 +19,6 @@ namespace {
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-/// Elements per chunk: a fixed constant, so the hash does not depend on
-/// the team size.
-constexpr std::size_t kChunk = std::size_t{1} << 14;
 constexpr std::size_t kLanes = 8;
 
 void fnv_u64(std::uint64_t& h, std::uint64_t v) {
@@ -45,11 +38,13 @@ std::uint64_t mix(std::uint64_t h) {
   return h;
 }
 
-/// One chunk: element i goes into lane i mod 8 by an xor-multiply step,
+/// One array: element i goes into lane i mod 8 by an xor-multiply step,
 /// so the eight chains are independent and run at memory speed; then
-/// the lanes are folded in order and mixed.
+/// the length and the lanes are folded in order and mixed.
 template <class T>
-std::uint64_t hash_chunk(const T* p, std::size_t n) {
+std::uint64_t hash_array(const std::vector<T>& vec) {
+  const T* const p = vec.data();
+  const std::size_t n = vec.size();
   std::uint64_t lane[kLanes];
   for (std::size_t l = 0; l < kLanes; ++l) lane[l] = kFnvOffset + l;
   std::size_t i = 0;
@@ -64,50 +59,12 @@ std::uint64_t hash_chunk(const T* p, std::size_t n) {
   return mix(h);
 }
 
-std::size_t chunks(std::size_t n) { return (n + kChunk - 1) / kChunk; }
-
-/// Chunk k of an array of n elements.
-template <class T>
-std::uint64_t hash_part(const T* p, std::size_t n, std::size_t k) {
-  const std::size_t at = k * kChunk;
-  return hash_chunk(p + at, std::min(kChunk, n - at));
-}
-
-/// The graph's dimensions, then its offsets and adjacency in chunks of
-/// kChunk elements, hashed on the team (max_threads()) and folded in
-/// order.
+/// The graph's dimensions, then its offsets and adjacency.
 std::uint64_t hash_csr(std::uint64_t dims_hash, const std::vector<eid_t>& ptr,
                        const std::vector<vid_t>& adj) {
-  const std::size_t np = chunks(ptr.size());
-  const auto total = static_cast<std::int64_t>(np + chunks(adj.size()));
-  std::vector<std::uint64_t> parts(static_cast<std::size_t>(total));
-  const eid_t* const p = ptr.data();
-  const vid_t* const a = adj.data();
-  const std::size_t pn = ptr.size();
-  const std::size_t an = adj.size();
-  // The count of chunks hashed; its get() calls are the fork and join
-  // edges ThreadSanitizer can see (util/parallel.hpp).
-  TeamFold<std::int64_t> hashed(0);
-#pragma omp parallel if (total > 1) num_threads(max_threads()) default(none) \
-    shared(parts, hashed) firstprivate(p, a, pn, an, np, total)
-  {
-    (void)hashed.get();
-    std::int64_t mine = 0;
-#pragma omp for schedule(static) nowait
-    for (std::int64_t k = 0; k < total; ++k) {
-      const auto i = static_cast<std::size_t>(k);
-      parts[static_cast<std::size_t>(k)] =
-          i < np ? hash_part(p, pn, i) : hash_part(a, an, i - np);
-      ++mine;
-    }
-    hashed.fold(mine, std::plus<>{});
-  }
-  [[maybe_unused]] const std::int64_t done = hashed.get();
-  GCOL_CONTRACT(done == total, "every chunk hashed once");
   std::uint64_t h = dims_hash;
-  fnv_u64(h, pn);
-  fnv_u64(h, an);
-  for (const std::uint64_t x : parts) fnv_u64(h, x);
+  fnv_u64(h, hash_array(ptr));
+  fnv_u64(h, hash_array(adj));
   return mix(h);
 }
 

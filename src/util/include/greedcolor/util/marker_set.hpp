@@ -111,11 +111,12 @@ struct alignas(64) ThreadWorkspace {
   std::vector<const std::uint64_t*> summaries;
 
   void prepare(std::size_t color_capacity, std::size_t queue_capacity,
-               std::size_t large_nets = 0) {
+               std::size_t large_per_vertex = 0) {
     forbidden.ensure_capacity(color_capacity);
     if (local_queue.capacity() < queue_capacity)
       local_queue.reserve(queue_capacity);
-    if (summaries.size() < large_nets) summaries.resize(large_nets);
+    if (summaries.size() < large_per_vertex)
+      summaries.resize(large_per_vertex);
   }
 };
 

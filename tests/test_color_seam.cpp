@@ -5,12 +5,9 @@
 // length from 0 to 70 (empty, shorter than one 16-lane block, whole
 // blocks, blocks plus a tail) holding uncolored neighbors, the vertex's
 // own id, repeated colors, and colors at or beyond the set's capacity.
-// The stamp compare of the word picks (walked_word) must give the same
-// 64-color word in both bodies, on whole and partial last words.
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -110,39 +107,6 @@ TEST(ColorSeam, ClashBodiesAgreeOnVerdictAndCount) {
   }
   EXPECT_GT(clashes, 0);
   EXPECT_GT(misses, 0);
-#endif
-}
-
-TEST(ColorSeam, WalkedWordBodiesAgree) {
-#if !GCOL_VECTOR_GATHER
-  GTEST_SKIP() << kNoVectorBody;
-#else
-  std::mt19937 rng(0x57A3);
-  std::uniform_int_distribution<int> pct(0, 99);
-  int partial = 0;
-  for (int trial = 0; trial < 200; ++trial) {
-    // Capacities on and off a multiple of 64, so the last word is whole
-    // or partial; words past the capacity read as empty.
-    const std::size_t capacity = 1 + static_cast<std::size_t>(pct(rng)) * 5;
-    MarkerSet f(capacity);
-    const int density = pct(rng);
-    for (std::size_t k = 0; k < capacity; ++k)
-      if (pct(rng) < density) f.insert(static_cast<std::int64_t>(k));
-    f.clear();  // the earlier stamps must read as absent
-    for (std::size_t k = 0; k < capacity; ++k)
-      if (pct(rng) < density) f.insert(static_cast<std::int64_t>(k));
-    for (std::size_t k = 0; k <= capacity / 64 + 1; ++k) {
-      const std::uint64_t scalar = walked_word_scalar(f, k);
-      ASSERT_EQ(scalar, walked_word_vector(f, k))
-          << "word " << k << ", capacity " << capacity;
-      for (std::size_t j = 0; j < 64; ++j)
-        ASSERT_EQ((scalar >> j) & 1,
-                  f.contains(static_cast<std::int64_t>(64 * k + j)) ? 1u : 0u)
-            << "color " << 64 * k + j << ", capacity " << capacity;
-      partial += (k + 1) * 64 > capacity && k * 64 < capacity ? 1 : 0;
-    }
-  }
-  EXPECT_GT(partial, 0);
 #endif
 }
 

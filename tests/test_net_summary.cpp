@@ -190,7 +190,7 @@ int expect_summaries_match_walk(const V& view, const std::vector<color_t>& pre,
   MarkerSet f(static_cast<std::size_t>(bound) + 2);
   ThreadWorkspace ws;
   ws.prepare(static_cast<std::size_t>(bound) + 2, 0,
-             s.large_nets().size());
+             s.max_large_per_vertex());
   PolicyState st_exact;
   PolicyState st_fast;
   KernelCounters k_exact;
@@ -559,7 +559,7 @@ TEST(NetSummary, AColoredVertexTakesTheExactWalk) {
   detail::reset_summaries(view, colors.data(), s, 1);
   ThreadWorkspace ws;
   ws.prepare(static_cast<std::size_t>(view.color_bound(1)) + 2, 0,
-             s.large_nets().size());
+             s.max_large_per_vertex());
   for (vid_t w = 0; w < g.num_vertices(); w += 7) {
     PolicyState st;
     KernelCounters k;
@@ -747,6 +747,64 @@ TEST(NetSummary, ParallelColoringsAreValid) {
   }
 }
 
+// Nothing keeps a vertex from listing one net twice (color_bound counts
+// with multiplicity), so the workspace must hold as many large-net
+// pointers as a vertex has nets, not as many as there are large nets.
+// Here the only large net is listed twice by its last member.
+TEST(NetSummary, AVertexListingALargeNetTwiceIsColored) {
+  constexpr vid_t kMembers = 64;
+  // BGPC: vertices 0..63 sit in net 0 once, vertex 64 twice.
+  std::vector<eid_t> vptr(kMembers + 2);
+  std::iota(vptr.begin(), vptr.end() - 1, eid_t{0});
+  vptr.back() = kMembers + 2;
+  const std::vector<vid_t> vadj(kMembers + 2, 0);
+  std::vector<vid_t> nadj(kMembers + 2);
+  std::iota(nadj.begin(), nadj.end() - 1, vid_t{0});
+  nadj.back() = kMembers;
+  const BipartiteGraph bg(kMembers + 1, 1, vptr, vadj,
+                          {0, static_cast<eid_t>(kMembers + 2)}, nadj);
+  ASSERT_EQ(bg.nets(kMembers).size(), 2u);
+  // D2GC: vertex 0 is adjacent to 1..64, vertex 65 lists vertex 0 twice.
+  std::vector<eid_t> ptr{0};
+  std::vector<vid_t> adj;
+  for (vid_t u = 1; u <= kMembers; ++u) adj.push_back(u);
+  adj.insert(adj.end(), {kMembers + 1, kMembers + 1});
+  ptr.push_back(static_cast<eid_t>(adj.size()));
+  for (vid_t u = 1; u <= kMembers + 1; ++u) {
+    adj.push_back(0);
+    if (u == kMembers + 1) adj.push_back(0);
+    ptr.push_back(static_cast<eid_t>(adj.size()));
+  }
+  const Graph ug(kMembers + 2, ptr, adj);
+  ASSERT_EQ(ug.neighbors(kMembers + 1).size(), 2u);
+  ASSERT_EQ(NetSummaries(BipartiteView{bg}, BipartiteView{bg}.color_bound(1))
+                .large_nets()
+                .size(),
+            1u);
+  // Every two vertices share a net (or sit within distance 2 of each
+  // other through vertex 0), so a proper coloring uses distinct colors.
+  // is_valid_* would read the repeated entry as a vertex clashing with
+  // itself.
+  const auto all_distinct = [](const std::vector<color_t>& colors) {
+    const std::set<color_t> seen(colors.begin(), colors.end());
+    return seen.size() == colors.size() && !seen.contains(kNoColor);
+  };
+  for (const int threads : {1, 2}) {
+    for (const BalancePolicy b : kBalances) {
+      ColoringOptions bopt = bgpc_preset("V-V");
+      ColoringOptions dopt = d2gc_preset("V-V-64D");
+      bopt.balance = dopt.balance = b;
+      bopt.num_threads = dopt.num_threads = threads;
+      EXPECT_TRUE(all_distinct(color_bgpc(bg, bopt).colors))
+          << balance_tag(b) << " t=" << threads;
+      EXPECT_TRUE(all_distinct(color_d2gc(ug, dopt).colors))
+          << balance_tag(b) << " t=" << threads;
+    }
+  }
+  EXPECT_TRUE(all_distinct(color_bgpc_sequential(bg).colors));
+  EXPECT_TRUE(all_distinct(color_d2gc_sequential(ug).colors));
+}
+
 /// A partial coloring dense in repeats: about a quarter of the vertices
 /// stay uncolored, an eighth take a color in [cap, 1.5·cap), and the rest
 /// a color below 48 or, one in eight, anywhere below the cap.
@@ -851,7 +909,7 @@ void parallel_color_phase(const V& view, const NetSummaries& s,
   for (ThreadWorkspace& t : ws)
     t.prepare(static_cast<std::size_t>(bound) + 2,
               static_cast<std::size_t>(view.max_net_size()),
-              s.large_nets().size());
+              s.max_large_per_vertex());
   detail::reset_summaries(view, rebuild ? colors.data() : nullptr, s,
                           threads);
   KernelCounters counters;

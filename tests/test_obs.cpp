@@ -19,7 +19,6 @@
 #include "greedcolor/obs/report.hpp"
 #include "greedcolor/obs/trace.hpp"
 #include "greedcolor/robust/verified.hpp"
-#include "greedcolor/util/parallel.hpp"
 
 namespace gcol::obs {
 namespace {
@@ -263,48 +262,28 @@ TEST(RunReport, FingerprintIsStableAndContentSensitive) {
   EXPECT_EQ(fp.rfind("fnv64x8:", 0), 0u) << fp;
   EXPECT_EQ(fp.find_first_not_of("0123456789abcdef", 8), std::string::npos)
       << fp;
-}
-
-// The arrays are hashed in fixed-size chunks on the team, so the value
-// must not depend on the team size. Both graphs span several chunks of
-// 16,384 elements, the last one partial.
-TEST(RunReport, FingerprintIsEqualAtEveryTeamSize) {
-  const BipartiteGraph b =
-      build_bipartite(gen_random_bipartite(3000, 2000, 70001, 7));
+  // One changed entry, in the tail past the last full group of eight
+  // lanes, changes the value.
   const Graph m = build_graph(gen_mesh2d(60, 60, 2));
-  ASSERT_GT(b.vadj().size(), 4u * 16384);
-  ASSERT_GT(m.adj().size(), 4u * 16384);
-  std::uint64_t want_b = 0;
-  std::uint64_t want_m = 0;
-  {
-    const ThreadCountScope one(1);
-    want_b = fingerprint(b);
-    want_m = fingerprint(m);
-  }
-  for (const int threads : {2, 4}) {
-    const ThreadCountScope scope(threads);
-    EXPECT_EQ(fingerprint(b), want_b) << threads << " threads";
-    EXPECT_EQ(fingerprint(m), want_m) << threads << " threads";
-  }
-  // One changed entry in the last, partial chunk changes the value.
   std::vector<vid_t> adj = m.adj();
+  ASSERT_NE(adj.size() % 8, 0u);
   adj.back() ^= 1;
   EXPECT_NE(fingerprint(Graph(m.num_vertices(), m.ptr(), std::move(adj))),
-            want_m);
+            fingerprint(m));
 }
 
 // Pinned values: any change to the hash (word order, seed, prime, the
-// chunk size, the arrays it covers) must show up here and be made on
+// lane count, the arrays it covers) must show up here and be made on
 // purpose.
 TEST(RunReport, FingerprintValuesArePinned) {
   // Vertex 0 in net 0, vertex 1 in nets 0 and 1.
   const BipartiteGraph b(2, 2, {0, 1, 3}, {0, 0, 1}, {0, 2, 3}, {0, 1, 1});
   ASSERT_TRUE(b.validate());
-  EXPECT_EQ(fingerprint_string(b), "fnv64x8:6bf0a8601056a121");
+  EXPECT_EQ(fingerprint_string(b), "fnv64x8:c22ff9ed1d12905f");
   // The path 0-1-2.
   const Graph p(3, {0, 1, 3, 4}, {1, 0, 2, 1});
   ASSERT_TRUE(p.validate());
-  EXPECT_EQ(fingerprint_string(p), "fnv64x8:e8e0b5300969d7c7");
+  EXPECT_EQ(fingerprint_string(p), "fnv64x8:b96ee6f8d695a3ff");
 }
 
 TEST(RunReport, EnvelopeCarriesSections) {

@@ -25,8 +25,8 @@ With --report FILE also validates the run-report envelope:
                      object (rounds: array); metrics values are
                      non-negative integers.
   R3 fingerprint     graph.fingerprint (when present) matches
-                     fnv64x8:<16 hex digits> (the chunked, 8-lane
-                     hash; the older fnv1a64w: tag is rejected).
+                     fnv64x8:<16 hex digits> (the 8-lane hash; the
+                     older fnv1a64w: tag is rejected).
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 unreadable or
 unparsable input / usage error.
