@@ -12,7 +12,6 @@
 #include <iostream>
 
 #include "greedcolor/analyze/audit.hpp"
-#include "greedcolor/analyze/structure.hpp"
 #include "greedcolor/check/explore.hpp"
 #include "greedcolor/check/trace.hpp"
 #include "greedcolor/core/bgpc.hpp"
@@ -118,8 +117,9 @@ static int run(int argc, char** argv) {
            "                       (open in Perfetto / about://tracing; "
            "bgpc, d2gc)\n"
            "  --report FILE        write a gcol-report-v1 JSON run report\n"
-           "  --analyze            structural input analysis; exit 2 if "
-           "the graph is broken\n"
+           "  --analyze            print the graph's signature and color "
+           "lower bound L\n"
+           "                       (a malformed graph never loads: exit 2)\n"
            "  --audit              attach the speculative-race auditor "
            "and print its report\n"
            "  --model-check [MODE] explore kernel schedules instead of "
@@ -237,16 +237,13 @@ static int run(int argc, char** argv) {
     if (have_fault_plan) rep.set_option("fault_plan", fault_plan.to_spec());
     return rep;
   };
-  // Structural input analysis (--analyze): report + typed rejection of
-  // broken graphs before any kernel runs on them.
-  const auto analyze_input = [&](const auto& graph) {
-    if (!args.has("analyze")) return;
-    const GraphAnalysis analysis = analyze_graph(graph);
-    std::cout << analysis.to_string() << "\n";
-    if (!analysis.ok())
-      throw Error(ErrorCode::kBadInput,
-                  "structural analysis found " +
-                      std::to_string(analysis.total_issues) + " issue(s)");
+  // Input analysis (--analyze): the graph's signature and the paper's
+  // lower bound L. A graph that loaded is well-formed: its constructor
+  // threw a typed error (exit 2) for anything else.
+  const auto analyze_input = [&](const auto& graph, vid_t lower_bound) {
+    if (args.has("analyze"))
+      std::cout << "structure        " << signature(graph)
+                << ", color lower bound L=" << lower_bound << "\n";
   };
   const auto print_audit = [&]() {
     if (want_audit)
@@ -309,7 +306,7 @@ static int run(int argc, char** argv) {
                                : build_bipartite(std::move(coo));
     if (args.get_string("side", "cols") == "rows")
       graph = transpose(graph);  // color matrix rows instead
-    analyze_input(graph);
+    analyze_input(graph, net_degree_stats(graph).max);
     std::cout << "instance         " << signature(graph) << "\n";
     if (args.has("stats-only")) {
       const DegreeStats nd = net_degree_stats(graph);
@@ -369,7 +366,7 @@ static int run(int argc, char** argv) {
   } else if (problem == "d2gc") {
     const Graph graph = build_graph(std::move(coo));
     std::cout << "instance         " << signature(graph) << "\n";
-    analyze_input(graph);
+    analyze_input(graph, degree_stats(graph).max + 1);
     const auto order = make_ordering(graph, order_kind);
     ColoringResult result;
     if (algo == "seq") {

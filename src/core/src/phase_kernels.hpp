@@ -122,8 +122,7 @@ class NetSummaries {
     return large_;
   }
   /// How many large nets one vertex can list (0 when disabled): the
-  /// view's most nets per vertex, with multiplicity, since nothing
-  /// keeps a vertex from listing one net twice.
+  /// view's most nets per vertex.
   [[nodiscard]] std::size_t max_large_per_vertex() const {
     return max_large_per_vertex_;
   }

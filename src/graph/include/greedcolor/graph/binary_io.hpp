@@ -2,17 +2,21 @@
 //
 // Parsing a multi-hundred-megabyte MatrixMarket file (uk-2002 is a
 // 4.6 GB .mtx) dominates end-to-end time for one-shot colorings; a
-// binary CSR dump loads orders of magnitude faster. Format: magic +
-// version + dimensions, then the raw CSR arrays, little-endian,
-// validated on load.
+// binary CSR dump loads orders of magnitude faster. Layout, all
+// little-endian: an 8-byte magic, the dimensions as int64, then each
+// array as a u64 length and its raw elements.
 //
-// Validation is one O(|E| + n) merge (Graph/BipartiteGraph::validate):
-// with both ptr arrays monotone from 0, the rows are swept in ascending
-// order and each edge (r, v) must be the next unused entry of opposite
-// list v, with every opposite list used up at the end. Ascending rows
-// and strictly ascending lists make that hold exactly when the opposite
-// side is the transpose, which is the same verdict as binary-searching
-// every edge in the other side in both directions, without the log d.
+//   bipartite, format v2 ("GCOLBP02"): |V_A|, |V_B|, vptr, vadj
+//   graph ("GCOLGR01"):                 n, ptr, adj
+//
+// A bipartite file holds the vertex side only: the net side is its
+// transpose, which the BipartiteGraph constructor derives on load. A
+// format v1 file ("GCOLBP01", both sides) is refused with
+// kCorruptHeader. Every array length is checked against its structural
+// cap and the bytes left in the stream before anything is allocated,
+// and so is the net count past 2^20 nets, since no array carries it;
+// the arrays then go to the graph constructor, whose structural gate
+// throws the typed error for a bad graph.
 #pragma once
 
 #include <iosfwd>
@@ -28,7 +32,8 @@ void write_binary(std::ostream& out, const Graph& g);
 void write_binary_file(const std::string& path, const BipartiteGraph& g);
 void write_binary_file(const std::string& path, const Graph& g);
 
-/// Throws std::runtime_error on bad magic/version/corruption.
+/// Throws gcol::Error on a bad magic or version, a truncated or corrupt
+/// stream, or a graph its constructor refuses.
 [[nodiscard]] BipartiteGraph read_binary_bipartite(std::istream& in);
 [[nodiscard]] Graph read_binary_graph(std::istream& in);
 [[nodiscard]] BipartiteGraph read_binary_bipartite_file(

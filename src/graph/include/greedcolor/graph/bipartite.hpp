@@ -4,7 +4,9 @@
 // *vertices* to color (matrix columns) and the V_B side the *nets*
 // (matrix rows). Both directions of the incidence are stored in CSR so
 // vertex-based kernels can walk nets(u) and net-based kernels vtxs(v)
-// without transposition at run time.
+// without transposition at run time. Only the vertex side is an input:
+// the constructor checks it and derives the net side as its transpose,
+// so every BipartiteGraph is well-formed and its two sides agree.
 #pragma once
 
 #include <span>
@@ -18,13 +20,16 @@ class BipartiteGraph {
  public:
   BipartiteGraph() = default;
 
-  /// Takes ownership of the two CSR halves. `vptr` has num_vertices+1
-  /// entries indexing `vadj` (net ids); `nptr` has num_nets+1 entries
-  /// indexing `nadj` (vertex ids). Both halves must describe the same
-  /// incidence relation.
-  BipartiteGraph(vid_t num_vertices, vid_t num_nets,
-                 std::vector<eid_t> vptr, std::vector<vid_t> vadj,
-                 std::vector<eid_t> nptr, std::vector<vid_t> nadj);
+  /// Takes ownership of the vertex side: `vptr` has num_vertices+1
+  /// entries, starts at 0, never decreases and ends at |vadj|, and each
+  /// list nets(u) is strictly ascending with ids in [0, num_nets). The
+  /// net side is derived as its transpose (a counting transpose on the
+  /// OpenMP team). Anything else throws gcol::Error naming the first bad
+  /// vertex and the fault: kOutOfRange for a net id out of range or a
+  /// negative dimension, kBadInput for a bad ptr, a repeat or disorder.
+  /// O(|E| + n).
+  BipartiteGraph(vid_t num_vertices, vid_t num_nets, std::vector<eid_t> vptr,
+                 std::vector<vid_t> vadj);
 
   /// |V_A| — the colored side (matrix columns).
   [[nodiscard]] vid_t num_vertices() const { return num_vertices_; }
@@ -60,11 +65,6 @@ class BipartiteGraph {
   [[nodiscard]] vid_t max_net_degree() const;
 
   [[nodiscard]] vid_t max_vertex_degree() const;
-
-  /// Consistency check between the two CSR halves (tests, loaders):
-  /// monotone ptrs, strictly ascending in-range lists, and the net side
-  /// exactly the transpose of the vertex side. O(|E| + n).
-  [[nodiscard]] bool validate() const;
 
   [[nodiscard]] const std::vector<eid_t>& vptr() const { return vptr_; }
   [[nodiscard]] const std::vector<vid_t>& vadj() const { return vadj_; }

@@ -33,7 +33,8 @@ namespace gcol {
 /// Swap the two sides: vertices become nets and vice versa. Coloring
 /// the transpose colors the matrix ROWS instead of the columns —
 /// ColPack's row-partial-coloring mode (used for Jacobians evaluated
-/// with reverse-mode/adjoint products).
+/// with reverse-mode/adjoint products). The net side of `g` becomes the
+/// vertex side of the result, whose constructor derives the other.
 [[nodiscard]] BipartiteGraph transpose(const BipartiteGraph& g);
 
 }  // namespace gcol

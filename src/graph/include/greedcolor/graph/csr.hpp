@@ -15,7 +15,13 @@ class Graph {
  public:
   Graph() = default;
 
-  /// Takes ownership of validated CSR arrays. `ptr` has n+1 entries.
+  /// Takes ownership of the CSR arrays and checks them: `ptr` has n+1
+  /// entries, starts at 0, never decreases and ends at |adj|, and every
+  /// list is strictly ascending with ids in [0, n), without the vertex
+  /// itself, and mirrored (u in adj(v) iff v in adj(u)). Anything else
+  /// throws gcol::Error naming the first bad vertex and the fault:
+  /// kOutOfRange for an id out of range or a negative n, kBadInput for
+  /// the rest. O(|E| + n), on the OpenMP team.
   Graph(vid_t n, std::vector<eid_t> ptr, std::vector<vid_t> adj);
 
   [[nodiscard]] vid_t num_vertices() const { return n_; }
@@ -39,11 +45,6 @@ class Graph {
 
   [[nodiscard]] const std::vector<eid_t>& ptr() const { return ptr_; }
   [[nodiscard]] const std::vector<vid_t>& adj() const { return adj_; }
-
-  /// Structural sanity check used by tests and the MatrixMarket loader:
-  /// monotone ptr, sorted adjacency, no self loops, symmetric, in-range
-  /// ids. O(|E| + n).
-  [[nodiscard]] bool validate() const;
 
  private:
   vid_t n_ = 0;

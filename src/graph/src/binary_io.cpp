@@ -1,5 +1,6 @@
 #include "greedcolor/graph/binary_io.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -11,7 +12,9 @@ namespace gcol {
 
 namespace {
 
-constexpr char kMagicBipartite[8] = {'G', 'C', 'O', 'L', 'B', 'P', '0', '1'};
+constexpr char kMagicBipartite[8] = {'G', 'C', 'O', 'L', 'B', 'P', '0', '2'};
+/// Format v1 stored both CSR sides; it is recognized only to be refused.
+constexpr char kMagicBipartiteV1[8] = {'G', 'C', 'O', 'L', 'B', 'P', '0', '1'};
 constexpr char kMagicGraph[8] = {'G', 'C', 'O', 'L', 'G', 'R', '0', '1'};
 
 [[noreturn]] void fail(ErrorCode code, const std::string& why) {
@@ -56,16 +59,19 @@ std::uint64_t remaining_bytes(std::istream& in) {
 /// Read a length-prefixed array. The declared length is validated both
 /// against the structural cap AND against the bytes actually left in
 /// the stream, so a corrupted header can never trigger a multi-GB
-/// allocation: we allocate only after proving the data could exist.
+/// allocation: we allocate only after proving the data could exist. A
+/// length that matches `expected`, which the data already read vouches
+/// for, makes a shortfall a truncated stream rather than a bad header.
 template <typename T>
-std::vector<T> read_vec(std::istream& in, std::uint64_t max_len) {
+std::vector<T> read_vec(std::istream& in, std::uint64_t max_len,
+                        std::uint64_t expected = kUnknownSize) {
   const auto n = read_pod<std::uint64_t>(in);
   if (n > max_len)
     fail(ErrorCode::kCorruptHeader,
          "implausible array length (corrupt header?)");
   const std::uint64_t avail = remaining_bytes(in);
   if (avail != kUnknownSize && n > avail / sizeof(T))
-    fail(ErrorCode::kCorruptHeader,
+    fail(n == expected ? ErrorCode::kTruncatedInput : ErrorCode::kCorruptHeader,
          "declared array length exceeds the bytes left in the stream");
   std::vector<T> v(static_cast<std::size_t>(n));
   in.read(reinterpret_cast<char*>(v.data()),
@@ -74,21 +80,21 @@ std::vector<T> read_vec(std::istream& in, std::uint64_t max_len) {
   return v;
 }
 
-/// Pre-check of one CSR half: the length and endpoint invariants the
-/// graph constructors would otherwise reject with an untyped exception.
-/// Monotonicity and everything else is validate()'s job.
-void check_csr_half(const std::vector<eid_t>& ptr, std::size_t expected_len,
-                    std::size_t adj_size) {
-  if (ptr.size() != expected_len)
-    fail(ErrorCode::kCorruptHeader, "ptr array length mismatch");
-  if (ptr.front() != 0 || ptr.back() != static_cast<eid_t>(adj_size))
-    fail(ErrorCode::kBadInput, "ptr endpoints inconsistent with adjacency");
+/// The adjacency length a ptr array ends at (kUnknownSize when empty).
+std::uint64_t edges_of(const std::vector<eid_t>& ptr) {
+  return ptr.empty() ? kUnknownSize : static_cast<std::uint64_t>(ptr.back());
 }
 
 void check_magic(std::istream& in, const char (&magic)[8]) {
   char got[8];
   in.read(got, 8);
   if (!in) fail(ErrorCode::kTruncatedInput, "stream shorter than the magic");
+  if (&magic == &kMagicBipartite &&
+      std::memcmp(got, kMagicBipartiteV1, 8) == 0)
+    fail(ErrorCode::kCorruptHeader,
+         "bipartite format v1 (GCOLBP01, both CSR sides) is no longer "
+         "read; regenerate the file as format v2 (GCOLBP02, vertex side "
+         "only)");
   if (std::memcmp(got, magic, 8) != 0)
     fail(ErrorCode::kCorruptHeader,
          "bad magic (not a greedcolor binary of the expected kind)");
@@ -102,8 +108,6 @@ void write_binary(std::ostream& out, const BipartiteGraph& g) {
   write_pod(out, static_cast<std::int64_t>(g.num_nets()));
   write_vec(out, g.vptr());
   write_vec(out, g.vadj());
-  write_vec(out, g.nptr());
-  write_vec(out, g.nadj());
   if (!out) fail(ErrorCode::kIoError, "write failed");
 }
 
@@ -121,20 +125,21 @@ BipartiteGraph read_binary_bipartite(std::istream& in) {
   const auto nn = read_pod<std::int64_t>(in);
   if (nv < 0 || nn < 0 || nv > kMaxVertices || nn > kMaxVertices)
     fail(ErrorCode::kOutOfRange, "bad dimensions");
+  // No array in the file has a length of |V_B|, yet the constructor
+  // derives a net side of 8 bytes a net (and 8 more of cursors). So past
+  // the first 2^20 nets a file must hold at least one byte per net it
+  // declares, which keeps that side within a small multiple of the file.
+  constexpr std::uint64_t kNetsWithoutBytes = 1ULL << 20;
+  const std::uint64_t avail = remaining_bytes(in);
+  if (avail != kUnknownSize &&
+      static_cast<std::uint64_t>(nn) > std::max(avail, kNetsWithoutBytes))
+    fail(ErrorCode::kCorruptHeader,
+         "declared net count exceeds the bytes left in the stream");
   constexpr std::uint64_t kMaxEdges = 1ULL << 40;
   auto vptr = read_vec<eid_t>(in, static_cast<std::uint64_t>(nv) + 1);
-  auto vadj = read_vec<vid_t>(in, kMaxEdges);
-  auto nptr = read_vec<eid_t>(in, static_cast<std::uint64_t>(nn) + 1);
-  auto nadj = read_vec<vid_t>(in, kMaxEdges);
-  check_csr_half(vptr, static_cast<std::size_t>(nv) + 1, vadj.size());
-  check_csr_half(nptr, static_cast<std::size_t>(nn) + 1, nadj.size());
-  if (vadj.size() != nadj.size())
-    fail(ErrorCode::kBadInput, "halves disagree on |E|");
-  BipartiteGraph g(static_cast<vid_t>(nv), static_cast<vid_t>(nn),
-                   std::move(vptr), std::move(vadj), std::move(nptr),
-                   std::move(nadj));
-  if (!g.validate()) fail(ErrorCode::kBadInput, "structural validation failed");
-  return g;
+  auto vadj = read_vec<vid_t>(in, kMaxEdges, edges_of(vptr));
+  return {static_cast<vid_t>(nv), static_cast<vid_t>(nn), std::move(vptr),
+          std::move(vadj)};
 }
 
 Graph read_binary_graph(std::istream& in) {
@@ -144,11 +149,8 @@ Graph read_binary_graph(std::istream& in) {
     fail(ErrorCode::kOutOfRange, "bad dimensions");
   constexpr std::uint64_t kMaxEdges = 1ULL << 40;
   auto ptr = read_vec<eid_t>(in, static_cast<std::uint64_t>(nv) + 1);
-  auto adj = read_vec<vid_t>(in, kMaxEdges);
-  check_csr_half(ptr, static_cast<std::size_t>(nv) + 1, adj.size());
-  Graph g(static_cast<vid_t>(nv), std::move(ptr), std::move(adj));
-  if (!g.validate()) fail(ErrorCode::kBadInput, "structural validation failed");
-  return g;
+  auto adj = read_vec<vid_t>(in, kMaxEdges, edges_of(ptr));
+  return {static_cast<vid_t>(nv), std::move(ptr), std::move(adj)};
 }
 
 std::string binary_kind(std::istream& in) {

@@ -3,44 +3,17 @@
 #include <stdexcept>
 #include <utility>
 
-#include "greedcolor/analyze/contract.hpp"
-#include "greedcolor/analyze/structure.hpp"
 #include "csr_build.hpp"
 
 namespace gcol {
 
-namespace {
-
-/// Checked-build ingest gate: every graph leaving the builder must pass
-/// the structural analyzer (the kernels assume its findings hold and
-/// never re-check them on the hot path). Compiles away entirely in
-/// release builds.
-template <class G>
-void contract_check_structure(const G& g) {
-  if constexpr (contract::kContractsEnabled) {
-    const GraphAnalysis analysis = analyze_graph(g, 1);
-    GCOL_CONTRACT(analysis.ok(),
-                  analysis.ok()
-                      ? ""
-                      : analysis.issues.front().to_string().c_str());
-  } else {
-    (void)g;
-  }
-}
-
-}  // namespace
-
 BipartiteGraph build_bipartite(Coo coo) {
   detail::check_coo(coo, "build_bipartite");
-  // Net side: rows -> sorted, distinct cols. Vertex side: its transpose,
-  // which comes out sorted and distinct too.
-  detail::CsrLists nets = detail::sorted_rows(coo);
-  detail::CsrLists vtxs = detail::transpose(nets, coo.num_cols);
-  BipartiteGraph g(coo.num_cols, coo.num_rows, std::move(vtxs.ptr),
-                   std::move(vtxs.adj), std::move(nets.ptr),
-                   std::move(nets.adj));
-  contract_check_structure(g);
-  return g;
+  // Vertex side: cols -> sorted, distinct rows. The constructor derives
+  // the net side.
+  detail::CsrLists vtxs = detail::sorted_cols(coo);
+  return BipartiteGraph(coo.num_cols, coo.num_rows, std::move(vtxs.ptr),
+                        std::move(vtxs.adj));
 }
 
 Graph build_graph(Coo coo) {
@@ -62,9 +35,7 @@ Graph build_graph(Coo coo) {
       });
   detail::CsrLists adj = detail::transpose(both, coo.num_rows);
   detail::dedup_sorted(adj);
-  Graph g(coo.num_rows, std::move(adj.ptr), std::move(adj.adj));
-  contract_check_structure(g);
-  return g;
+  return Graph(coo.num_rows, std::move(adj.ptr), std::move(adj.adj));
 }
 
 Graph bipartite_to_graph(const BipartiteGraph& bg) {
@@ -81,8 +52,7 @@ Graph bipartite_to_graph(const BipartiteGraph& bg) {
 }
 
 BipartiteGraph transpose(const BipartiteGraph& g) {
-  return BipartiteGraph(g.num_nets(), g.num_vertices(), g.nptr(), g.nadj(),
-                        g.vptr(), g.vadj());
+  return BipartiteGraph(g.num_nets(), g.num_vertices(), g.nptr(), g.nadj());
 }
 
 BipartiteGraph graph_to_bipartite_closed(const Graph& g) {

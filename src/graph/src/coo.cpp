@@ -52,9 +52,9 @@ void Coo::sort_and_dedup() {
 bool Coo::is_structurally_symmetric() const {
   if (num_rows != num_cols) return false;
   detail::check_coo(*this, "Coo::is_structurally_symmetric");
-  const detail::CsrLists lists = detail::sorted_rows(*this);
-  return detail::is_strict_transpose(lists.ptr, lists.adj, lists.ptr,
-                                     lists.adj, false);
+  const detail::CsrLists lists = detail::sorted_cols(*this);
+  return detail::first_asymmetric_row(lists.ptr, lists.adj, false) ==
+         static_cast<std::size_t>(num_rows);
 }
 
 void Coo::symmetrize() {

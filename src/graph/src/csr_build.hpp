@@ -83,17 +83,18 @@ inline void dedup_sorted(CsrLists& lists) {
   lists.adj.shrink_to_fit();
 }
 
-/// The rows of `coo` as sorted lists of distinct columns: bucket the rows
-/// by column, then transpose, so each row's columns come out ascending.
-inline CsrLists sorted_rows(const Coo& coo) {
-  const CsrLists by_col =
-      bucket(coo.num_cols, coo.nnz(), [&](const auto& visit) {
+/// The columns of `coo` as sorted lists of distinct rows: bucket the
+/// columns by row, then transpose, so each column's rows come out
+/// ascending.
+inline CsrLists sorted_cols(const Coo& coo) {
+  const CsrLists by_row =
+      bucket(coo.num_rows, coo.nnz(), [&](const auto& visit) {
         for (std::size_t i = 0; i < coo.rows.size(); ++i)
-          visit(coo.cols[i], coo.rows[i]);
+          visit(coo.rows[i], coo.cols[i]);
       });
-  CsrLists rows = transpose(by_col, coo.num_rows);
-  dedup_sorted(rows);
-  return rows;
+  CsrLists cols = transpose(by_row, coo.num_cols);
+  dedup_sorted(cols);
+  return cols;
 }
 
 /// The input gate in front of every counting sort over a COO: dimensions

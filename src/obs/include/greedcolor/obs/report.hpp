@@ -38,7 +38,7 @@ class Tracer;
 
 /// A stable content hash for "same graph" checks across runs, over the
 /// dimensions and one side of the CSR (`vptr`/`vadj`, or `ptr`/`adj`):
-/// a validated graph's other side is that side's transpose. Each array
+/// a graph's other side is that side's transpose. Each array
 /// runs eight independent xor-multiply chains (FNV-1a's prime, one
 /// element per step), so one thread hashes it at memory speed; the
 /// chains are folded in order ("fnv64x8:" prefix). Not cryptographic.

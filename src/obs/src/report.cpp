@@ -98,8 +98,8 @@ Json kernel_object(const KernelCounters& c) {
 
 }  // namespace
 
-// A graph that passed validate() is determined by its dimensions and
-// one side of its CSR: the other side is that side's strict transpose.
+// A graph is determined by its dimensions and its vertex side: the
+// constructor derives the net side as that side's transpose.
 std::uint64_t fingerprint(const BipartiteGraph& g) {
   std::uint64_t h = kFnvOffset;
   fnv_u64(h, static_cast<std::uint64_t>(g.num_vertices()));

@@ -1,5 +1,5 @@
-// Single-edit corruptions of one CSR half (a ptr array and its
-// adjacency), for differential tests of the validate() members.
+// Single-edit corruptions of one CSR side (a ptr array and its
+// adjacency), for differential tests of the graph constructors' gate.
 #pragma once
 
 #include <algorithm>
@@ -43,9 +43,8 @@ inline const char* to_string(CsrMutation m) {
 
 /// Apply `m` to the half (ptr, adj), whose ids range over [0, universe),
 /// at the first row from `start` (wrapping around) that admits it. The
-/// edit keeps ptr monotone and, except for kSelfLoop, |adj| unchanged,
-/// so the graph still constructs. Returns false when no row admits the
-/// edit.
+/// edit keeps ptr monotone and, except for kSelfLoop, |adj| unchanged.
+/// Returns false when no row admits the edit.
 inline bool mutate_from(CsrMutation m, std::vector<eid_t>& ptr,
                         std::vector<vid_t>& adj, vid_t universe,
                         std::size_t start, Xoshiro256& rng) {

@@ -1,117 +1,123 @@
-// Structural analyzer + contract layer tests: analyze_graph() must
-// accept everything the generators produce, pinpoint each class of
-// hand-made CSR corruption by kind, and agree with the boolean
-// validate() members on the corrupted-input corpus. The contract macros
-// must throw typed errors in checked builds and vanish in release.
+// The graph constructors' structural gate, read as the analyzer it
+// replaced, and the contract layer. The gate must accept everything the
+// generators produce, refuse each class of hand-made CSR corruption with
+// a typed error that names the first bad vertex and the fault in the
+// analyzer's vocabulary (bad-pointer-array, index-out-of-range,
+// unsorted-adjacency, duplicate-adjacency, self-loop,
+// asymmetric-adjacency), and agree with the sequential oracle
+// (validate_oracle.hpp) on the corrupted-input corpus. The contract
+// macros must throw typed errors in checked builds and vanish in release.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
 
 #include "greedcolor/analyze/contract.hpp"
-#include "greedcolor/analyze/structure.hpp"
 #include "greedcolor/graph/builder.hpp"
 #include "greedcolor/graph/generators.hpp"
+#include "greedcolor/graph/graph_stats.hpp"
 #include "greedcolor/graph/mtx_io.hpp"
 #include "greedcolor/robust/error.hpp"
 #include "greedcolor/robust/fault.hpp"
+#include "greedcolor/util/parallel.hpp"
 #include "greedcolor/util/prng.hpp"
+#include "validate_oracle.hpp"
 
 namespace gcol {
 namespace {
 
-bool has_kind(const GraphAnalysis& a, StructuralIssueKind kind) {
-  return std::any_of(a.issues.begin(), a.issues.end(),
-                     [kind](const StructuralIssue& i) {
-                       return i.kind == kind;
-                     });
+/// The message the constructor call `make` throws, after checking that
+/// the error is a typed input error with `code`; "accepted" if none.
+template <class Make>
+std::string refusal(const Make& make, ErrorCode code = ErrorCode::kBadInput) {
+  try {
+    (void)make();
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), code) << e.what();
+    EXPECT_TRUE(e.is_input_error()) << e.what();
+    return e.what();
+  }
+  return "accepted";
+}
+
+bool names(const std::string& what, const std::string& fault) {
+  return what.find(fault) != std::string::npos;
 }
 
 // A tiny well-formed bipartite instance: vertex 0 in net {0},
 // vertex 1 in nets {0,1}, vertex 2 in net {1}.
 BipartiteGraph tiny_bipartite() {
-  return BipartiteGraph(3, 2, {0, 1, 3, 4}, {0, 0, 1, 1}, {0, 2, 4},
-                        {0, 1, 1, 2});
+  return BipartiteGraph(3, 2, {0, 1, 3, 4}, {0, 0, 1, 1});
 }
 
 TEST(AnalyzeBipartite, CleanGraphHasNoIssuesAndCorrectFacts) {
   const BipartiteGraph g = tiny_bipartite();
-  const GraphAnalysis a = analyze_graph(g);
-  EXPECT_TRUE(a.ok()) << a.to_string();
-  EXPECT_EQ(a.num_vertices, 3);
-  EXPECT_EQ(a.num_nets, 2);
-  EXPECT_EQ(a.num_edges, 4);
-  EXPECT_EQ(a.max_vertex_degree, 2);
-  EXPECT_EQ(a.max_net_degree, 2);
-  EXPECT_EQ(a.color_lower_bound, 2);  // L = max net degree
+  EXPECT_EQ(g.num_vertices(), 3);
+  EXPECT_EQ(g.num_nets(), 2);
+  EXPECT_EQ(g.num_edges(), 4);
+  EXPECT_EQ(g.max_vertex_degree(), 2);
+  EXPECT_EQ(g.max_net_degree(), 2);
+  EXPECT_EQ(net_degree_stats(g).max, 2);  // L = max net degree
+  EXPECT_TRUE(names(signature(g), "Lmax=2")) << signature(g);
 }
 
 TEST(AnalyzeBipartite, GeneratedGraphsAreClean) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const BipartiteGraph g =
         build_bipartite(gen_random_bipartite(60, 80, 300, seed));
-    const GraphAnalysis a = analyze_graph(g);
-    EXPECT_TRUE(a.ok()) << "seed " << seed << ": " << a.to_string();
-    EXPECT_EQ(a.color_lower_bound, g.max_net_degree());
+    EXPECT_EQ(testing::oracle_bipartite_verdict(g.num_vertices(), g.num_nets(),
+                                                g.vptr(), g.vadj()),
+              "ok")
+        << "seed " << seed;
+    EXPECT_TRUE(testing::oracle_is_strict_transpose(g.vptr(), g.vadj(),
+                                                    g.nptr(), g.nadj()))
+        << "seed " << seed;
+    EXPECT_EQ(net_degree_stats(g).max, g.max_net_degree());
   }
 }
 
 TEST(AnalyzeBipartite, UnsortedAdjacencyFlagged) {
-  const BipartiteGraph g(3, 2, {0, 1, 3, 4}, {0, 1, 0, 1}, {0, 2, 4},
-                         {0, 1, 1, 2});
-  const GraphAnalysis a = analyze_graph(g);
-  EXPECT_FALSE(a.ok());
-  EXPECT_TRUE(has_kind(a, StructuralIssueKind::kUnsortedAdjacency))
-      << a.to_string();
+  const std::string what =
+      refusal([] { return BipartiteGraph(3, 2, {0, 1, 3, 4}, {0, 1, 0, 1}); });
+  EXPECT_TRUE(
+      names(what, "[unsorted-adjacency] at vertex 1: lists net 0 after 1"))
+      << what;
 }
 
 TEST(AnalyzeBipartite, OutOfRangeIndexFlagged) {
-  const BipartiteGraph g(3, 2, {0, 1, 3, 4}, {0, 0, 5, 1}, {0, 2, 4},
-                         {0, 1, 1, 2});
-  const GraphAnalysis a = analyze_graph(g);
-  EXPECT_FALSE(a.ok());
-  EXPECT_TRUE(has_kind(a, StructuralIssueKind::kIndexOutOfRange))
-      << a.to_string();
+  const std::string what = refusal(
+      [] { return BipartiteGraph(3, 2, {0, 1, 3, 4}, {0, 0, 5, 1}); },
+      ErrorCode::kOutOfRange);
+  EXPECT_TRUE(names(what, "[index-out-of-range] at vertex 1: net id 5 "
+                          "outside [0, 2)"))
+      << what;
 }
 
 TEST(AnalyzeBipartite, DuplicateAdjacencyFlagged) {
-  const BipartiteGraph g(3, 2, {0, 1, 3, 4}, {0, 0, 0, 1}, {0, 2, 4},
-                         {0, 1, 1, 2});
-  const GraphAnalysis a = analyze_graph(g);
-  EXPECT_FALSE(a.ok());
-  EXPECT_TRUE(has_kind(a, StructuralIssueKind::kDuplicateAdjacency))
-      << a.to_string();
-}
-
-TEST(AnalyzeBipartite, TransposeMismatchFlagged) {
-  // Both halves are individually sorted and in range, but vertex 2
-  // claims net 0 while net 0 does not list vertex 2.
-  const BipartiteGraph g(3, 2, {0, 1, 3, 4}, {0, 0, 1, 0}, {0, 2, 4},
-                         {0, 1, 1, 2});
-  const GraphAnalysis a = analyze_graph(g);
-  EXPECT_FALSE(a.ok());
-  EXPECT_TRUE(has_kind(a, StructuralIssueKind::kTransposeMismatch))
-      << a.to_string();
+  const std::string what =
+      refusal([] { return BipartiteGraph(3, 2, {0, 1, 3, 4}, {0, 0, 0, 1}); });
+  EXPECT_TRUE(
+      names(what, "[duplicate-adjacency] at vertex 1: lists net 0 twice"))
+      << what;
 }
 
 TEST(AnalyzeBipartite, NonMonotonePointerArrayFlagged) {
-  const BipartiteGraph g(3, 2, {0, 3, 1, 4}, {0, 0, 1, 1}, {0, 2, 4},
-                         {0, 1, 1, 2});
-  const GraphAnalysis a = analyze_graph(g);
-  EXPECT_FALSE(a.ok());
-  EXPECT_TRUE(has_kind(a, StructuralIssueKind::kBadPointerArray))
-      << a.to_string();
+  const std::string what =
+      refusal([] { return BipartiteGraph(3, 2, {0, 3, 1, 4}, {0, 0, 1, 1}); });
+  EXPECT_TRUE(names(what, "[bad-pointer-array] at vertex 1: vptr decreases"))
+      << what;
 }
 
-TEST(AnalyzeBipartite, IssueCapKeepsCounting) {
-  // Every vertex adjacency entry out of range: far more issues than the
-  // cap materializes, but total_issues sees them all.
-  const BipartiteGraph g(3, 2, {0, 1, 3, 4}, {9, 9, 9, 9}, {0, 2, 4},
-                         {0, 1, 1, 2});
-  const GraphAnalysis a = analyze_graph(g, 2);
-  EXPECT_FALSE(a.ok());
-  EXPECT_LE(a.issues.size(), 2u);
-  EXPECT_GT(a.total_issues, a.issues.size());
+TEST(AnalyzeBipartite, FirstBadVertexIsNamed) {
+  // Every entry is out of range: the first vertex is the one named, at
+  // every team size.
+  for (const int t : {1, 2, 4}) {
+    const ThreadCountScope team(t);
+    const std::string what = refusal(
+        [] { return BipartiteGraph(3, 2, {0, 1, 3, 4}, {9, 9, 9, 9}); },
+        ErrorCode::kOutOfRange);
+    EXPECT_TRUE(names(what, "at vertex 0:")) << what;
+  }
 }
 
 TEST(AnalyzeUnipartite, CleanGraphHasNoIssues) {
@@ -119,40 +125,33 @@ TEST(AnalyzeUnipartite, CleanGraphHasNoIssues) {
     Coo coo = gen_random_bipartite(80, 80, 400, seed);
     coo.symmetrize();
     const Graph g = build_graph(coo);
-    const GraphAnalysis a = analyze_graph(g);
-    EXPECT_TRUE(a.ok()) << "seed " << seed << ": " << a.to_string();
-    EXPECT_EQ(a.num_vertices, g.num_vertices());
-    EXPECT_EQ(a.color_lower_bound, g.max_degree() + 1);
+    EXPECT_EQ(testing::oracle_graph_verdict(g.num_vertices(), g.ptr(), g.adj()),
+              "ok")
+        << "seed " << seed;
+    EXPECT_EQ(degree_stats(g).max + 1, g.max_degree() + 1);  // L
   }
 }
 
 TEST(AnalyzeUnipartite, SelfLoopFlagged) {
-  const Graph g(2, {0, 2, 3}, {0, 1, 0});
-  const GraphAnalysis a = analyze_graph(g);
-  EXPECT_FALSE(a.ok());
-  EXPECT_TRUE(has_kind(a, StructuralIssueKind::kSelfLoop)) << a.to_string();
+  const std::string what =
+      refusal([] { return Graph(2, {0, 2, 3}, {0, 1, 0}); });
+  EXPECT_TRUE(names(what, "[self-loop] at vertex 0")) << what;
 }
 
 TEST(AnalyzeUnipartite, AsymmetricAdjacencyFlagged) {
-  const Graph g(3, {0, 1, 1, 1}, {1});
-  const GraphAnalysis a = analyze_graph(g);
-  EXPECT_FALSE(a.ok());
-  EXPECT_TRUE(has_kind(a, StructuralIssueKind::kAsymmetricAdjacency))
-      << a.to_string();
+  const std::string what = refusal([] { return Graph(3, {0, 1, 1, 1}, {1}); });
+  EXPECT_TRUE(names(what, "[asymmetric-adjacency] at vertex 0")) << what;
 }
 
 TEST(AnalyzeUnipartite, NonMonotonePointerArrayFlagged) {
-  const Graph g(2, {0, 2, 1}, {1});
-  const GraphAnalysis a = analyze_graph(g);
-  EXPECT_FALSE(a.ok());
-  EXPECT_TRUE(has_kind(a, StructuralIssueKind::kBadPointerArray))
-      << a.to_string();
+  const std::string what = refusal([] { return Graph(2, {0, 2, 1}, {1}); });
+  EXPECT_TRUE(names(what, "[bad-pointer-array] at vertex 1: ptr decreases"))
+      << what;
 }
 
 // The corrupted-input corpus from the fuzz suite: whatever survives the
-// parser must get the same verdict from analyze_graph() as from the
-// boolean validate() — the analyzer is a diagnosing superset, not a
-// different oracle.
+// parser either builds a graph whose vertex side the oracle accepts and
+// whose net side is its transpose, or is refused with a typed error.
 TEST(AnalyzeCorpus, AgreesWithValidateOnCorruptedInputs) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     const Coo coo = gen_random_bipartite(
@@ -169,12 +168,16 @@ TEST(AnalyzeCorpus, AgreesWithValidateOnCorruptedInputs) {
       std::istringstream in(plan.corrupt_bytes(good, variant));
       try {
         const BipartiteGraph g = build_bipartite(read_matrix_market(in));
-        const GraphAnalysis a = analyze_graph(g);
-        EXPECT_EQ(a.ok(), g.validate())
-            << "seed " << seed << " variant " << variant << ": "
-            << a.to_string();
-      } catch (const Error&) {
+        EXPECT_EQ(testing::oracle_bipartite_verdict(
+                      g.num_vertices(), g.num_nets(), g.vptr(), g.vadj()),
+                  "ok")
+            << "seed " << seed << " variant " << variant;
+        EXPECT_TRUE(testing::oracle_is_strict_transpose(g.vptr(), g.vadj(),
+                                                        g.nptr(), g.nadj()))
+            << "seed " << seed << " variant " << variant;
+      } catch (const Error& e) {
         // Typed rejection at parse/build is the other allowed outcome.
+        EXPECT_TRUE(e.is_input_error()) << e.what();
       }
     }
   }
@@ -209,14 +212,17 @@ TEST(Contract, MacroMatchesBuildMode) {
 }
 
 TEST(Contract, CheckedIngestAcceptsWellFormedGraphs) {
-  // In checked builds build_bipartite/build_graph run analyze_graph as a
-  // contract; a clean instance must pass through unchanged in any build.
+  // The constructors' gate runs in every build; a clean instance must
+  // pass through it unchanged.
   const BipartiteGraph g =
       build_bipartite(gen_random_bipartite(50, 50, 200, 0xA11CE));
-  EXPECT_TRUE(g.validate());
+  EXPECT_TRUE(testing::oracle_is_strict_transpose(g.vptr(), g.vadj(),
+                                                  g.nptr(), g.nadj()));
   Coo coo = gen_random_bipartite(40, 40, 160, 0xB0B);
   coo.symmetrize();
-  EXPECT_TRUE(build_graph(coo).validate());
+  const Graph h = build_graph(coo);
+  EXPECT_EQ(testing::oracle_graph_verdict(h.num_vertices(), h.ptr(), h.adj()),
+            "ok");
 }
 
 }  // namespace

@@ -10,10 +10,11 @@
 #include <string>
 
 #include "csr_mutation.hpp"
-#include "greedcolor/analyze/structure.hpp"
 #include "greedcolor/graph/builder.hpp"
 #include "greedcolor/graph/generators.hpp"
+#include "greedcolor/robust/error.hpp"
 #include "test_util.hpp"
+#include "validate_oracle.hpp"
 
 namespace gcol {
 namespace {
@@ -30,7 +31,8 @@ TEST(BipartiteGraph, BuildFromRectangularCoo) {
   EXPECT_EQ(g.num_vertices(), 3);
   EXPECT_EQ(g.num_nets(), 2);
   EXPECT_EQ(g.num_edges(), 4);
-  EXPECT_TRUE(g.validate());
+  EXPECT_TRUE(testing::oracle_is_strict_transpose(g.vptr(), g.vadj(),
+                                                  g.nptr(), g.nadj()));
 }
 
 TEST(BipartiteGraph, AdjacencyIsConsistentBothSides) {
@@ -50,7 +52,8 @@ TEST(BipartiteGraph, AdjacencyIsConsistentBothSides) {
   const auto n1 = g.nets(1);
   EXPECT_EQ(std::vector<vid_t>(n1.begin(), n1.end()),
             (std::vector<vid_t>{0, 2}));
-  EXPECT_TRUE(g.validate());
+  EXPECT_TRUE(testing::oracle_is_strict_transpose(g.vptr(), g.vadj(),
+                                                  g.nptr(), g.nadj()));
 }
 
 TEST(BipartiteGraph, Degrees) {
@@ -82,7 +85,8 @@ TEST(BipartiteGraph, EmptyNetsAndVerticesAllowed) {
   const BipartiteGraph g = build_bipartite(std::move(coo));
   EXPECT_EQ(g.net_degree(0), 0);
   EXPECT_EQ(g.vertex_degree(2), 0);
-  EXPECT_TRUE(g.validate());
+  EXPECT_TRUE(testing::oracle_is_strict_transpose(g.vptr(), g.vadj(),
+                                                  g.nptr(), g.nadj()));
 }
 
 TEST(BipartiteGraph, BuildRejectsMalformedCoo) {
@@ -104,9 +108,47 @@ TEST(BipartiteGraph, BuildRejectsMalformedCoo) {
 }
 
 TEST(BipartiteGraph, CtorRejectsInconsistentHalves) {
-  // vptr claims 1 edge, nptr claims 2.
-  EXPECT_THROW(BipartiteGraph(1, 1, {0, 1}, {0}, {0, 2}, {0, 0}),
-               std::invalid_argument);
+  // The two halves of the one CSR side disagree: vptr ends at 1, vadj
+  // holds 2 entries; vptr has 2 entries for 2 vertices.
+  using testing::gate_verdict;
+  EXPECT_EQ(gate_verdict([] { return BipartiteGraph(1, 1, {0, 1}, {0, 0}); }),
+            "bad-input no row");
+  EXPECT_EQ(gate_verdict([] { return BipartiteGraph(2, 1, {0, 1}, {0}); }),
+            "bad-input no row");
+  EXPECT_EQ(gate_verdict([] { return BipartiteGraph(-1, 1, {0}, {}); }),
+            "out-of-range no row");
+  EXPECT_EQ(gate_verdict([] { return BipartiteGraph(1, -1, {0, 0}, {}); }),
+            "out-of-range no row");
+}
+
+TEST(BipartiteGraph, NetSideIsDerived) {
+  // Vertex 0 in net {0}, vertex 1 in nets {0, 1}, vertex 2 in net {1}.
+  const BipartiteGraph g(3, 2, {0, 1, 3, 4}, {0, 0, 1, 1});
+  EXPECT_EQ(g.nptr(), (std::vector<eid_t>{0, 2, 4}));
+  EXPECT_EQ(g.nadj(), (std::vector<vid_t>{0, 1, 1, 2}));
+  // No vertex, no net, no edge: each side is one empty ptr entry deep.
+  const BipartiteGraph none(0, 0, {0}, {});
+  EXPECT_EQ(none.nptr(), (std::vector<eid_t>{0}));
+  const BipartiteGraph no_nets(3, 0, {0, 0, 0, 0}, {});
+  EXPECT_EQ(no_nets.max_net_degree(), 0);
+  const BipartiteGraph no_vertices(0, 3, {0}, {});
+  EXPECT_EQ(no_vertices.nptr(), (std::vector<eid_t>{0, 0, 0, 0}));
+  EXPECT_EQ(no_vertices.nadj(), (std::vector<vid_t>{}));
+}
+
+TEST(BipartiteGraph, OutOfRangeNetIdIsTypedNotACrash) {
+  // The kernels would index the net side with this id.
+  try {
+    (void)BipartiteGraph(2, 1, {0, 1, 2}, {0, 100000000});
+    FAIL() << "accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kOutOfRange);
+    EXPECT_TRUE(e.is_input_error());
+    EXPECT_NE(std::string(e.what()).find(
+                  "[index-out-of-range] at vertex 1: net id 100000000"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(BipartiteGraph, MaxNetDegreeIsLowerBoundSource) {
@@ -115,17 +157,21 @@ TEST(BipartiteGraph, MaxNetDegreeIsLowerBoundSource) {
 }
 
 TEST(BipartiteGraph, ValidateRejectsNonMonotonePtrWithoutOverread) {
-  // vptr {0, 2, 1}: vertex 0 would span two entries of a one-entry vadj.
-  const BipartiteGraph g(2, 1, {0, 2, 1}, {0}, {0, 1}, {0});
-  EXPECT_FALSE(g.validate());
-  // Same for the net side.
-  const BipartiteGraph h(1, 2, {0, 1}, {0}, {0, 2, 1}, {0});
-  EXPECT_FALSE(h.validate());
+  // vptr {0, 2, 1}: vertex 0 would span two entries of a one-entry
+  // vadj, and vertex 1, whose range runs backwards, is the one named.
+  EXPECT_EQ(testing::gate_verdict([] {
+              return BipartiteGraph(2, 1, {0, 2, 1}, {0});
+            }),
+            "bad-input at 1");
+  EXPECT_EQ(testing::gate_verdict([] {
+              return BipartiteGraph(3, 1, {0, 1, 2, 1}, {0});
+            }),
+            "bad-input at 2");
 }
 
-/// The binary-search validate() used before the linear merge, kept as
-/// the reference oracle. Like the original it builds spans straight from
-/// the ptr arrays, so it may only see monotone ones.
+/// The binary-search check used before the linear merge, kept as a
+/// second reference: every list strictly ascending in range, and every
+/// edge found on the other side, both ways.
 bool reference_validate(const BipartiteGraph& g) {
   for (vid_t u = 0; u < g.num_vertices(); ++u) {
     const auto ns = g.nets(u);
@@ -150,24 +196,38 @@ bool reference_validate(const BipartiteGraph& g) {
   return true;
 }
 
-/// Corrupt one half of `base` with `edits`; false if some edit found no
-/// row to apply to.
-bool mutated(const BipartiteGraph& base,
-             std::initializer_list<testing::CsrMutation> edits,
-             bool net_side, Xoshiro256& rng, BipartiteGraph& out) {
-  auto vptr = base.vptr();
-  auto vadj = base.vadj();
-  auto nptr = base.nptr();
-  auto nadj = base.nadj();
-  for (const testing::CsrMutation m : edits) {
-    const bool applied =
-        net_side ? testing::mutate(m, nptr, nadj, base.num_vertices(), rng)
-                 : testing::mutate(m, vptr, vadj, base.num_nets(), rng);
-    if (!applied) return false;
+/// Whether the edit makes a list of the vertex side bad for sure: the
+/// others may leave a valid (different) graph.
+bool always_refused(testing::CsrMutation m) {
+  using testing::CsrMutation;
+  return m == CsrMutation::kOutOfRange || m == CsrMutation::kDuplicate ||
+         m == CsrMutation::kSwappedPair || m == CsrMutation::kPtrStart;
+}
+
+/// The constructor's verdict on the edited vertex side of `base` equals
+/// the oracle's; an accepted side has the oracle's transpose for nets.
+/// Returns whether it was refused.
+bool expect_gate_matches_oracle(const BipartiteGraph& base,
+                                const std::vector<eid_t>& vptr,
+                                const std::vector<vid_t>& vadj,
+                                const std::string& what) {
+  const std::string want = testing::oracle_bipartite_verdict(
+      base.num_vertices(), base.num_nets(), vptr, vadj);
+  BipartiteGraph g;
+  EXPECT_EQ(testing::gate_verdict([&] {
+              g = BipartiteGraph(base.num_vertices(), base.num_nets(), vptr,
+                                 vadj);
+              return 0;
+            }),
+            want)
+      << what;
+  if (want == "ok") {
+    EXPECT_TRUE(testing::oracle_is_strict_transpose(g.vptr(), g.vadj(),
+                                                    g.nptr(), g.nadj()))
+        << what;
+    EXPECT_TRUE(reference_validate(g)) << what;
   }
-  out = BipartiteGraph(base.num_vertices(), base.num_nets(), std::move(vptr),
-                       std::move(vadj), std::move(nptr), std::move(nadj));
-  return true;
+  return want != "ok";
 }
 
 TEST(BipartiteGraph, ValidateMatchesReferenceUnderMutations) {
@@ -177,50 +237,56 @@ TEST(BipartiteGraph, ValidateMatchesReferenceUnderMutations) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const BipartiteGraph base = build_bipartite(gen_random_bipartite(
         30 + static_cast<vid_t>(seed) * 5, 40, 220, seed));
-    ASSERT_TRUE(base.validate());
     ASSERT_TRUE(reference_validate(base));
     Xoshiro256 rng(seed);
-    for (const bool net_side : {false, true}) {
-      for (const CsrMutation m : testing::kAllCsrMutations) {
-        if (m == CsrMutation::kSelfLoop) continue;  // unipartite only
-        for (int trial = 0; trial < 4; ++trial) {
-          BipartiteGraph g;
-          if (!mutated(base, {m}, net_side, rng, g)) continue;
-          const std::string what = std::string(testing::to_string(m)) +
-                                   (net_side ? " on the net side" : "") +
-                                   ", seed " + std::to_string(seed);
-          EXPECT_FALSE(g.validate()) << what;
-          EXPECT_FALSE(reference_validate(g)) << what;
-          EXPECT_FALSE(analyze_graph(g).ok()) << what;
-          ++single;
+    const auto mutated = [&](std::initializer_list<CsrMutation> edits,
+                             std::vector<eid_t>& vptr,
+                             std::vector<vid_t>& vadj) {
+      vptr = base.vptr();
+      vadj = base.vadj();
+      for (const CsrMutation m : edits)
+        if (!testing::mutate(m, vptr, vadj, base.num_nets(), rng))
+          return false;
+      return true;
+    };
+    std::vector<eid_t> vptr;
+    std::vector<vid_t> vadj;
+    for (const CsrMutation m : testing::kAllCsrMutations) {
+      if (m == CsrMutation::kSelfLoop) continue;  // unipartite only
+      for (int trial = 0; trial < 4; ++trial) {
+        if (!mutated({m}, vptr, vadj)) continue;
+        const std::string what =
+            std::string(testing::to_string(m)) + ", seed " +
+            std::to_string(seed);
+        const bool refused = expect_gate_matches_oracle(base, vptr, vadj, what);
+        if (always_refused(m)) {
+          EXPECT_TRUE(refused) << what;
         }
+        ++single;
       }
-      // Two random edits may cancel out, so only agreement is required.
-      for (int trial = 0; trial < 40; ++trial) {
-        const auto pick = [&] {
-          CsrMutation m;
-          do {
-            m = testing::kAllCsrMutations[rng.bounded(
-                std::size(testing::kAllCsrMutations))];
-          } while (m == CsrMutation::kSelfLoop);
-          return m;
-        };
-        const CsrMutation a = pick();
-        const CsrMutation b = pick();
-        BipartiteGraph g;
-        if (!mutated(base, {a, b}, net_side, rng, g)) continue;
-        const bool got = g.validate();
-        EXPECT_EQ(got, reference_validate(g))
-            << testing::to_string(a) << " + " << testing::to_string(b);
-        EXPECT_EQ(got, analyze_graph(g).ok())
-            << testing::to_string(a) << " + " << testing::to_string(b);
-        ++paired;
-      }
+    }
+    // Two random edits may cancel out, so only agreement is required.
+    for (int trial = 0; trial < 40; ++trial) {
+      const auto pick = [&] {
+        CsrMutation m;
+        do {
+          m = testing::kAllCsrMutations[rng.bounded(
+              std::size(testing::kAllCsrMutations))];
+        } while (m == CsrMutation::kSelfLoop);
+        return m;
+      };
+      const CsrMutation a = pick();
+      const CsrMutation b = pick();
+      if (!mutated({a, b}, vptr, vadj)) continue;
+      expect_gate_matches_oracle(base, vptr, vadj,
+                                 std::string(testing::to_string(a)) + " + " +
+                                     testing::to_string(b));
+      ++paired;
     }
   }
   // Every single edit applies on graphs this dense; most pairs do too.
-  EXPECT_EQ(single, 8 * 2 * 6 * 4);
-  EXPECT_GT(paired, 8 * 2 * 40 / 2);
+  EXPECT_EQ(single, 8 * 6 * 4);
+  EXPECT_GT(paired, 8 * 40 / 2);
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 #include <utility>
 
 #include "builder_oracle.hpp"
+#include "csr_mutation.hpp"
+#include "validate_oracle.hpp"
 
 #include "greedcolor/core/bgpc.hpp"
 #include "greedcolor/core/d1gc.hpp"
@@ -278,7 +280,9 @@ TEST_P(FuzzCorruptedInput, MtxEitherParsesOrThrowsTyped) {
     try {
       const Coo back = read_matrix_market(in);
       const BipartiteGraph g = build_bipartite(back);
-      EXPECT_TRUE(g.validate()) << "variant " << variant;
+      EXPECT_TRUE(testing::oracle_is_strict_transpose(g.vptr(), g.vadj(),
+                                                      g.nptr(), g.nadj()))
+          << "variant " << variant;
       expect_builds_match_oracle(back, "variant " + std::to_string(variant));
     } catch (const Error&) {
       // Typed rejection is the expected outcome for most variants.
@@ -306,7 +310,9 @@ TEST_P(FuzzCorruptedInput, BinaryEitherParsesOrThrowsTyped) {
       std::istringstream in(bytes, std::ios::binary);
       try {
         const BipartiteGraph back = read_binary_bipartite(in);
-        EXPECT_TRUE(back.validate()) << "variant " << variant;
+        EXPECT_TRUE(testing::oracle_is_strict_transpose(
+            back.vptr(), back.vadj(), back.nptr(), back.nadj()))
+            << "variant " << variant;
         verdict[i] = "ok";
       } catch (const Error& e) {
         // Typed rejection expected; anything else propagates and fails.
@@ -319,6 +325,134 @@ TEST_P(FuzzCorruptedInput, BinaryEitherParsesOrThrowsTyped) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzCorruptedInput,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+// ---------------------------------------------------------------------
+// The constructors' gate under every csr_mutation.hpp edit of their
+// input: each attempt either throws a typed input error, or constructs a
+// graph that the verified entry points color validly on one thread and
+// on four.
+// ---------------------------------------------------------------------
+
+/// `make()` throws an input error, or builds a graph `color(g, t)` colors
+/// so that `check(g, colors)` finds nothing at t = 1 and t = 4. Returns
+/// whether it threw.
+template <class Make, class Color, class Check>
+bool expect_typed_or_colored(const Make& make, const Color& color,
+                             const Check& check, const std::string& what) {
+  decltype(make()) g;
+  try {
+    g = make();
+  } catch (const Error& e) {
+    EXPECT_TRUE(e.is_input_error()) << what << ": " << e.what();
+    return true;
+  }
+  for (const int t : {1, 4}) {
+    const auto violation = check(g, color(g, t).colors);
+    EXPECT_FALSE(violation.has_value())
+        << what << " t=" << t << ": " << violation->to_string();
+  }
+  return false;
+}
+
+const auto kColorBgpc = [](const BipartiteGraph& g, int t) {
+  ColoringOptions opt = bgpc_preset(t == 1 ? "V-V" : "N1-N2");
+  opt.num_threads = t;
+  return color_bgpc_verified(g, opt);
+};
+const auto kColorD2gc = [](const Graph& g, int t) {
+  ColoringOptions opt = d2gc_preset(t == 1 ? "V-V-64D" : "N1-N2");
+  opt.num_threads = t;
+  return color_d2gc_verified(g, opt);
+};
+const auto kCheckBgpc = [](const BipartiteGraph& g,
+                           const std::vector<color_t>& colors) {
+  return check_bgpc(g, colors);
+};
+const auto kCheckD2gc = [](const Graph& g,
+                           const std::vector<color_t>& colors) {
+  return check_d2gc(g, colors);
+};
+
+class FuzzGate : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FuzzGate, MutatedInputIsTypedOrColorsValidly) {
+  using testing::CsrMutation;
+  const BipartiteGraph bg =
+      build_bipartite(random_instance(GetParam() ^ 0x6A7E));
+  const Graph ug = build_graph(random_symmetric(GetParam() ^ 0x6A7E));
+  const vid_t n = ug.num_vertices();
+  Xoshiro256 rng(GetParam());
+  int threw = 0;
+  int attempts = 0;
+  for (const CsrMutation m : testing::kAllCsrMutations) {
+    for (int trial = 0; trial < 2; ++trial) {
+      const std::string what = std::string(testing::to_string(m)) +
+                               " seed=" + std::to_string(GetParam());
+      auto vptr = bg.vptr();
+      auto vadj = bg.vadj();
+      if (testing::mutate(m, vptr, vadj, bg.num_nets(), rng)) {
+        threw += expect_typed_or_colored(
+            [&] {
+              return BipartiteGraph(bg.num_vertices(), bg.num_nets(), vptr,
+                                    vadj);
+            },
+            kColorBgpc, kCheckBgpc, "bgpc " + what);
+        ++attempts;
+      }
+      auto ptr = ug.ptr();
+      auto adj = ug.adj();
+      if (testing::mutate(m, ptr, adj, n, rng)) {
+        // Every edit breaks a symmetric, loop-free adjacency.
+        const bool refused = expect_typed_or_colored(
+            [&] { return Graph(n, ptr, adj); }, kColorD2gc, kCheckD2gc,
+            "d2gc " + what);
+        EXPECT_TRUE(refused) << what;
+        threw += refused;
+        ++attempts;
+      }
+    }
+  }
+  EXPECT_GT(attempts, 0);
+  EXPECT_GT(threw, attempts / 2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzGate,
+                         ::testing::Range<std::uint64_t>(1, 9));
+
+TEST(GateShapes, NoVerticesNoNetsNoEdges) {
+  // (vertices, nets) with nnz = 0: each constructs and colors.
+  for (const auto& [nv, nn] : {std::pair<vid_t, vid_t>{0, 0}, {0, 5}, {5, 0},
+                               {5, 5}}) {
+    const std::string what =
+        std::to_string(nv) + "x" + std::to_string(nn);
+    EXPECT_FALSE(expect_typed_or_colored(
+        [&] {
+          return BipartiteGraph(
+              nv, nn, std::vector<eid_t>(static_cast<std::size_t>(nv) + 1),
+              {});
+        },
+        kColorBgpc, kCheckBgpc, what));
+    // A vertex naming a net where there is none is out of range.
+    if (nv > 0 && nn == 0) {
+      std::vector<eid_t> vptr(static_cast<std::size_t>(nv) + 1, 1);
+      vptr[0] = 0;
+      try {
+        (void)BipartiteGraph(nv, nn, vptr, {0});
+        ADD_FAILURE() << what << ": accepted";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kOutOfRange) << e.what();
+      }
+    }
+  }
+  for (const vid_t n : {0, 1, 7}) {
+    EXPECT_FALSE(expect_typed_or_colored(
+        [&] {
+          return Graph(
+              n, std::vector<eid_t>(static_cast<std::size_t>(n) + 1), {});
+        },
+        kColorD2gc, kCheckD2gc, "graph n=" + std::to_string(n)));
+  }
+}
 
 // ---------------------------------------------------------------------
 // Fault matrix: every fault scenario x every algorithm family through

@@ -32,6 +32,8 @@
 #include "greedcolor/core/d2gc.hpp"
 #include "greedcolor/core/verify.hpp"
 #include "greedcolor/graph/builder.hpp"
+#include "greedcolor/robust/error.hpp"
+#include "greedcolor/util/parallel.hpp"
 #include "phase_kernels.hpp"
 
 namespace gcol {
@@ -747,23 +749,18 @@ TEST(NetSummary, ParallelColoringsAreValid) {
   }
 }
 
-// Nothing keeps a vertex from listing one net twice (color_bound counts
-// with multiplicity), so the workspace must hold as many large-net
-// pointers as a vertex has nets, not as many as there are large nets.
-// Here the only large net is listed twice by its last member.
-TEST(NetSummary, AVertexListingALargeNetTwiceIsColored) {
+// A vertex that lists its one large net twice (and its D2GC twin, a
+// vertex that lists its neighbour twice) never reaches the engine: the
+// repeat is a typed input error at construction, named by vertex. No
+// coloring of such a graph could pass check_bgpc / check_d2gc, which
+// read the repeat as the vertex clashing with itself.
+TEST(NetSummary, AVertexListingALargeNetTwiceIsRejected) {
   constexpr vid_t kMembers = 64;
   // BGPC: vertices 0..63 sit in net 0 once, vertex 64 twice.
   std::vector<eid_t> vptr(kMembers + 2);
   std::iota(vptr.begin(), vptr.end() - 1, eid_t{0});
   vptr.back() = kMembers + 2;
   const std::vector<vid_t> vadj(kMembers + 2, 0);
-  std::vector<vid_t> nadj(kMembers + 2);
-  std::iota(nadj.begin(), nadj.end() - 1, vid_t{0});
-  nadj.back() = kMembers;
-  const BipartiteGraph bg(kMembers + 1, 1, vptr, vadj,
-                          {0, static_cast<eid_t>(kMembers + 2)}, nadj);
-  ASSERT_EQ(bg.nets(kMembers).size(), 2u);
   // D2GC: vertex 0 is adjacent to 1..64, vertex 65 lists vertex 0 twice.
   std::vector<eid_t> ptr{0};
   std::vector<vid_t> adj;
@@ -775,34 +772,27 @@ TEST(NetSummary, AVertexListingALargeNetTwiceIsColored) {
     if (u == kMembers + 1) adj.push_back(0);
     ptr.push_back(static_cast<eid_t>(adj.size()));
   }
-  const Graph ug(kMembers + 2, ptr, adj);
-  ASSERT_EQ(ug.neighbors(kMembers + 1).size(), 2u);
-  ASSERT_EQ(NetSummaries(BipartiteView{bg}, BipartiteView{bg}.color_bound(1))
-                .large_nets()
-                .size(),
-            1u);
-  // Every two vertices share a net (or sit within distance 2 of each
-  // other through vertex 0), so a proper coloring uses distinct colors.
-  // is_valid_* would read the repeated entry as a vertex clashing with
-  // itself.
-  const auto all_distinct = [](const std::vector<color_t>& colors) {
-    const std::set<color_t> seen(colors.begin(), colors.end());
-    return seen.size() == colors.size() && !seen.contains(kNoColor);
+  const auto rejection = [](const auto& make) -> std::string {
+    try {
+      (void)make();
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadInput) << e.what();
+      return e.what();
+    }
+    return "accepted";
   };
   for (const int threads : {1, 2}) {
-    for (const BalancePolicy b : kBalances) {
-      ColoringOptions bopt = bgpc_preset("V-V");
-      ColoringOptions dopt = d2gc_preset("V-V-64D");
-      bopt.balance = dopt.balance = b;
-      bopt.num_threads = dopt.num_threads = threads;
-      EXPECT_TRUE(all_distinct(color_bgpc(bg, bopt).colors))
-          << balance_tag(b) << " t=" << threads;
-      EXPECT_TRUE(all_distinct(color_d2gc(ug, dopt).colors))
-          << balance_tag(b) << " t=" << threads;
-    }
+    const ThreadCountScope team(threads);
+    EXPECT_EQ(rejection([&] {
+                return BipartiteGraph(kMembers + 1, 1, vptr, vadj);
+              }),
+              "BipartiteGraph: [duplicate-adjacency] at vertex 64: lists "
+              "net 0 twice");
+    // Vertex 0 lists 65 twice before 65 lists 0 twice.
+    EXPECT_EQ(rejection([&] { return Graph(kMembers + 2, ptr, adj); }),
+              "Graph: [duplicate-adjacency] at vertex 0: lists neighbor 65 "
+              "twice");
   }
-  EXPECT_TRUE(all_distinct(color_bgpc_sequential(bg).colors));
-  EXPECT_TRUE(all_distinct(color_d2gc_sequential(ug).colors));
 }
 
 /// A partial coloring dense in repeats: about a quarter of the vertices

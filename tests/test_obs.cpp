@@ -263,12 +263,17 @@ TEST(RunReport, FingerprintIsStableAndContentSensitive) {
   EXPECT_EQ(fp.find_first_not_of("0123456789abcdef", 8), std::string::npos)
       << fp;
   // One changed entry, in the tail past the last full group of eight
-  // lanes, changes the value.
-  const Graph m = build_graph(gen_mesh2d(60, 60, 2));
-  std::vector<vid_t> adj = m.adj();
-  ASSERT_NE(adj.size() % 8, 0u);
-  adj.back() ^= 1;
-  EXPECT_NE(fingerprint(Graph(m.num_vertices(), m.ptr(), std::move(adj))),
+  // lanes, changes the value: a net that follows a gap in the last
+  // vertex's list moves down one, so the list stays ascending.
+  const BipartiteGraph m = build_bipartite(gen_mesh2d(60, 60, 2));
+  std::vector<vid_t> adj = m.vadj();
+  std::size_t at = adj.size() - 1;
+  while (at > adj.size() - adj.size() % 8 && adj[at - 1] + 1 == adj[at]) --at;
+  ASSERT_GT(at, adj.size() - adj.size() % 8);
+  ASSERT_GT(at, static_cast<std::size_t>(m.vptr()[m.vptr().size() - 2]));
+  --adj[at];
+  EXPECT_NE(fingerprint(BipartiteGraph(m.num_vertices(), m.num_nets(),
+                                       m.vptr(), std::move(adj))),
             fingerprint(m));
 }
 
@@ -277,12 +282,10 @@ TEST(RunReport, FingerprintIsStableAndContentSensitive) {
 // purpose.
 TEST(RunReport, FingerprintValuesArePinned) {
   // Vertex 0 in net 0, vertex 1 in nets 0 and 1.
-  const BipartiteGraph b(2, 2, {0, 1, 3}, {0, 0, 1}, {0, 2, 3}, {0, 1, 1});
-  ASSERT_TRUE(b.validate());
+  const BipartiteGraph b(2, 2, {0, 1, 3}, {0, 0, 1});
   EXPECT_EQ(fingerprint_string(b), "fnv64x8:c22ff9ed1d12905f");
   // The path 0-1-2.
   const Graph p(3, {0, 1, 3, 4}, {1, 0, 2, 1});
-  ASSERT_TRUE(p.validate());
   EXPECT_EQ(fingerprint_string(p), "fnv64x8:b96ee6f8d695a3ff");
 }
 

@@ -1,8 +1,9 @@
 // Differential tests of the guard sweeps that run on the thread team:
 // the coloring check against the sequential check it replaced
-// (verify_oracle.hpp), and the blocked transpose merge behind validate()
-// and the binary loader against the single merge (validate_oracle.hpp).
-// Each verdict must be the oracle's at every team size.
+// (verify_oracle.hpp), and the graph constructors' blocked gate (and the
+// binary loader, which hands its arrays to them) against the sequential
+// verdicts of validate_oracle.hpp. Each verdict must be the oracle's at
+// every team size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +11,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <type_traits>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -191,43 +192,62 @@ TEST(CheckDifferential, EmptyGraphMatchesSequentialOracle) {
 }
 
 // ---------------------------------------------------------------------
-// validate() and the binary loader: single CSR edits placed on the rows
-// just before and at each block boundary of a four-thread team.
+// The constructors' gate and the binary loader: single CSR edits placed
+// on the rows just before and at each block boundary of a four-thread
+// team.
 // ---------------------------------------------------------------------
 
-/// The merge splits its rows into one block per thread once every block
+/// The gate splits its rows into one block per thread once every block
 /// gets some thousands of edges and more edges than the other side has
-/// lists. These graphs, 20480 rows a side with about six edges per row,
-/// are well past both: a four-thread team starts its blocks at rows
-/// kRows * b / 4.
-constexpr vid_t kRows = 20480;
-constexpr std::size_t kBoundaries[] = {kRows / 4, kRows / 2, 3 * kRows / 4};
+/// lists. These graphs, 32768 rows a side with about six edges per row,
+/// are well past both.
+constexpr vid_t kRows = 32768;
 
-/// The loader's verdict: "ok" or the ErrorCode's name.
-template <class G>
-std::string load_verdict(const G& g) {
-  std::ostringstream out(std::ios::binary);
-  write_binary(out, g);
-  std::istringstream in(out.str(), std::ios::binary);
-  try {
-    if constexpr (std::is_same_v<G, Graph>)
-      (void)read_binary_graph(in);
-    else
-      (void)read_binary_bipartite(in);
-    return "ok";
-  } catch (const Error& e) {
-    return to_string(e.code());
-  }
+/// The rows a four-thread team starts its blocks 1..3 at: the blocks
+/// split the edges evenly.
+std::vector<std::size_t> block_starts(const std::vector<eid_t>& ptr) {
+  std::vector<std::size_t> starts;
+  for (const eid_t b : {1, 2, 3})
+    starts.push_back(static_cast<std::size_t>(
+        std::lower_bound(ptr.begin(), ptr.end() - 1, ptr.back() * b / 4) -
+        ptr.begin()));
+  return starts;
 }
 
-template <class G>
-void expect_validate_matches_oracle(const G& g, const std::string& what) {
-  const bool want = testing::oracle_validate(g);
-  const std::string want_load = want ? "ok" : to_string(ErrorCode::kBadInput);
-  for (const int t : {1, 4}) {
+/// The bytes of a file holding these arrays, checked or not: the
+/// dimensions, then each array as a u64 length and its elements.
+std::string file_bytes(const char (&magic)[9], std::vector<std::int64_t> dims,
+                       const std::vector<eid_t>& ptr,
+                       const std::vector<vid_t>& adj) {
+  std::string out(magic, 8);
+  const auto put = [&out](const void* data, std::size_t bytes) {
+    out.append(static_cast<const char*>(data), bytes);
+  };
+  for (const std::int64_t d : dims) put(&d, sizeof(d));
+  const std::uint64_t ptr_len = ptr.size();
+  put(&ptr_len, sizeof(ptr_len));
+  put(ptr.data(), ptr.size() * sizeof(eid_t));
+  const std::uint64_t adj_len = adj.size();
+  put(&adj_len, sizeof(adj_len));
+  put(adj.data(), adj.size() * sizeof(vid_t));
+  return out;
+}
+
+/// The constructor and the loader give the oracle's verdict at every
+/// team size; `make(ptr, adj)` constructs, `load(in)` reads.
+template <class Make, class Load>
+void expect_gate_matches_oracle(const std::string& want, const Make& make,
+                                const std::string& bytes, const Load& load,
+                                const std::string& what) {
+  for (const int t : kTeamSizes) {
     const ThreadCountScope team(t);
-    EXPECT_EQ(g.validate(), want) << what << " t=" << t;
-    EXPECT_EQ(load_verdict(g), want_load) << what << " t=" << t;
+    EXPECT_EQ(testing::gate_verdict(make), want) << what << " t=" << t;
+    EXPECT_EQ(testing::gate_verdict([&] {
+                std::istringstream in(bytes, std::ios::binary);
+                return load(in);
+              }),
+              want)
+        << what << " (loaded) t=" << t;
   }
 }
 
@@ -236,37 +256,44 @@ TEST(ValidateDifferential, BipartiteEditsAtBlockBoundaries) {
   const BipartiteGraph base =
       build_bipartite(gen_random_bipartite(kRows, kRows, 6 * kRows, 7));
   ASSERT_GE(base.num_edges(), 5 * kRows);
-  expect_validate_matches_oracle(base, "unedited");
+  const auto load = [](std::istream& in) { return read_binary_bipartite(in); };
+  const auto check = [&](const std::vector<eid_t>& vptr,
+                         const std::vector<vid_t>& vadj,
+                         const std::string& what) {
+    const std::string want =
+        testing::oracle_bipartite_verdict(kRows, kRows, vptr, vadj);
+    expect_gate_matches_oracle(
+        want, [&] { return BipartiteGraph(kRows, kRows, vptr, vadj); },
+        file_bytes("GCOLBP02", {kRows, kRows}, vptr, vadj), load, what);
+    return want;
+  };
+  EXPECT_EQ(check(base.vptr(), base.vadj(), "unedited"), "ok");
+  for (const int t : kTeamSizes) {
+    const ThreadCountScope team(t);
+    const BipartiteGraph g(kRows, kRows, base.vptr(), base.vadj());
+    EXPECT_EQ(g.nptr(), base.nptr()) << "t=" << t;
+    EXPECT_EQ(g.nadj(), base.nadj()) << "t=" << t;
+  }
   Xoshiro256 rng(11);
   int rejected = 0;
-  for (const bool net_side : {false, true}) {
-    for (const CsrMutation m : testing::kAllCsrMutations) {
-      if (m == CsrMutation::kSelfLoop || m == CsrMutation::kPtrStart)
-        continue;
-      for (const std::size_t boundary : kBoundaries) {
-        for (const std::size_t row : {boundary - 1, boundary}) {
-          auto vptr = base.vptr();
-          auto vadj = base.vadj();
-          auto nptr = base.nptr();
-          auto nadj = base.nadj();
-          const bool applied =
-              net_side ? testing::mutate_from(m, nptr, nadj, kRows, row, rng)
-                       : testing::mutate_from(m, vptr, vadj, kRows, row, rng);
-          ASSERT_TRUE(applied);
-          const BipartiteGraph g(kRows, kRows, std::move(vptr),
-                                 std::move(vadj), std::move(nptr),
-                                 std::move(nadj));
-          expect_validate_matches_oracle(
-              g, std::string(testing::to_string(m)) +
-                     (net_side ? " on the net side" : "") + " at row " +
-                     std::to_string(row));
-          rejected += testing::oracle_validate(g) ? 0 : 1;
-        }
+  for (const CsrMutation m : testing::kAllCsrMutations) {
+    if (m == CsrMutation::kSelfLoop || m == CsrMutation::kPtrStart) continue;
+    for (const std::size_t boundary : block_starts(base.vptr())) {
+      for (const std::size_t row : {boundary - 1, boundary}) {
+        auto vptr = base.vptr();
+        auto vadj = base.vadj();
+        ASSERT_TRUE(testing::mutate_from(m, vptr, vadj, kRows, row, rng));
+        rejected += check(vptr, vadj,
+                          std::string(testing::to_string(m)) + " at row " +
+                              std::to_string(row)) == "ok"
+                        ? 0
+                        : 1;
       }
     }
   }
-  // Every single edit breaks the transpose.
-  EXPECT_EQ(rejected, 2 * 5 * 3 * 2);
+  // Out of range, a repeat and disorder always break a list; a moved or
+  // one-sided entry may leave a valid graph, different from the base.
+  EXPECT_GE(rejected, 3 * 3 * 2);
 }
 
 TEST(ValidateDifferential, SymmetricEditsAtBlockBoundaries) {
@@ -275,30 +302,39 @@ TEST(ValidateDifferential, SymmetricEditsAtBlockBoundaries) {
       build_graph(gen_random_bipartite(kRows, kRows, 3 * kRows, 5));
   ASSERT_EQ(base.num_vertices(), kRows);
   ASSERT_GE(base.adj().size(), 5 * static_cast<std::size_t>(kRows));
-  expect_validate_matches_oracle(base, "unedited");
+  const auto load = [](std::istream& in) { return read_binary_graph(in); };
+  const auto check = [&](const std::vector<eid_t>& ptr,
+                         const std::vector<vid_t>& adj,
+                         const std::string& what) {
+    const std::string want = testing::oracle_graph_verdict(kRows, ptr, adj);
+    expect_gate_matches_oracle(
+        want, [&] { return Graph(kRows, ptr, adj); },
+        file_bytes("GCOLGR01", {kRows}, ptr, adj), load, what);
+    return want;
+  };
+  EXPECT_EQ(check(base.ptr(), base.adj(), "unedited"), "ok");
   Xoshiro256 rng(13);
   int rejected = 0;
   for (const CsrMutation m : testing::kAllCsrMutations) {
-    if (m == CsrMutation::kPtrStart) continue;  // the constructor refuses it
-    for (const std::size_t boundary : kBoundaries) {
+    for (const std::size_t boundary : block_starts(base.ptr())) {
       for (const std::size_t row : {boundary - 1, boundary}) {
         auto ptr = base.ptr();
         auto adj = base.adj();
         ASSERT_TRUE(testing::mutate_from(m, ptr, adj, kRows, row, rng));
-        const Graph g(kRows, std::move(ptr), std::move(adj));
-        expect_validate_matches_oracle(
-            g, std::string(testing::to_string(m)) + " at row " +
-                   std::to_string(row));
-        rejected += testing::oracle_validate(g) ? 0 : 1;
+        rejected += check(ptr, adj,
+                          std::string(testing::to_string(m)) + " at row " +
+                              std::to_string(row)) == "ok"
+                        ? 0
+                        : 1;
       }
     }
   }
-  EXPECT_EQ(rejected, 6 * 3 * 2);
+  EXPECT_EQ(rejected, 7 * 3 * 2);
 }
 
 /// Byte-flipped binaries of a graph large enough for four blocks: the
-/// loader's verdict is the same on one thread and four, and a graph
-/// that loads passes the single merge.
+/// loader's verdict is the same at every team size, and a graph that
+/// loads has the transpose of its vertex side for nets.
 TEST(ValidateDifferential, CorruptedBinaryVerdictIsTeamIndependent) {
   const BipartiteGraph g =
       build_bipartite(gen_random_bipartite(kRows, kRows, 6 * kRows, 3));
@@ -310,19 +346,22 @@ TEST(ValidateDifferential, CorruptedBinaryVerdictIsTeamIndependent) {
   plan.flip_byte_rate = 4.0 / static_cast<double>(good.size());
   for (std::uint64_t variant = 0; variant < 16; ++variant) {
     const std::string bytes = plan.corrupt_bytes(good, variant);
-    std::string verdict[2];
-    for (const int i : {0, 1}) {
-      const ThreadCountScope team(i == 0 ? 1 : 4);
+    std::string verdict[std::size(kTeamSizes)];
+    for (std::size_t i = 0; i < std::size(kTeamSizes); ++i) {
+      const ThreadCountScope team(kTeamSizes[i]);
       std::istringstream in(bytes, std::ios::binary);
       try {
         const BipartiteGraph back = read_binary_bipartite(in);
-        EXPECT_TRUE(testing::oracle_validate(back)) << "variant " << variant;
+        EXPECT_TRUE(testing::oracle_is_strict_transpose(
+            back.vptr(), back.vadj(), back.nptr(), back.nadj()))
+            << "variant " << variant;
         verdict[i] = "ok";
       } catch (const Error& e) {
-        verdict[i] = to_string(e.code());
+        verdict[i] = e.what();
       }
     }
     EXPECT_EQ(verdict[0], verdict[1]) << "variant " << variant;
+    EXPECT_EQ(verdict[0], verdict[2]) << "variant " << variant;
   }
 }
 
