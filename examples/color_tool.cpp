@@ -195,13 +195,14 @@ static int run(int argc, char** argv) {
     have_fault_plan = true;
     std::cout << "fault plan       " << fault_plan.to_spec() << "\n";
   }
+  FaultInjector fault_injector(fault_plan);
   // Speculative-race auditor (--audit): checks the partial coloring
   // after every conflict-removal pass; report printed after the run.
   audit::AuditContext audit_ctx;
   const bool want_audit = args.has("audit");
   // gcol-trace / run report (--trace-out / --report): one tracer for the
-  // whole invocation, attached through the same options seam as the
-  // auditor; artifacts written after the run.
+  // whole invocation, attached through ColoringOptions::tracer;
+  // artifacts written after the run.
   const std::string trace_out = args.get_string("trace-out", "");
   const std::string report_out = args.get_string("report", "");
   const bool want_obs = !trace_out.empty() || !report_out.empty();
@@ -295,8 +296,9 @@ static int run(int argc, char** argv) {
   const auto apply_robust_options = [&](ColoringOptions& options) {
     options.deadline_seconds = deadline_seconds;
     if (max_rounds > 0) options.max_rounds = max_rounds;
-    if (have_fault_plan) options.fault_plan = &fault_plan;
-    if (want_audit) options.auditor = &audit_ctx;
+    // Round hooks in order: inject, then audit what was injected.
+    if (have_fault_plan) options.hooks.push_back(&fault_injector);
+    if (want_audit) options.hooks.push_back(&audit_ctx);
     if (want_obs) options.tracer = &tracer;
   };
 

@@ -20,23 +20,23 @@
 //    neighbors under the engine's view (distance <= 2 for BGPC/D2GC,
 //    distance 1 for D1GC) may share a color (uncolored / re-queued
 //    vertices are exempt — that is exactly the speculation the paper
-//    sanctions). Runs only when an AuditContext is attached, so the
-//    happy path pays one null check per round.
+//    sanctions). It is the shared escaped-conflict sweep of escaped.hpp.
 //  * Per-thread ledgers (GCOL_AUDIT builds only) fed by hooks in the
 //    kernels' color accessors. Ledger replay attributes each escaped
 //    conflict to the speculative write that produced it and counts the
 //    benign speculation (reads observed, writes overturned) so tests
 //    can assert the sanctioned mechanism actually engaged.
 //
-// The hooks reach the context through a process-global atomic registry
-// (AuditScope). Install is first-wins: one audited coloring holds the
-// registry at a time, and a scope that loses the race simply runs
-// unhooked — its per-round sweeps still fire (the driver calls its
-// context directly through ColoringOptions::auditor), only the ledger
-// attribution goes to the scope that won. Concurrent attach/detach from
-// multiple threads is therefore safe by construction: no torn pointer,
-// no dangling restore, no UB — just checked-build tooling that degrades
-// to sweep-only when contended.
+// An AuditContext is a RoundHook (ColoringOptions::hooks, after any
+// FaultInjector so injected stale writes are in scope). The kernel
+// hooks reach it through a process-global atomic registry that
+// begin_run installs and end_run clears. Install is first-wins: one
+// audited coloring holds the registry at a time, and a run that loses
+// the race runs unhooked — its per-round sweeps still fire, only the
+// ledger attribution goes to the run that won. Concurrent colorings are
+// therefore safe by construction: no torn pointer, no dangling restore,
+// no UB — just checked-build tooling that degrades to sweep-only when
+// contended.
 #pragma once
 
 #include <atomic>
@@ -44,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "greedcolor/core/round_hook.hpp"
 #include "greedcolor/graph/net_view.hpp"
 #include "greedcolor/util/types.hpp"
 
@@ -56,8 +57,8 @@ inline constexpr bool kAuditEnabled = false;
 #endif
 
 struct AuditOptions {
-  /// Throw Error(kInternalInvariant) from end_round as soon as an
-  /// escaped conflict is found (the "fail loudly" mode). When false the
+  /// Throw Error(kInternalInvariant) from end_round as soon as a round
+  /// finds an escaped conflict (the "fail loudly" mode). When false the
   /// violations accumulate in the report for inspection.
   bool fail_fast = false;
   /// Cap on recorded violations (the sweep keeps counting, but stops
@@ -110,25 +111,31 @@ struct AuditReport {
   [[nodiscard]] std::string summary() const;
 };
 
-class AuditContext {
+class AuditContext final : public RoundHook {
  public:
   explicit AuditContext(AuditOptions options = {});
 
-  // ---- driver side (called by the speculative engine) ----
+  // ---- engine side (RoundHook) ----
 
-  /// Size the per-thread ledgers; called by AuditScope on installation.
-  void attach(int threads);
+  /// Size the per-thread ledgers and try to install this context as
+  /// the active one (first-wins; sweep-only when another run holds it).
+  void begin_run(int threads) override;
+  /// Uninstall, if begin_run installed this context.
+  void end_run() override;
 
   /// Start a round: clears the round ledgers.
-  void begin_round(int round);
+  void begin_round(int round, std::span<const color_t> colors) override;
 
   /// Audit the partial coloring after this round's conflict removal
-  /// (and fault injection, so injected stale writes are visible).
-  /// Throws Error(kInternalInvariant) in fail_fast mode on the first
-  /// escaped conflict.
-  void end_round(const BipartiteView& view, const color_t* c);
-  void end_round(const ClosedView& view, const color_t* c);
-  void end_round(const Distance1View& view, const color_t* c);
+  /// (and any fault injection before this hook, so injected stale
+  /// writes are visible). Throws Error(kInternalInvariant) in fail_fast
+  /// mode when this round finds an escaped conflict. Overwrites nothing.
+  vid_t end_round(const BipartiteView& view, std::span<color_t> colors,
+                  const std::vector<vid_t>& next_queue) override;
+  vid_t end_round(const ClosedView& view, std::span<color_t> colors,
+                  const std::vector<vid_t>& next_queue) override;
+  vid_t end_round(const Distance1View& view, std::span<color_t> colors,
+                  const std::vector<vid_t>& next_queue) override;
 
   [[nodiscard]] const AuditReport& report() const { return report_; }
 
@@ -154,51 +161,22 @@ class AuditContext {
   void harvest_ledgers(const color_t* c);
   [[nodiscard]] bool write_survived(vid_t v) const;
   void record_violation(vid_t a, vid_t b, vid_t via, color_t col);
-  void finish_round();
-
-  /// seen_stamp_/seen_vertex_ implement the per-net "first holder of
-  /// each color" scan without clearing between nets (stamp idiom).
-  void reset_seen(std::size_t capacity);
-  [[nodiscard]] vid_t seen_holder(color_t col) const;
-  void mark_seen(color_t col, vid_t holder);
+  /// The three end_round overloads (returns 0: nothing overwritten).
+  template <class V>
+  vid_t audit_round(const V& view, const color_t* c);
 
   AuditOptions options_;
   AuditReport report_;
   int round_ = 0;
+  bool installed_ = false;  ///< begin_run won the registry
   std::vector<Ledger> ledgers_;
   // v -> "a ledgered write of v's current color survived this round"
   // (stamped per end_round epoch, never cleared).
   std::vector<std::uint32_t> survivor_stamp_;
   std::uint32_t epoch_ = 0;
-  std::vector<vid_t> seen_vertex_;
-  std::vector<std::uint32_t> seen_stamp_;
-  std::uint32_t seen_epoch_ = 0;
 };
 
 /// The globally active context, or nullptr (hook fast path).
 [[nodiscard]] AuditContext* active() noexcept;
-
-/// RAII installer used by the coloring drivers: installs `ctx` (may be
-/// null — then this is a no-op) as the active context for the duration
-/// of one engine invocation. Install is a first-wins CAS against the
-/// empty registry; a scope that finds it occupied (another coloring is
-/// already being audited, possibly on another thread) does not install
-/// and does not clear on exit — the winning scope's uninstall is the
-/// only store of nullptr, so concurrent scopes can never leave a
-/// dangling context behind.
-class AuditScope {
- public:
-  AuditScope(AuditContext* ctx, int threads);
-  ~AuditScope();
-  AuditScope(const AuditScope&) = delete;
-  AuditScope& operator=(const AuditScope&) = delete;
-
-  /// True when this scope won the registry (its context receives the
-  /// kernel ledger hooks; sweep-only otherwise).
-  [[nodiscard]] bool installed() const noexcept { return installed_; }
-
- private:
-  bool installed_;
-};
 
 }  // namespace gcol::audit

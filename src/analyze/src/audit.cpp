@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "greedcolor/analyze/escaped.hpp"
 #include "greedcolor/robust/error.hpp"
 #include "greedcolor/util/parallel.hpp"
 
@@ -11,30 +12,16 @@ namespace gcol::audit {
 namespace {
 
 // The active-context registry. Atomic so concurrent colorings on
-// different threads can race their AuditScopes without UB: install is a
-// first-wins CAS from empty, uninstall is the winner's store of
-// nullptr. The worker-side hooks load it inside the engine's parallel
-// region, which the winning scope outlives by construction.
+// different threads can race their begin_run calls without UB: install
+// is a first-wins CAS from empty, uninstall is the winner's store of
+// nullptr in end_run. The worker-side hooks load it inside the engine's
+// parallel regions, all of which run between the two.
 std::atomic<AuditContext*> g_active{nullptr};
 
 }  // namespace
 
 AuditContext* active() noexcept {
   return g_active.load(std::memory_order_acquire);
-}
-
-AuditScope::AuditScope(AuditContext* ctx, int threads) : installed_(false) {
-  if (ctx == nullptr) return;
-  ctx->attach(threads);
-  AuditContext* expected = nullptr;
-  installed_ = g_active.compare_exchange_strong(
-      expected, ctx, std::memory_order_acq_rel, std::memory_order_acquire);
-  // Lost the race (another coloring is being audited): run sweep-only.
-  // The driver still reaches `ctx` directly via options.auditor.
-}
-
-AuditScope::~AuditScope() {
-  if (installed_) g_active.store(nullptr, std::memory_order_release);
 }
 
 std::string AuditViolation::to_string() const {
@@ -57,16 +44,26 @@ std::string AuditReport::summary() const {
 
 AuditContext::AuditContext(AuditOptions options) : options_(options) {}
 
-void AuditContext::attach(int threads) {
+void AuditContext::begin_run(int threads) {
   const auto want = static_cast<std::size_t>(
       std::max(threads > 0 ? threads : max_threads(), 1));
   if (ledgers_.size() < want) ledgers_.resize(want);
   for (Ledger& l : ledgers_)
     if (l.writes.capacity() < options_.ledger_reserve)
       l.writes.reserve(options_.ledger_reserve);
+  AuditContext* expected = nullptr;
+  installed_ = g_active.compare_exchange_strong(
+      expected, this, std::memory_order_acq_rel, std::memory_order_acquire);
+  // Lost the race (another coloring is being audited): run sweep-only.
 }
 
-void AuditContext::begin_round(int round) {
+void AuditContext::end_run() {
+  if (installed_) g_active.store(nullptr, std::memory_order_release);
+  installed_ = false;
+}
+
+void AuditContext::begin_round(int round,
+                               std::span<const color_t> /*colors*/) {
   round_ = round;
   for (Ledger& l : ledgers_) {
     l.writes.clear();
@@ -138,98 +135,40 @@ void AuditContext::record_violation(vid_t a, vid_t b, vid_t via,
   }
 }
 
-void AuditContext::finish_round() {
+template <class V>
+vid_t AuditContext::audit_round(const V& view, const color_t* c) {
+  harvest_ledgers(c);
+  const std::uint64_t before = report_.escaped_conflicts;
+  for_each_escaped_conflict(view, c,
+                            [this](vid_t a, vid_t b, vid_t via, color_t col) {
+                              record_violation(a, b, via, col);
+                            });
   ++report_.rounds_audited;
-  if (options_.fail_fast && !report_.clean())
+  if (options_.fail_fast && report_.escaped_conflicts > before)
     raise(ErrorCode::kInternalInvariant, "speculative-race audit",
           "escaped conflict after conflict removal: " +
               (report_.violations.empty()
                    ? report_.summary()
                    : report_.violations.back().to_string()));
+  return 0;
 }
 
-void AuditContext::reset_seen(std::size_t capacity) {
-  if (seen_stamp_.size() < capacity) {
-    seen_stamp_.resize(capacity, 0);
-    seen_vertex_.resize(capacity, kInvalidVertex);
-  }
+vid_t AuditContext::end_round(const BipartiteView& view,
+                              std::span<color_t> colors,
+                              const std::vector<vid_t>& /*next_queue*/) {
+  return audit_round(view, colors.data());
 }
 
-vid_t AuditContext::seen_holder(color_t col) const {
-  const auto idx = static_cast<std::size_t>(col);
-  if (idx >= seen_stamp_.size() || seen_stamp_[idx] != seen_epoch_)
-    return kInvalidVertex;
-  return seen_vertex_[idx];
+vid_t AuditContext::end_round(const ClosedView& view,
+                              std::span<color_t> colors,
+                              const std::vector<vid_t>& /*next_queue*/) {
+  return audit_round(view, colors.data());
 }
 
-void AuditContext::mark_seen(color_t col, vid_t holder) {
-  const auto idx = static_cast<std::size_t>(col);
-  if (idx >= seen_stamp_.size()) reset_seen(idx + 1);
-  seen_stamp_[idx] = seen_epoch_;
-  seen_vertex_[idx] = holder;
-}
-
-void AuditContext::end_round(const BipartiteView& view, const color_t* c) {
-  harvest_ledgers(c);
-  const BipartiteGraph& g = view.g;
-  // Net-side sweep, the dual of check_bgpc but on a *partial* coloring:
-  // within one net every live color may appear once; an uncolored
-  // vertex is pending re-coloring and exempt by the paper's contract.
-  for (vid_t v = 0; v < g.num_nets(); ++v) {
-    if (++seen_epoch_ == 0) {
-      std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0);
-      seen_epoch_ = 1;
-    }
-    for (const vid_t u : g.vtxs(v)) {
-      const color_t cu = c[static_cast<std::size_t>(u)];
-      if (cu == kNoColor) continue;
-      const vid_t holder = seen_holder(cu);
-      if (holder != kInvalidVertex)
-        record_violation(u, holder, v, cu);
-      else
-        mark_seen(cu, u);
-    }
-  }
-  finish_round();
-}
-
-void AuditContext::end_round(const ClosedView& view, const color_t* c) {
-  harvest_ledgers(c);
-  const Graph& g = view.g;
-  // Closed-neighborhood sweep (the D2GC analogue of the net sweep):
-  // the colored members of N[v] must be pairwise distinct.
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    if (++seen_epoch_ == 0) {
-      std::fill(seen_stamp_.begin(), seen_stamp_.end(), 0);
-      seen_epoch_ = 1;
-    }
-    const color_t cv = c[static_cast<std::size_t>(v)];
-    if (cv != kNoColor) mark_seen(cv, v);
-    for (const vid_t u : g.neighbors(v)) {
-      const color_t cu = c[static_cast<std::size_t>(u)];
-      if (cu == kNoColor) continue;
-      const vid_t holder = seen_holder(cu);
-      if (holder != kInvalidVertex && holder != u)
-        record_violation(u, holder, v, cu);
-      else
-        mark_seen(cu, u);
-    }
-  }
-  finish_round();
-}
-
-void AuditContext::end_round(const Distance1View& view, const color_t* c) {
-  harvest_ledgers(c);
-  // Edge sweep: the two colored endpoints of an edge must differ.
-  const Graph& g = view.g;
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    const color_t cv = c[static_cast<std::size_t>(v)];
-    if (cv == kNoColor) continue;
-    for (const vid_t u : g.neighbors(v))
-      if (u > v && c[static_cast<std::size_t>(u)] == cv)
-        record_violation(u, v, v, cv);
-  }
-  finish_round();
+vid_t AuditContext::end_round(const Distance1View& view,
+                              std::span<color_t> colors,
+                              const std::vector<vid_t>& /*next_queue*/) {
+  return audit_round(view, colors.data());
 }
 
 }  // namespace gcol::audit

@@ -80,7 +80,7 @@ struct McResult {
 };
 
 /// Exploration core. `run_one` must perform one complete coloring that
-/// (a) attaches `ctx` as ColoringOptions::checker and (b) is a
+/// (a) appends `ctx` to ColoringOptions::hooks and (b) is a
 /// deterministic function of the schedule decisions. Throws
 /// Error(kInvalidArgument) when the build lacks GCOL_MC.
 [[nodiscard]] McResult explore(
@@ -89,8 +89,9 @@ struct McResult {
 
 /// Model-check one BGPC / D2GC configuration on a (small) fixture.
 /// `base` is copied; its num_threads is overridden by virtual_threads,
-/// its max_rounds clamped by convergence_round_limit, and a
-/// sequential-fallback result is reported as a kLivelock violation.
+/// its max_rounds clamped by convergence_round_limit, the checker is
+/// appended to its hooks, and a sequential-fallback result is reported
+/// as a kLivelock violation.
 [[nodiscard]] McResult model_check_bgpc(const BipartiteGraph& g,
                                         const ColoringOptions& base,
                                         const std::vector<vid_t>& order,

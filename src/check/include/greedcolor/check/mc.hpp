@@ -27,8 +27,8 @@
 //
 // One checked coloring at a time: the kernels reach the context
 // through a process-global registry (armed by McContext::arm, cleared
-// by disarm), exactly like the auditor's AuditScope. This is
-// checked-build tooling, not a hot-path feature.
+// by disarm), like the auditor's. This is checked-build tooling, not a
+// hot-path feature.
 #pragma once
 
 #include <condition_variable>
@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "greedcolor/core/round_hook.hpp"
 #include "greedcolor/graph/net_view.hpp"
 #include "greedcolor/util/types.hpp"
 
@@ -149,11 +150,12 @@ struct ExecutionLog {
   [[nodiscard]] bool violating() const { return violation_count > 0; }
 };
 
-/// The schedule-exploration context. Attach to ColoringOptions::checker
-/// (mirroring ColoringOptions::auditor); the engine calls begin_round /
-/// end_round, the kernels' region scopes and accessor yields drive the
-/// cooperative scheduler. Arm/disarm bracket one explored execution.
-class McContext {
+/// The schedule-exploration context, a RoundHook: append it to
+/// ColoringOptions::hooks (check::model_check_* do) and the engine calls
+/// begin_round / end_round, while the kernels' region scopes and
+/// accessor yields drive the cooperative scheduler. Arm/disarm bracket
+/// one explored execution; unarmed, the context is inert.
+class McContext final : public RoundHook {
  public:
   McContext() = default;
   McContext(const McContext&) = delete;
@@ -179,18 +181,20 @@ class McContext {
   /// Rounds after which the speculative loop counts as livelocked.
   int convergence_round_limit = 32;
 
-  // ---- driver side (the speculative engine's round loop) ----
+  // ---- engine side (RoundHook) ----
 
-  void begin_round(int round, const color_t* c, std::size_t n);
-  /// Audit the partial coloring after conflict removal + fault
-  /// injection. `next_queue` is the work queue of the following round
-  /// (the no-loss invariant: every uncolored vertex must be in it).
-  void end_round(const BipartiteView& view, const color_t* c,
-                 const std::vector<vid_t>& next_queue);
-  void end_round(const ClosedView& view, const color_t* c,
-                 const std::vector<vid_t>& next_queue);
-  void end_round(const Distance1View& view, const color_t* c,
-                 const std::vector<vid_t>& next_queue);
+  void begin_round(int round, std::span<const color_t> colors) override;
+  /// Check the partial coloring after conflict removal (and any fault
+  /// injection before this hook): escaped conflicts (the shared sweep,
+  /// greedcolor/analyze/escaped.hpp), work-queue no-loss (every
+  /// uncolored vertex must be in `next_queue`) and the color bound.
+  /// Overwrites nothing.
+  vid_t end_round(const BipartiteView& view, std::span<color_t> colors,
+                  const std::vector<vid_t>& next_queue) override;
+  vid_t end_round(const ClosedView& view, std::span<color_t> colors,
+                  const std::vector<vid_t>& next_queue) override;
+  vid_t end_round(const Distance1View& view, std::span<color_t> colors,
+                  const std::vector<vid_t>& next_queue) override;
 
   // ---- kernel side (region scopes and accessor yields) ----
 
@@ -216,11 +220,10 @@ class McContext {
   void schedule_locked();
   [[nodiscard]] std::uint64_t state_hash_locked() const;
   void record_violation_nolock(McViolation v);
-  /// The view-independent end_round checks (mu_ held): work-queue
-  /// no-loss and the marker-capacity color bound.
+  /// The end_round checks for any view (takes mu_; returns 0).
   template <class V>
-  void check_queue_and_bound(const V& view, const color_t* c,
-                             const std::vector<vid_t>& next_queue);
+  vid_t check_round(const V& view, const color_t* c,
+                   const std::vector<vid_t>& next_queue);
 
   std::mutex mu_;
   std::condition_variable cv_;
@@ -241,8 +244,7 @@ class McContext {
   ExecutionLog log_;
   int round_ = 0;
   bool livelock_flagged_ = false;
-  const color_t* colors_ = nullptr;
-  std::size_t num_colors_ = 0;
+  std::span<const color_t> colors_;
   std::vector<std::uint8_t> queue_mark_;  // end_round scratch
 };
 

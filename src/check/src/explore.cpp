@@ -381,26 +381,34 @@ McResult explore(McContext& ctx, const McOptions& opts,
 
 namespace {
 
-/// Shared setup for the model_check_* entry points: pin the virtual
-/// team size, fail diverging schedules fast, and surface a sequential
-/// fallback as the livelock it is under exploration.
-ColoringOptions checked_options(const ColoringOptions& base,
-                                const McOptions& opts, McContext& ctx) {
+/// One model_check_* run: pin the virtual team size, fail diverging
+/// schedules fast, append the checker after the caller's hooks (a
+/// FaultInjector there injects before the checker sweeps), explore
+/// `color(opt)` and surface a sequential fallback as the livelock it is
+/// under exploration.
+template <class ColorFn>
+McResult model_check(const char* engine, const ColoringOptions& base,
+                     const McOptions& opts, ColorFn color) {
+  McContext ctx;
   ColoringOptions opt = base;
   opt.num_threads = std::max(2, opts.virtual_threads);
   opt.max_rounds =
       std::min(opt.max_rounds, std::max(1, opts.convergence_round_limit));
-  opt.checker = &ctx;
-  return opt;
-}
-
-std::string witness_label(const char* engine, const ColoringOptions& opt,
-                          const McOptions& opts) {
-  std::ostringstream os;
-  os << engine << " " << opt.name << " mode=" << to_string(opts.mode)
-     << " vthreads=" << std::max(2, opts.virtual_threads)
-     << " seed=" << opts.seed;
-  return os.str();
+  opt.hooks.push_back(&ctx);
+  McResult res = explore(ctx, opts, [&](McContext& c) {
+    const ColoringResult r = color(opt);
+    if (r.sequential_fallback)
+      c.add_violation({McViolationKind::kLivelock, r.rounds, kInvalidVertex,
+                       kInvalidVertex, kInvalidVertex, kNoColor,
+                       "speculative loop hit its round cap; "
+                       "sequential cleanup engaged"});
+  });
+  std::ostringstream label;
+  label << engine << " " << opt.name << " mode=" << to_string(opts.mode)
+        << " vthreads=" << std::max(2, opts.virtual_threads)
+        << " seed=" << opts.seed;
+  res.witness.label = label.str();
+  return res;
 }
 
 }  // namespace
@@ -409,39 +417,17 @@ McResult model_check_bgpc(const BipartiteGraph& g,
                           const ColoringOptions& base,
                           const std::vector<vid_t>& order,
                           const McOptions& opts) {
-  McContext ctx;
-  const ColoringOptions opt = checked_options(base, opts, ctx);
-  McResult res =
-      explore(ctx, opts, [&g, &opt, &order](McContext& c) {
-        const ColoringResult r = color_bgpc(g, opt, order);
-        if (r.sequential_fallback)
-          c.add_violation({McViolationKind::kLivelock, r.rounds,
-                           kInvalidVertex, kInvalidVertex, kInvalidVertex,
-                           kNoColor,
-                           "speculative loop hit its round cap; "
-                           "sequential cleanup engaged"});
-      });
-  res.witness.label = witness_label("bgpc", opt, opts);
-  return res;
+  return model_check("bgpc", base, opts, [&](const ColoringOptions& opt) {
+    return color_bgpc(g, opt, order);
+  });
 }
 
 McResult model_check_d2gc(const Graph& g, const ColoringOptions& base,
                           const std::vector<vid_t>& order,
                           const McOptions& opts) {
-  McContext ctx;
-  const ColoringOptions opt = checked_options(base, opts, ctx);
-  McResult res =
-      explore(ctx, opts, [&g, &opt, &order](McContext& c) {
-        const ColoringResult r = color_d2gc(g, opt, order);
-        if (r.sequential_fallback)
-          c.add_violation({McViolationKind::kLivelock, r.rounds,
-                           kInvalidVertex, kInvalidVertex, kInvalidVertex,
-                           kNoColor,
-                           "speculative loop hit its round cap; "
-                           "sequential cleanup engaged"});
-      });
-  res.witness.label = witness_label("d2gc", opt, opts);
-  return res;
+  return model_check("d2gc", base, opts, [&](const ColoringOptions& opt) {
+    return color_d2gc(g, opt, order);
+  });
 }
 
 }  // namespace gcol::check

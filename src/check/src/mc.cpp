@@ -1,6 +1,6 @@
 // gcol-mc cooperative scheduler: serializes the real OpenMP kernel
 // threads through a run token so a Strategy can dictate the
-// interleaving, and sweeps the audit invariants at every round
+// interleaving, and checks the round invariants at every round
 // boundary. See mc.hpp for the design overview.
 #include "greedcolor/check/mc.hpp"
 
@@ -8,6 +8,7 @@
 #include <atomic>
 #include <sstream>
 
+#include "greedcolor/analyze/escaped.hpp"
 #include "greedcolor/robust/error.hpp"
 #include "greedcolor/util/parallel.hpp"
 
@@ -98,8 +99,7 @@ void McContext::arm(Strategy& strategy, const McLimits& limits) {
     log_ = ExecutionLog{};
     round_ = 0;
     livelock_flagged_ = false;
-    colors_ = nullptr;
-    num_colors_ = 0;
+    colors_ = {};
     episode_open_ = false;
     expected_ = 0;
     registered_ = 0;
@@ -267,20 +267,18 @@ std::uint64_t McContext::state_hash_locked() const {
   }
   // All kernel threads are parked on the condvar here, so the plain
   // reads cannot race the kernels' relaxed atomics.
-  for (std::size_t i = 0; i < num_colors_; ++i)
-    fnv_mix(h, static_cast<std::uint64_t>(
-                   static_cast<std::uint32_t>(colors_[i])));
+  for (const color_t col : colors_)
+    fnv_mix(h, static_cast<std::uint64_t>(static_cast<std::uint32_t>(col)));
   return h;
 }
 
 // ---- round-boundary invariant sweeps --------------------------------
 
-void McContext::begin_round(int round, const color_t* c, std::size_t n) {
+void McContext::begin_round(int round, std::span<const color_t> colors) {
   if (!armed_) return;
   std::lock_guard<std::mutex> lk(mu_);
   round_ = round;
-  colors_ = c;
-  num_colors_ = n;
+  colors_ = colors;
   if (round > convergence_round_limit && !livelock_flagged_) {
     livelock_flagged_ = true;
     record_violation_nolock(
@@ -291,8 +289,18 @@ void McContext::begin_round(int round, const color_t* c, std::size_t n) {
 }
 
 template <class V>
-void McContext::check_queue_and_bound(const V& view, const color_t* c,
-                                      const std::vector<vid_t>& next_queue) {
+vid_t McContext::check_round(const V& view, const color_t* c,
+                             const std::vector<vid_t>& next_queue) {
+  if (!armed_) return 0;
+  std::lock_guard<std::mutex> lk(mu_);
+  audit::for_each_escaped_conflict(
+      view, c, [this](vid_t a, vid_t b, vid_t via, color_t col) {
+        record_violation_nolock(
+            {McViolationKind::kEscapedConflict, round_, std::min(a, b),
+             std::max(a, b), via, col,
+             "neighbors share a color after conflict removal"});
+      });
+
   const auto n = static_cast<std::size_t>(view.num_vertices());
   // Work-queue no-loss: every uncolored non-isolated vertex must be in
   // the next round's queue, or it will never be colored.
@@ -323,85 +331,24 @@ void McContext::check_queue_and_bound(const V& view, const color_t* c,
          kInvalidVertex, kInvalidVertex, col,
          "color at/above the driver's marker capacity"});
   }
+  return 0;
 }
 
-void McContext::end_round(const BipartiteView& view, const color_t* c,
-                          const std::vector<vid_t>& next_queue) {
-  if (!armed_) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  const BipartiteGraph& g = view.g;
-
-  // Escaped conflicts: two colored vertices of one net sharing a
-  // color after conflict removal. O(deg^2) per net — fixtures are tiny.
-  for (vid_t v = 0; v < g.num_nets(); ++v) {
-    const auto vt = g.vtxs(v);
-    for (std::size_t i = 0; i < vt.size(); ++i) {
-      const color_t ci = c[static_cast<std::size_t>(vt[i])];
-      if (ci == kNoColor) continue;
-      for (std::size_t j = i + 1; j < vt.size(); ++j) {
-        if (vt[i] == vt[j]) continue;  // multiplicity edge
-        if (c[static_cast<std::size_t>(vt[j])] != ci) continue;
-        record_violation_nolock(
-            {McViolationKind::kEscapedConflict, round_,
-             std::min(vt[i], vt[j]), std::max(vt[i], vt[j]), v, ci,
-             "distance-2 neighbors share a color after conflict removal"});
-      }
-    }
-  }
-  check_queue_and_bound(view, c, next_queue);
+vid_t McContext::end_round(const BipartiteView& view,
+                           std::span<color_t> colors,
+                           const std::vector<vid_t>& next_queue) {
+  return check_round(view, colors.data(), next_queue);
 }
 
-void McContext::end_round(const ClosedView& view, const color_t* c,
-                          const std::vector<vid_t>& next_queue) {
-  if (!armed_) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  const Graph& g = view.g;
-
-  // Escaped conflicts under distance-2 adjacency: v vs its neighbors
-  // (distance 1) and every neighbor pair through v (distance 2).
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    const auto nb = g.neighbors(v);
-    const color_t cv = c[static_cast<std::size_t>(v)];
-    for (std::size_t i = 0; i < nb.size(); ++i) {
-      const color_t ci = c[static_cast<std::size_t>(nb[i])];
-      if (cv != kNoColor && nb[i] != v && ci == cv && nb[i] > v) {
-        record_violation_nolock(
-            {McViolationKind::kEscapedConflict, round_, v, nb[i],
-             kInvalidVertex, cv,
-             "adjacent vertices share a color after conflict removal"});
-      }
-      if (ci == kNoColor) continue;
-      for (std::size_t j = i + 1; j < nb.size(); ++j) {
-        if (nb[i] == nb[j]) continue;
-        if (c[static_cast<std::size_t>(nb[j])] != ci) continue;
-        record_violation_nolock(
-            {McViolationKind::kEscapedConflict, round_,
-             std::min(nb[i], nb[j]), std::max(nb[i], nb[j]), v, ci,
-             "distance-2 neighbors share a color after conflict removal"});
-      }
-    }
-  }
-  check_queue_and_bound(view, c, next_queue);
+vid_t McContext::end_round(const ClosedView& view, std::span<color_t> colors,
+                           const std::vector<vid_t>& next_queue) {
+  return check_round(view, colors.data(), next_queue);
 }
 
-void McContext::end_round(const Distance1View& view, const color_t* c,
-                          const std::vector<vid_t>& next_queue) {
-  if (!armed_) return;
-  std::lock_guard<std::mutex> lk(mu_);
-  const Graph& g = view.g;
-
-  // Escaped conflicts under distance-1 adjacency, each edge once.
-  for (vid_t v = 0; v < g.num_vertices(); ++v) {
-    const color_t cv = c[static_cast<std::size_t>(v)];
-    if (cv == kNoColor) continue;
-    for (const vid_t u : g.neighbors(v)) {
-      if (u <= v || c[static_cast<std::size_t>(u)] != cv) continue;
-      record_violation_nolock(
-          {McViolationKind::kEscapedConflict, round_, v, u, kInvalidVertex,
-           cv, "adjacent vertices share a color after conflict removal"});
-    }
-  }
-  check_queue_and_bound(view, c, next_queue);
+vid_t McContext::end_round(const Distance1View& view,
+                           std::span<color_t> colors,
+                           const std::vector<vid_t>& next_queue) {
+  return check_round(view, colors.data(), next_queue);
 }
 
 // ---- kernel-side hooks ----------------------------------------------

@@ -14,13 +14,7 @@
 
 namespace gcol {
 
-struct FaultPlan;  // greedcolor/robust/fault.hpp
-namespace audit {
-class AuditContext;  // greedcolor/analyze/audit.hpp
-}
-namespace check {
-class McContext;  // greedcolor/check/mc.hpp
-}
+class RoundHook;  // greedcolor/core/round_hook.hpp
 namespace obs {
 class Tracer;  // greedcolor/obs/trace.hpp
 }
@@ -78,23 +72,14 @@ struct ColoringOptions {
   /// can overshoot the deadline before the check fires.
   double deadline_seconds = 0.0;
 
-  /// Deterministic fault-injection plan (tests / fault matrices); not
-  /// owned, may be null. See greedcolor/robust/fault.hpp.
-  const FaultPlan* fault_plan = nullptr;
-
-  /// Speculative-race auditor: when attached, the partial coloring is
-  /// checked after every conflict-removal pass and (in GCOL_AUDIT
-  /// builds) the kernels ledger their racy color accesses into it. Not
-  /// owned, may be null; one coloring at a time per context. See
-  /// greedcolor/analyze/audit.hpp.
-  audit::AuditContext* auditor = nullptr;
-
-  /// gcol-mc schedule-exploration checker: when attached (and armed),
-  /// the drivers report round boundaries into it and — in GCOL_MC
-  /// builds — the kernels' color accessors become cooperative schedule
-  /// points under its control. Not owned, may be null; one coloring at
-  /// a time per context. See greedcolor/check/mc.hpp.
-  check::McContext* checker = nullptr;
+  /// Round hooks, called in list order at every round point (see
+  /// greedcolor/core/round_hook.hpp): fault injection (FaultInjector,
+  /// greedcolor/robust/fault.hpp), the speculative-race auditor
+  /// (audit::AuditContext) and the gcol-mc model checker
+  /// (check::McContext). Put a FaultInjector before an auditor so the
+  /// auditor sees the injected writes. Not owned, never null; one
+  /// coloring at a time per hook.
+  std::vector<RoundHook*> hooks;
 
   /// gcol-trace tracer: when attached, the drivers record per-round and
   /// per-phase spans plus degradation events into its per-thread ring

@@ -10,15 +10,13 @@
 #include <string>
 #include <type_traits>
 
-#include "greedcolor/analyze/audit.hpp"
-#include "greedcolor/check/mc.hpp"
 #include "greedcolor/core/bgpc.hpp"
 #include "greedcolor/core/d1gc.hpp"
 #include "greedcolor/core/d2gc.hpp"
+#include "greedcolor/core/round_hook.hpp"
 #include "greedcolor/graph/net_view.hpp"
 #include "greedcolor/obs/trace.hpp"
 #include "greedcolor/order/ordering.hpp"
-#include "greedcolor/robust/fault.hpp"
 #include "greedcolor/util/marker_set.hpp"
 #include "greedcolor/util/timer.hpp"
 #include "phase_kernels.hpp"
@@ -107,14 +105,19 @@ ColoringResult speculative_color(const V& view, const ColoringOptions& options,
 
   const int threads = detail::resolve_threads(options.num_threads);
   // gcol-trace: spans/events recorded only through the GCOL_TRACE_*
-  // macros, which compile out with the build option (same seam contract
-  // as the auditor below).
+  // macros, which compile out with the build option.
   obs::Tracer* const tracer = options.tracer;
   if (tracer != nullptr) tracer->attach(threads);
-  // Speculative-race auditor: installed for the whole engine run so the
-  // GCOL_AUDIT accessor hooks can reach it; one null check per round on
-  // the happy path (same contract as fault_plan).
-  audit::AuditScope audit_scope(options.auditor, threads);
+  // Round hooks: begin_run here, end_run on every exit path (a
+  // fail_fast auditor throws out of end_round).
+  const std::vector<RoundHook*>& hooks = options.hooks;
+  for (RoundHook* h : hooks) h->begin_run(threads);
+  const struct EndRun {
+    const std::vector<RoundHook*>& hooks;
+    ~EndRun() {
+      for (RoundHook* h : hooks) h->end_run();
+    }
+  } end_run{hooks};
   const color_t bound = view.color_bound(threads);
   const detail::NetSummaries summaries(view, bound);
   std::vector<ThreadWorkspace> workspaces(
@@ -154,16 +157,14 @@ ColoringResult speculative_color(const V& view, const ColoringOptions& options,
   }
 
   WallTimer total;
-  const FaultPlan* faults = options.fault_plan;
+  const std::span<color_t> colors(c, nsz);
   std::vector<vid_t> wnext;
   int round = 0;
   while (!w.empty()) {
     ++round;
     GCOL_TRACE_BEGIN(tracer, V::kNames.round,
                      static_cast<std::uint64_t>(round));
-    if (options.auditor) options.auditor->begin_round(round);
-    if (options.checker) options.checker->begin_round(round, c, nsz);
-    if (faults) inject_round_delay(*faults, round);  // straggler stall
+    for (RoundHook* h : hooks) h->begin_round(round, colors);
     bool net_color = false;
     bool net_conflict = false;
     if constexpr (V::kNetKernels) {
@@ -204,19 +205,11 @@ ColoringResult speculative_color(const V& view, const ColoringOptions& options,
     std::swap(w, wnext);
     wnext.clear();
 
-    // Post-round stale writes: corrupted vertices stay colored and out
-    // of the work queue, so the loop itself may never notice — the
-    // verified entry points repair what leaks through.
-    if (faults)
-      result.faults_injected += inject_stale_colors(
-          *faults, view.g, round, std::span<color_t>(c, nsz));
-
-    // Audit after fault injection: an injected stale write is exactly
-    // the "escaped conflict" shape the auditor exists to catch.
-    if (options.auditor) options.auditor->end_round(view, c);
-    // Model checker sweep, same placement; `w` is already the next
-    // round's queue here (post-swap), which the no-loss check needs.
-    if (options.checker) options.checker->end_round(view, c, w);
+    // `w` is already the next round's queue here (post-swap). A color a
+    // hook overwrites stays out of it, so the loop itself may never
+    // notice; the verified entry points repair what leaks through.
+    for (RoundHook* h : hooks)
+      result.faults_injected += h->end_round(view, colors, w);
 
     // Convergence watchdog: round budget + wall-clock deadline. Either
     // valve finishes the pending set with the guaranteed-termination

@@ -1,5 +1,6 @@
 #include "greedcolor/core/options.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace gcol {
@@ -37,6 +38,8 @@ void ColoringOptions::validate() const {
     throw std::invalid_argument("deadline_seconds must be >= 0");
   if ((net_v1 || net_v1_reverse) && net_color_rounds == 0)
     throw std::invalid_argument("net_v1 requires net_color_rounds >= 1");
+  if (std::ranges::find(hooks, nullptr) != hooks.end())
+    throw std::invalid_argument("hooks must not hold a null pointer");
 }
 
 namespace {

@@ -4,86 +4,25 @@
 #include <numeric>
 
 #include "greedcolor/core/result.hpp"
+#include "greedcolor/graph/net_view.hpp"
 #include "greedcolor/util/marker_set.hpp"
 #include "greedcolor/util/prng.hpp"
-#include "kernels_common.hpp"
+#include "phase_kernels.hpp"
 
 namespace gcol {
 
 namespace {
 
-/// Order vertices by current color, largest color class processed
-/// first. When every class is re-colored as a block, greedy first-fit
-/// can reuse only colors of previously processed classes, so the count
-/// cannot grow (Culberson's argument).
-std::vector<vid_t> reverse_class_order(const std::vector<color_t>& colors) {
-  std::vector<vid_t> order(colors.size());
-  std::iota(order.begin(), order.end(), vid_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](vid_t a, vid_t b) {
-    return colors[static_cast<std::size_t>(a)] >
-           colors[static_cast<std::size_t>(b)];
-  });
-  return order;
-}
-
-}  // namespace
-
-color_t recolor_bgpc(const BipartiteGraph& g, std::vector<color_t>& colors) {
-  const std::vector<vid_t> order = reverse_class_order(colors);
-  std::vector<color_t> next(colors.size(), kNoColor);
-  MarkerSet forbidden;
-  std::uint64_t probes = 0;
-  for (const vid_t w : order) {
-    forbidden.clear();
-    for (const vid_t v : g.nets(w))
-      for (const vid_t u : g.vtxs(v))
-        if (u != w && next[static_cast<std::size_t>(u)] != kNoColor)
-          forbidden.insert(next[static_cast<std::size_t>(u)]);
-    next[static_cast<std::size_t>(w)] = detail::pick_up(forbidden, 0, probes);
-  }
-  colors = std::move(next);
-  return count_colors(colors);
-}
-
-color_t recolor_d2gc(const Graph& g, std::vector<color_t>& colors) {
-  const std::vector<vid_t> order = reverse_class_order(colors);
-  std::vector<color_t> next(colors.size(), kNoColor);
-  MarkerSet forbidden;
-  std::uint64_t probes = 0;
-  for (const vid_t w : order) {
-    forbidden.clear();
-    for (const vid_t u : g.neighbors(w)) {
-      if (next[static_cast<std::size_t>(u)] != kNoColor)
-        forbidden.insert(next[static_cast<std::size_t>(u)]);
-      for (const vid_t x : g.neighbors(u))
-        if (x != w && next[static_cast<std::size_t>(x)] != kNoColor)
-          forbidden.insert(next[static_cast<std::size_t>(x)]);
-    }
-    next[static_cast<std::size_t>(w)] = detail::pick_up(forbidden, 0, probes);
-  }
-  colors = std::move(next);
-  return count_colors(colors);
-}
-
-color_t recolor_bgpc_to_fixpoint(const BipartiteGraph& g,
-                                 std::vector<color_t>& colors,
-                                 int max_passes) {
-  color_t best = count_colors(colors);
-  for (int pass = 0; pass < max_passes; ++pass) {
-    const color_t now = recolor_bgpc(g, colors);
-    if (now >= best) return now;
-    best = now;
-  }
-  return best;
-}
-
-color_t recolor_bgpc_with(const BipartiteGraph& g,
-                          std::vector<color_t>& colors, RecolorOrder order,
-                          std::uint64_t seed) {
+/// Vertex order of one pass: vertices stably sorted by their class's
+/// rank under `order`, so each color class stays contiguous. When every
+/// class is re-colored as a block, greedy first-fit can reuse only
+/// colors of previously processed classes, so the count cannot grow
+/// (Culberson's argument). Uncolored vertices come last.
+std::vector<vid_t> class_order(const std::vector<color_t>& colors,
+                               RecolorOrder order, std::uint64_t seed) {
   const color_t k = count_colors(colors);
-  // Rank per class according to the requested strategy; vertices are
-  // then stably sorted by their class rank, keeping classes contiguous.
-  std::vector<std::uint64_t> rank(static_cast<std::size_t>(std::max<color_t>(k, 1)));
+  std::vector<std::uint64_t> rank(
+      static_cast<std::size_t>(std::max<color_t>(k, 1)));
   switch (order) {
     case RecolorOrder::kReverseColors:
       for (color_t c = 0; c < k; ++c)
@@ -104,28 +43,64 @@ color_t recolor_bgpc_with(const BipartiteGraph& g,
       break;
     }
   }
+  const auto rank_of = [&](vid_t v) {
+    const color_t c = colors[static_cast<std::size_t>(v)];
+    return c == kNoColor ? ~std::uint64_t{0}
+                         : rank[static_cast<std::size_t>(c)];
+  };
   std::vector<vid_t> vertex_order(colors.size());
   std::iota(vertex_order.begin(), vertex_order.end(), vid_t{0});
   std::stable_sort(vertex_order.begin(), vertex_order.end(),
-                   [&](vid_t a, vid_t b) {
-                     return rank[static_cast<std::size_t>(
-                                colors[static_cast<std::size_t>(a)])] <
-                            rank[static_cast<std::size_t>(
-                                colors[static_cast<std::size_t>(b)])];
-                   });
+                   [&](vid_t a, vid_t b) { return rank_of(a) < rank_of(b); });
+  return vertex_order;
+}
+
+/// One greedy first-fit pass over `order` into a fresh color array,
+/// with Alg. 4's exact walk over the view's nets.
+template <class V>
+color_t first_fit_pass(const V& view, const std::vector<vid_t>& order,
+                       std::vector<color_t>& colors) {
   std::vector<color_t> next(colors.size(), kNoColor);
-  MarkerSet forbidden;
+  MarkerSet forbidden(static_cast<std::size_t>(view.color_bound(1)) + 2);
   std::uint64_t probes = 0;
-  for (const vid_t w : vertex_order) {
+  for (const vid_t w : order) {
     forbidden.clear();
-    for (const vid_t v : g.nets(w))
-      for (const vid_t u : g.vtxs(v))
-        if (u != w && next[static_cast<std::size_t>(u)] != kNoColor)
-          forbidden.insert(next[static_cast<std::size_t>(u)]);
+    (void)detail::forbid_nets(view, next.data(), w, forbidden);
     next[static_cast<std::size_t>(w)] = detail::pick_up(forbidden, 0, probes);
   }
   colors = std::move(next);
   return count_colors(colors);
+}
+
+}  // namespace
+
+color_t recolor_bgpc(const BipartiteGraph& g, std::vector<color_t>& colors) {
+  return recolor_bgpc_with(g, colors, RecolorOrder::kReverseColors);
+}
+
+color_t recolor_d2gc(const Graph& g, std::vector<color_t>& colors) {
+  return first_fit_pass(ClosedView{g},
+                        class_order(colors, RecolorOrder::kReverseColors, 0),
+                        colors);
+}
+
+color_t recolor_bgpc_to_fixpoint(const BipartiteGraph& g,
+                                 std::vector<color_t>& colors,
+                                 int max_passes) {
+  color_t best = count_colors(colors);
+  for (int pass = 0; pass < max_passes; ++pass) {
+    const color_t now = recolor_bgpc(g, colors);
+    if (now >= best) return now;
+    best = now;
+  }
+  return best;
+}
+
+color_t recolor_bgpc_with(const BipartiteGraph& g,
+                          std::vector<color_t>& colors, RecolorOrder order,
+                          std::uint64_t seed) {
+  return first_fit_pass(BipartiteView{g}, class_order(colors, order, seed),
+                        colors);
 }
 
 color_t balanced_recolor_bgpc(const BipartiteGraph& g,

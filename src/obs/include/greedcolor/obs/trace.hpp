@@ -16,8 +16,7 @@
 //    GCOL_TRACE build option is OFF — no symbol references, no tracer
 //    argument evaluation beyond an unevaluated sizeof. With the option
 //    ON but no tracer attached (ColoringOptions::tracer == nullptr,
-//    the default), the cost is one null check per macro site, the same
-//    contract as the auditor/checker/fault_plan seams.
+//    the default), the cost is one null check per macro site.
 //  * Lock-free hot path. Each ring has exactly one writer (its OpenMP
 //    thread); a push is a slot store plus one release store of the
 //    head index. Overflow drops the OLDEST events (ring semantics) and
@@ -95,9 +94,9 @@ struct TracerOptions {
   std::size_t ring_capacity = std::size_t{1} << 14;
 };
 
-/// The attachable trace sink (ColoringOptions::tracer). Not owned by the engines; one coloring at a
-/// time per tracer — concurrent colorings need separate tracers, the
-/// same contract as the auditor.
+/// The attachable trace sink (ColoringOptions::tracer). Not owned by
+/// the engines; one coloring at a time per tracer — concurrent
+/// colorings need separate tracers, as they need separate round hooks.
 class Tracer {
  public:
   explicit Tracer(TracerOptions options = {});

@@ -4,11 +4,12 @@
 // pipeline must survive: stale speculative color writes in the parallel
 // kernels (a delayed thread publishing a decision computed from an old
 // view), artificial straggler stalls that trip the convergence watchdog,
-// and truncated / bit-flipped bytes on the ingest path. Every decision is a pure function of (seed, fault kind, round,
-// item), so a failing scenario replays bit-for-bit from its spec string.
+// and truncated / bit-flipped bytes on the ingest path. Every decision
+// is a pure function of (seed, fault kind, round, item), so a failing
+// scenario replays bit-for-bit from its spec string.
 //
-// Plans are attached to ColoringOptions by pointer and are
-// never consulted on the happy path beyond one null check per round.
+// A plan reaches the engine through a FaultInjector, one of the round
+// hooks in ColoringOptions::hooks; the happy path attaches none.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "greedcolor/core/round_hook.hpp"
 #include "greedcolor/graph/bipartite.hpp"
 #include "greedcolor/graph/csr.hpp"
 #include "greedcolor/util/types.hpp"
@@ -49,10 +51,6 @@ struct FaultPlan {
   /// Canonical spec string (parse(to_spec()) round-trips).
   [[nodiscard]] std::string to_spec() const;
 
-  [[nodiscard]] bool any_kernel_faults() const {
-    return stale_color_rate > 0.0 || delay_rounds > 0;
-  }
-
   // Deterministic per-item decisions.
   [[nodiscard]] bool corrupt_color(int round, vid_t u) const;
   [[nodiscard]] bool delay_round(int round) const {
@@ -68,8 +66,7 @@ struct FaultPlan {
 
 /// Overwrite a deterministic subset of colored vertices with the color
 /// of a conflicting distance-2 partner (BGPC: another vertex of a shared
-/// net). Returns the number of vertices actually corrupted. Called by
-/// color_bgpc after each round when a plan is attached.
+/// net). Returns the number of vertices actually corrupted.
 vid_t inject_stale_colors(const FaultPlan& plan, const BipartiteGraph& g,
                           int round, std::span<color_t> colors);
 
@@ -77,8 +74,33 @@ vid_t inject_stale_colors(const FaultPlan& plan, const BipartiteGraph& g,
 vid_t inject_stale_colors(const FaultPlan& plan, const Graph& g, int round,
                           std::span<color_t> colors);
 
-/// Sleep for delay_ms when the plan stalls this round. Returns true if
-/// a stall happened (so callers can count them).
-bool inject_round_delay(const FaultPlan& plan, int round);
+/// The round hook that applies a plan's kernel faults to one coloring.
+/// begin_round sleeps through the plan's straggler stall; end_round
+/// writes the stale colors (inject_stale_colors; D1GC takes the D2GC
+/// flavor) after conflict removal and returns how many it wrote. Put it
+/// before an auditor or checker in ColoringOptions::hooks so they see
+/// the injected writes. Holds the plan by reference.
+class FaultInjector final : public RoundHook {
+ public:
+  explicit FaultInjector(const FaultPlan& plan) : plan_(plan) {}
+
+  void begin_round(int round, std::span<const color_t> colors) override;
+  vid_t end_round(const BipartiteView& view, std::span<color_t> colors,
+                  const std::vector<vid_t>& /*next_queue*/) override {
+    return inject_stale_colors(plan_, view.g, round_, colors);
+  }
+  vid_t end_round(const ClosedView& view, std::span<color_t> colors,
+                  const std::vector<vid_t>& /*next_queue*/) override {
+    return inject_stale_colors(plan_, view.g, round_, colors);
+  }
+  vid_t end_round(const Distance1View& view, std::span<color_t> colors,
+                  const std::vector<vid_t>& /*next_queue*/) override {
+    return inject_stale_colors(plan_, view.g, round_, colors);
+  }
+
+ private:
+  const FaultPlan& plan_;
+  int round_ = 0;
+};
 
 }  // namespace gcol

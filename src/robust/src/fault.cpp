@@ -182,10 +182,11 @@ vid_t inject_stale_colors(const FaultPlan& plan, const Graph& g, int round,
       });
 }
 
-bool inject_round_delay(const FaultPlan& plan, int round) {
-  if (!plan.delay_round(round)) return false;
-  std::this_thread::sleep_for(std::chrono::milliseconds(plan.delay_ms));
-  return true;
+void FaultInjector::begin_round(int round,
+                                std::span<const color_t> /*colors*/) {
+  round_ = round;
+  if (plan_.delay_round(round))
+    std::this_thread::sleep_for(std::chrono::milliseconds(plan_.delay_ms));
 }
 
 }  // namespace gcol

@@ -42,7 +42,7 @@ TEST(AuditBgpc, CleanRunReportsClean) {
     audit::AuditContext ctx;
     ColoringOptions opt = bgpc_preset(name);
     opt.num_threads = 4;
-    opt.auditor = &ctx;
+    opt.hooks = {&ctx};
     const auto r = color_bgpc(g, opt);
     EXPECT_TRUE(is_valid_bgpc(g, r.colors)) << name;
     const auto& rep = ctx.report();
@@ -58,7 +58,7 @@ TEST(AuditBgpc, LedgersRecordSpeculationInAuditBuilds) {
   audit::AuditContext ctx;
   ColoringOptions opt = bgpc_preset("V-V");
   opt.num_threads = 4;
-  opt.auditor = &ctx;
+  opt.hooks = {&ctx};
   const auto r = color_bgpc(g, opt);
   ASSERT_TRUE(is_valid_bgpc(g, r.colors));
   const auto& rep = ctx.report();
@@ -84,8 +84,8 @@ TEST(AuditBgpc, SeededEscapedConflictIsCaught) {
   audit::AuditContext ctx;
   ColoringOptions opt = bgpc_preset("V-V");
   opt.num_threads = 2;
-  opt.fault_plan = &plan;
-  opt.auditor = &ctx;
+  FaultInjector inject(plan);
+  opt.hooks = {&inject, &ctx};
   const auto r = color_bgpc(g, opt);
   ASSERT_GT(r.faults_injected, 0) << "plan injected nothing";
   const auto& rep = ctx.report();
@@ -104,15 +104,15 @@ TEST(AuditBgpc, FailFastThrowsTypedError) {
   audit::AuditContext ctx({.fail_fast = true});
   ColoringOptions opt = bgpc_preset("V-V");
   opt.num_threads = 2;
-  opt.fault_plan = &plan;
-  opt.auditor = &ctx;
+  FaultInjector inject(plan);
+  opt.hooks = {&inject, &ctx};
   try {
     (void)color_bgpc(g, opt);
     FAIL() << "fail_fast auditor did not throw";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kInternalInvariant);
   }
-  // The scope unwound: no context may be left installed.
+  // end_run ran on the throw: no context may be left installed.
   EXPECT_EQ(audit::active(), nullptr);
 }
 
@@ -124,8 +124,8 @@ TEST(AuditBgpc, VerifiedEntryRepairsWhatTheAuditorSaw) {
   audit::AuditContext ctx;
   ColoringOptions opt = bgpc_preset("V-V");
   opt.num_threads = 2;
-  opt.fault_plan = &plan;
-  opt.auditor = &ctx;
+  FaultInjector inject(plan);
+  opt.hooks = {&inject, &ctx};
   const auto r = color_bgpc_verified(g, opt);
   EXPECT_TRUE(is_valid_bgpc(g, r.colors));
   EXPECT_GT(ctx.report().escaped_conflicts, 0u);
@@ -136,7 +136,7 @@ TEST(AuditBgpc, ScopeRestoresAndReportAccumulates) {
   audit::AuditContext ctx;
   ColoringOptions opt = bgpc_preset("V-V");
   opt.num_threads = 2;
-  opt.auditor = &ctx;
+  opt.hooks = {&ctx};
   const auto r1 = color_bgpc(g, opt);
   const int after_first = ctx.report().rounds_audited;
   EXPECT_EQ(after_first, r1.rounds);
@@ -152,7 +152,7 @@ TEST(AuditD2gc, CleanRunReportsClean) {
     audit::AuditContext ctx;
     ColoringOptions opt = d2gc_preset(name);
     opt.num_threads = 4;
-    opt.auditor = &ctx;
+    opt.hooks = {&ctx};
     const auto r = color_d2gc(g, opt);
     EXPECT_TRUE(is_valid_d2gc(g, r.colors)) << name;
     EXPECT_TRUE(ctx.report().clean())
@@ -167,8 +167,8 @@ TEST(AuditD2gc, SeededEscapedConflictIsCaught) {
   audit::AuditContext ctx;
   ColoringOptions opt = d2gc_preset("V-V-64D");
   opt.num_threads = 2;
-  opt.fault_plan = &plan;
-  opt.auditor = &ctx;
+  FaultInjector inject(plan);
+  opt.hooks = {&inject, &ctx};
   const auto r = color_d2gc(g, opt);
   ASSERT_GT(r.faults_injected, 0) << "plan injected nothing";
   EXPECT_FALSE(ctx.report().clean());
@@ -182,7 +182,7 @@ TEST(AuditD1gc, CleanRunReportsClean) {
   audit::AuditContext ctx;
   ColoringOptions opt = bgpc_preset("V-V-64D");
   opt.num_threads = 4;
-  opt.auditor = &ctx;
+  opt.hooks = {&ctx};
   const auto r = color_d1gc(g, opt);
   EXPECT_TRUE(is_valid_d1gc(g, r.colors));
   EXPECT_TRUE(ctx.report().clean()) << ctx.report().summary();
@@ -195,8 +195,8 @@ TEST(AuditD1gc, SeededEscapedConflictIsCaught) {
   audit::AuditContext ctx;
   ColoringOptions opt = bgpc_preset("V-V-64D");
   opt.num_threads = 2;
-  opt.fault_plan = &plan;
-  opt.auditor = &ctx;
+  FaultInjector inject(plan);
+  opt.hooks = {&inject, &ctx};
   const auto r = color_d1gc(g, opt);
   ASSERT_GT(r.faults_injected, 0) << "plan injected nothing";
   EXPECT_GT(ctx.report().escaped_conflicts, 0u);
@@ -206,7 +206,7 @@ TEST(AuditD1gc, SeededEscapedConflictIsCaught) {
 // The first-wins install contract promises (a) no UB / torn registry,
 // (b) every context still gets its full per-round sweep (that path does
 // not go through the registry), (c) nothing is left installed after the
-// last scope exits.
+// last run ends.
 TEST(AuditScopeTest, ConcurrentAttachDetachIsSafe) {
   constexpr int kThreads = 4;
   constexpr int kIters = 6;
@@ -222,7 +222,7 @@ TEST(AuditScopeTest, ConcurrentAttachDetachIsSafe) {
             audit_bipartite(0xC0 + static_cast<std::uint64_t>(t));
         ColoringOptions opt = bgpc_preset("V-V");
         opt.num_threads = 2;
-        opt.auditor = &ctxs[static_cast<std::size_t>(t)];
+        opt.hooks = {&ctxs[static_cast<std::size_t>(t)]};
         for (int i = 0; i < kIters; ++i) {
           const auto r = color_bgpc(g, opt);
           valid[static_cast<std::size_t>(t)] =
@@ -239,7 +239,7 @@ TEST(AuditScopeTest, ConcurrentAttachDetachIsSafe) {
     EXPECT_TRUE(valid[static_cast<std::size_t>(t)]) << "thread " << t;
     EXPECT_TRUE(rep.clean()) << "thread " << t << ": " << rep.summary();
     // The sweep layer is per-context and registry-independent: every
-    // round of every coloring was audited even when the scope lost the
+    // round of every coloring was audited even when the run lost the
     // ledger-hook registry to a sibling.
     EXPECT_EQ(rep.rounds_audited, rounds[static_cast<std::size_t>(t)])
         << "thread " << t;
@@ -255,7 +255,7 @@ TEST(AuditLedger, OverflowGrowsAndNeverDrops) {
   audit::AuditContext ctx({.ledger_reserve = 1});
   ColoringOptions opt = bgpc_preset("V-V");
   opt.num_threads = 2;
-  opt.auditor = &ctx;
+  opt.hooks = {&ctx};
   const auto r = color_bgpc(g, opt);
   ASSERT_TRUE(is_valid_bgpc(g, r.colors));
   const auto& rep = ctx.report();
@@ -282,8 +282,8 @@ TEST(AuditReport, SummaryAndViolationFormat) {
   audit::AuditContext ctx;
   ColoringOptions opt = bgpc_preset("V-V");
   opt.num_threads = 2;
-  opt.fault_plan = &plan;
-  opt.auditor = &ctx;
+  FaultInjector inject(plan);
+  opt.hooks = {&inject, &ctx};
   (void)color_bgpc(g, opt);
   const auto& rep = ctx.report();
   ASSERT_FALSE(rep.violations.empty());

@@ -485,10 +485,11 @@ TEST_P(FaultMatrix, BgpcPresetsAlwaysEndValid) {
   const FaultScenario& s = GetParam();
   const BipartiteGraph g = build_bipartite(random_instance(0x5EED));
   const FaultPlan plan = FaultPlan::parse(s.spec);
+  FaultInjector faults(plan);
   for (const auto& name : {"V-V", "V-Ninf", "N1-N2"}) {
     ColoringOptions opt = bgpc_preset(name);
     opt.num_threads = 2;
-    if (*s.spec) opt.fault_plan = &plan;
+    if (*s.spec) opt.hooks = {&faults};
     if (s.max_rounds > 0) opt.max_rounds = s.max_rounds;
     opt.deadline_seconds = s.deadline;
     const auto r = color_bgpc_verified(g, opt);
@@ -503,10 +504,11 @@ TEST_P(FaultMatrix, D2gcPresetsAlwaysEndValid) {
   const FaultScenario& s = GetParam();
   const Graph g = build_graph(random_symmetric(0x5EED));
   const FaultPlan plan = FaultPlan::parse(s.spec);
+  FaultInjector faults(plan);
   for (const auto& name : {"V-V-64D", "N1-N2"}) {
     ColoringOptions opt = d2gc_preset(name);
     opt.num_threads = 2;
-    if (*s.spec) opt.fault_plan = &plan;
+    if (*s.spec) opt.hooks = {&faults};
     if (s.max_rounds > 0) opt.max_rounds = s.max_rounds;
     opt.deadline_seconds = s.deadline;
     const auto r = color_d2gc_verified(g, opt);

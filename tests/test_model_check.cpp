@@ -98,7 +98,7 @@ TEST(McAttach, UnarmedCheckerIsInert) {
   McContext ctx;
   ColoringOptions opt = bgpc_preset("V-V");
   opt.num_threads = 2;
-  opt.checker = &ctx;
+  opt.hooks = {&ctx};
   const ColoringResult r = color_bgpc(g, opt);
   EXPECT_EQ(r.colors.size(), 4u);
   EXPECT_EQ(r.num_colors, 4);
@@ -225,7 +225,8 @@ TEST(McExplore, FaultPlanEscapeFoundWithTrace) {
   faults.seed = 7;
   faults.stale_color_rate = 1.0;
   ColoringOptions base = bgpc_preset("V-V");
-  base.fault_plan = &faults;
+  FaultInjector inject(faults);
+  base.hooks = {&inject};
 
   McOptions opts = mc_options(ExploreMode::kDpor);
   const McResult res = model_check_bgpc(g, base, {}, opts);
@@ -266,7 +267,8 @@ TEST(McExplore, FaultPlanEscapeFoundD2gc) {
   faults.seed = 3;
   faults.stale_color_rate = 1.0;
   ColoringOptions base = d2gc_preset("V-V");
-  base.fault_plan = &faults;
+  FaultInjector inject(faults);
+  base.hooks = {&inject};
   McOptions opts = mc_options(ExploreMode::kDpor);
   const McResult res = model_check_d2gc(g, base, {}, opts);
   SCOPED_TRACE(res.summary());

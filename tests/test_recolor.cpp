@@ -86,6 +86,22 @@ TEST(RecolorVariants, ReverseColorsMatchesDefaultPass) {
   EXPECT_EQ(a, b);
 }
 
+// D2GC on G is BGPC on G's closed-neighborhood hypergraph, and the two
+// passes share one first-fit loop: they must agree array for array.
+TEST(RecolorVariants, D2gcMatchesBgpcOnClosedNeighborhoods) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Graph g = build_graph(gen_preferential_attachment(400, 3, seed));
+    ColoringOptions opt = d2gc_preset("N1-N2");
+    opt.num_threads = 4;
+    auto a = color_d2gc(g, opt).colors;
+    auto b = a;
+    recolor_d2gc(g, a);
+    recolor_bgpc(graph_to_bipartite_closed(g), b);
+    EXPECT_EQ(a, b) << "seed " << seed;
+    EXPECT_TRUE(is_valid_d2gc(g, a)) << "seed " << seed;
+  }
+}
+
 TEST(BalancedRecolor, ImprovesBalanceWithoutMoreColors) {
   const BipartiteGraph g =
       build_bipartite(gen_clique_union(1500, 600, 2, 70, 1.7, 53));

@@ -174,7 +174,8 @@ TEST(Watchdog, DeadlineDegradesGracefully) {
   plan.delay_rounds = 10;
   plan.delay_ms = 10;
   ColoringOptions opt = netv1_options();
-  opt.fault_plan = &plan;          // straggler stall trips the deadline
+  FaultInjector faults(plan);
+  opt.hooks = {&faults};  // straggler stall trips the deadline
   opt.deadline_seconds = 0.002;
   const auto r = color_bgpc(g, opt);
   EXPECT_TRUE(r.deadline_hit);
@@ -274,7 +275,8 @@ TEST(Verified, RepairsFaultedBgpcRun) {
   plan.seed = 5;
   plan.stale_color_rate = 0.2;
   ColoringOptions opt = bgpc_preset("V-V");
-  opt.fault_plan = &plan;
+  FaultInjector faults(plan);
+  opt.hooks = {&faults};
   const auto r = color_bgpc_verified(g, opt);
   EXPECT_FALSE(check_bgpc(g, r.colors).has_value());
   EXPECT_GT(r.faults_injected, 0);
@@ -345,7 +347,8 @@ TEST(Verified, D2gcRepairsFaultedRun) {
   plan.seed = 29;
   plan.stale_color_rate = 0.2;
   ColoringOptions opt = d2gc_preset("V-N1");
-  opt.fault_plan = &plan;
+  FaultInjector faults(plan);
+  opt.hooks = {&faults};
   const auto r = color_d2gc_verified(g, opt);
   EXPECT_FALSE(check_d2gc(g, r.colors).has_value());
   EXPECT_GT(r.faults_injected, 0);
