@@ -1,9 +1,10 @@
-// The escaped-conflict sweep, shared by the auditor (audit.hpp) and the
-// gcol-mc model checker (check/mc.hpp). The speculative loop (paper
-// §III) is correct only if, after a round's conflict removal, no two
-// colored vertices that the engine's view makes adjacent share a color.
-// Uncolored (re-queued) vertices are exempt: that is the speculation the
-// paper sanctions. Runs on the calling thread, between parallel regions.
+// The escaped-conflict sweep, shared by the auditor (audit.hpp), the
+// gcol-mc model checker (check/mc.hpp) and repair (core/recolor.hpp).
+// The speculative loop (paper §III) is correct only if, after a round's
+// conflict removal, no two colored vertices that the engine's view makes
+// adjacent share a color. Uncolored (re-queued) vertices are exempt:
+// that is the speculation the paper sanctions. Runs on the calling
+// thread, between parallel regions.
 #pragma once
 
 #include <cstddef>
@@ -21,6 +22,11 @@ namespace gcol::audit {
 /// that net holding its color (`b`); `via` is the net (ClosedView: its
 /// center, so via == b for adjacent vertices). Distance1View: each edge
 /// once, via == b.
+///
+/// fn may uncolor `a` (store kNoColor into c[a] through the caller's
+/// own array): the sweep reads each color as it visits it, so `a` then
+/// clashes with nothing later, and the first holder keeps its color.
+/// Repair does exactly that.
 template <class V, class Fn>
 void for_each_escaped_conflict(const V& view, const color_t* c, Fn&& fn) {
   if constexpr (V::kNetKernels) {

@@ -16,10 +16,14 @@
 namespace gcol {
 
 /// DSATUR for BGPC: saturation of u = distinct colors among vertices
-/// sharing a net with u. Ties broken by distance-2 degree, then id.
+/// sharing a net with u. The first pick is a vertex of largest
+/// distance-2 degree (the lowest id among them); later ties go by the
+/// saturation buckets' order.
 [[nodiscard]] ColoringResult color_bgpc_dsatur(const BipartiteGraph& g);
 
-/// Classic Brélaz DSATUR for distance-1 coloring.
+/// Classic Brélaz DSATUR for distance-1 coloring, seeded and tied the
+/// same way (degree for distance-2 degree). Both are one loop over a
+/// net view.
 [[nodiscard]] ColoringResult color_d1gc_dsatur(const Graph& g);
 
 }  // namespace gcol

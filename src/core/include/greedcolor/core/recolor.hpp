@@ -1,7 +1,19 @@
-// Iterated-greedy recoloring (Culberson-style): a sequential post-pass
-// that never increases and often decreases the number of colors.
-// Implements the paper's related-work improvement path ("iterative
-// recoloring", ref [30]) as an optional extension.
+// Sequential passes over an existing coloring, both run by the engine's
+// sequential first-fit (Alg. 4 over the large nets' color summaries):
+//
+// Iterated-greedy recoloring (Culberson-style): a post-pass that never
+// increases and often decreases the number of colors. Implements the
+// paper's related-work improvement path ("iterative recoloring", ref
+// [30]) as an optional extension.
+//
+// Verify-and-repair: recovery of an invalid coloring. Given a color
+// array that may contain conflicts, holes, or outright garbage (after
+// injected faults, a crashed worker, or an untrusted cache), repair_*
+// resets garbage entries, uncolors every vertex that shares a net with
+// an earlier holder of its color (one sweep over every net, O(Σ |net|)),
+// and recolors only the uncolored vertices, in id order, against the
+// live colors. The result always passes check_*. The sweep reads the
+// whole graph; the recoloring costs what the damage costs.
 #pragma once
 
 #include <vector>
@@ -47,5 +59,21 @@ color_t recolor_bgpc_with(const BipartiteGraph& g,
 /// sequential sweep. Returns the (possibly smaller) color count.
 color_t balanced_recolor_bgpc(const BipartiteGraph& g,
                               std::vector<color_t>& colors);
+
+struct RepairStats {
+  vid_t sanitized = 0;   ///< garbage entries (negative / absurdly large) reset
+  vid_t conflicted = 0;  ///< colored vertices uncolored by the conflict sweep
+  vid_t repaired = 0;    ///< vertices (re)colored by the first-fit pass
+  [[nodiscard]] bool clean() const {
+    return sanitized == 0 && conflicted == 0 && repaired == 0;
+  }
+};
+
+/// Repair `colors` in place into a valid BGPC coloring of g. Throws
+/// Error(kInvalidArgument) when colors.size() != g.num_vertices().
+RepairStats repair_bgpc(const BipartiteGraph& g, std::vector<color_t>& colors);
+
+/// Repair `colors` in place into a valid D2GC coloring of g.
+RepairStats repair_d2gc(const Graph& g, std::vector<color_t>& colors);
 
 }  // namespace gcol

@@ -5,12 +5,13 @@
 
 #include <numeric>
 
+#include "greedcolor/graph/net_view.hpp"
 #include "greedcolor/util/marker_set.hpp"
 #include "greedcolor/util/parallel.hpp"
 #include "greedcolor/util/prng.hpp"
 #include "greedcolor/util/timer.hpp"
 #include "greedcolor/util/work_queue.hpp"
-#include "kernels_common.hpp"
+#include "phase_kernels.hpp"
 
 namespace gcol {
 
@@ -94,12 +95,10 @@ ColoringResult color_d1gc_jones_plassmann(const Graph& g, std::uint64_t seed,
           lazy.push(tid, v);
           continue;
         }
+        // No active neighbor colors this round (it does not beat v), so
+        // the walk sees the colors of earlier rounds only.
         f.clear();
-        for (const vid_t u : g.neighbors(v)) {
-          if (active[static_cast<std::size_t>(u)]) continue;  // uncolored
-          const color_t cu = detail::load_color(c, u);
-          if (cu != kNoColor) f.insert(cu);
-        }
+        (void)detail::forbid_nets(Distance1View{g}, c, v, f);
         detail::store_color(c, v, detail::pick_up(f, 0, local.color_probes));
         GCOL_COUNT(++local.colored);
       }

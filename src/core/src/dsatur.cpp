@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <vector>
 
+#include "greedcolor/graph/net_view.hpp"
 #include "greedcolor/order/bucket_queue.hpp"
 #include "greedcolor/util/marker_set.hpp"
 #include "greedcolor/util/timer.hpp"
-#include "kernels_common.hpp"
+#include "phase_kernels.hpp"
 
 namespace gcol {
 
@@ -33,63 +34,68 @@ class SaturationBits {
   std::vector<std::vector<std::uint64_t>> bits_;
 };
 
-}  // namespace
-
-ColoringResult color_bgpc_dsatur(const BipartiteGraph& g) {
-  const vid_t n = g.num_vertices();
+/// DSATUR over a net view: always color next the uncolored vertex whose
+/// nets hold the most distinct colors (ties by bucket order), first-fit.
+/// The first pick is seeded at a vertex with the most peers (members of
+/// its nets other than itself, with multiplicity), as Brélaz
+/// prescribes.
+template <class V>
+ColoringResult dsatur(const V& view) {
+  const vid_t n = view.num_vertices();
   ColoringResult result;
   result.colors.assign(static_cast<std::size_t>(n), kNoColor);
   if (n == 0) return result;
+  color_t* const c = result.colors.data();
 
-  // Saturation keys only; ties resolved by bucket order (deterministic
-  // for a given graph). The first pick is seeded at a max-d2-degree
-  // vertex, as Brélaz prescribes.
-  std::vector<eid_t> d2deg(static_cast<std::size_t>(n), 0);
-  eid_t max_d2 = 0;
   vid_t seed_vertex = 0;
+  eid_t seed_peers = 0;
   for (vid_t u = 0; u < n; ++u) {
-    eid_t d = 0;
-    for (const vid_t v : g.nets(u)) d += g.net_degree(v) - 1;
-    d2deg[static_cast<std::size_t>(u)] = d;
-    if (d > d2deg[static_cast<std::size_t>(seed_vertex)]) seed_vertex = u;
-    max_d2 = std::max(max_d2, d);
+    eid_t peers = 0;
+    // A BGPC net lists u among its others; a distance-1 net is its
+    // center alone.
+    for (const vid_t v : view.nets(u))
+      peers += V::kCenter ? 1 + view.others(v).size()
+                          : view.others(v).size() - 1;
+    if (peers > seed_peers) {
+      seed_vertex = u;
+      seed_peers = peers;
+    }
   }
-  // Saturation never exceeds the color count, itself <= max_d2 + 1.
+  // Saturation never exceeds the color count, itself at most the bound
+  // (max distance-2 degree + 1).
+  const color_t bound = view.color_bound(1);
   BucketQueue queue(std::vector<eid_t>(static_cast<std::size_t>(n), 0),
-                    max_d2 + 1);
+                    static_cast<eid_t>(bound));
 
   SaturationBits seen(static_cast<std::size_t>(n));
-  MarkerSet forbidden;
-  std::uint64_t probes = 0;
+  MarkerSet forbidden(static_cast<std::size_t>(bound));
   WallTimer total;
   IterationStats stats;
   stats.round = 1;
   stats.queue_size = static_cast<std::size_t>(n);
+  KernelCounters& local = stats.color_counters;
 
   for (vid_t step = 0; step < n; ++step) {
     const vid_t u = step == 0 ? seed_vertex : queue.find_max();
     queue.remove(u);
     forbidden.clear();
-    for (const vid_t v : g.nets(u)) {
-      for (const vid_t w : g.vtxs(v)) {
-        GCOL_COUNT(++stats.color_counters.edges_visited);
-        const color_t cw = result.colors[static_cast<std::size_t>(w)];
-        if (w != u && cw != kNoColor) forbidden.insert(cw);
-      }
-    }
-    const color_t col = detail::pick_up(forbidden, 0, probes);
-    result.colors[static_cast<std::size_t>(u)] = col;
-    GCOL_COUNT(++stats.color_counters.colored);
-    // Raise the saturation of every still-uncolored distance-2
-    // neighbor that had not seen `col` yet.
-    for (const vid_t v : g.nets(u)) {
-      for (const vid_t w : g.vtxs(v)) {
-        if (w == u || !queue.contains(w)) continue;
-        if (seen.record(w, col)) queue.increase(w, 1);
-      }
+    [[maybe_unused]] const std::size_t visited =
+        detail::forbid_nets(view, c, u, forbidden);
+    GCOL_COUNT(local.edges_visited += visited);
+    const color_t col = detail::pick_up(forbidden, 0, local.color_probes);
+    detail::store_color(c, u, col);
+    GCOL_COUNT(++local.colored);
+    // Raise the saturation of every still-uncolored peer that had not
+    // seen `col` yet.
+    const auto raise = [&](vid_t x) {
+      if (x != u && queue.contains(x) && seen.record(x, col))
+        queue.increase(x, 1);
+    };
+    for (const vid_t v : view.nets(u)) {
+      if constexpr (V::kCenter) raise(v);
+      for (const vid_t x : view.others(v)) raise(x);
     }
   }
-  GCOL_COUNT(stats.color_counters.color_probes = probes);
   stats.color_seconds = total.seconds();
   result.total_seconds = stats.color_seconds;
   result.rounds = 1;
@@ -98,42 +104,14 @@ ColoringResult color_bgpc_dsatur(const BipartiteGraph& g) {
   return result;
 }
 
+}  // namespace
+
+ColoringResult color_bgpc_dsatur(const BipartiteGraph& g) {
+  return dsatur(BipartiteView{g});
+}
+
 ColoringResult color_d1gc_dsatur(const Graph& g) {
-  const vid_t n = g.num_vertices();
-  ColoringResult result;
-  result.colors.assign(static_cast<std::size_t>(n), kNoColor);
-  if (n == 0) return result;
-
-  vid_t seed_vertex = 0;
-  for (vid_t v = 1; v < n; ++v)
-    if (g.degree(v) > g.degree(seed_vertex)) seed_vertex = v;
-  BucketQueue queue(std::vector<eid_t>(static_cast<std::size_t>(n), 0),
-                    g.max_degree() + 1);
-
-  SaturationBits seen(static_cast<std::size_t>(n));
-  MarkerSet forbidden;
-  std::uint64_t probes = 0;
-  WallTimer total;
-
-  for (vid_t step = 0; step < n; ++step) {
-    const vid_t u = step == 0 ? seed_vertex : queue.find_max();
-    queue.remove(u);
-    forbidden.clear();
-    for (const vid_t w : g.neighbors(u)) {
-      const color_t cw = result.colors[static_cast<std::size_t>(w)];
-      if (cw != kNoColor) forbidden.insert(cw);
-    }
-    const color_t col = detail::pick_up(forbidden, 0, probes);
-    result.colors[static_cast<std::size_t>(u)] = col;
-    for (const vid_t w : g.neighbors(u)) {
-      if (!queue.contains(w)) continue;
-      if (seen.record(w, col)) queue.increase(w, 1);
-    }
-  }
-  result.total_seconds = total.seconds();
-  result.rounds = 1;
-  result.num_colors = count_colors(result.colors);
-  return result;
+  return dsatur(Distance1View{g});
 }
 
 }  // namespace gcol

@@ -42,21 +42,6 @@ void check_order(const V& view, const std::vector<vid_t>& order,
                                 suffix + ": order is not a permutation");
 }
 
-/// Color every remaining uncolored vertex sequentially (first-fit):
-/// the guaranteed-termination fallback behind ColoringOptions::max_rounds.
-template <class V>
-void sequential_cleanup(const V& view, color_t* c,
-                        const std::vector<vid_t>& pending,
-                        MarkerSet& forbidden) {
-  std::uint64_t probes = 0;
-  for (const vid_t w : pending) {
-    if (detail::load_color(c, w) != kNoColor) continue;
-    forbidden.clear();
-    (void)detail::forbid_nets(view, c, w, forbidden);
-    detail::store_color(c, w, detail::pick_up(forbidden, 0, probes));
-  }
-}
-
 /// Color phase of one round: vertex-based (Alg. 4) or, where the view
 /// has nets to sweep, net-based (Alg. 8/9, or BGPC's Alg. 6). A
 /// vertex-based phase first zeroes (round 1) or rebuilds the large
@@ -85,9 +70,8 @@ void color_phase(const V& view, int round, bool net_color,
       return;
     }
   }
-  if (summaries.enabled())
-    detail::reset_summaries(view, round == 1 ? nullptr : c, summaries,
-                            threads);
+  detail::reset_summaries(view, round == 1 ? nullptr : c, summaries,
+                          threads);
   detail::with_balance(options.balance, [&](auto b) {
     detail::color_vertex<V, decltype(b)::value>(view, w, c, summaries, ws,
                                                 chunk, threads, counters);
@@ -213,7 +197,8 @@ ColoringResult speculative_color(const V& view, const ColoringOptions& options,
 
     // Convergence watchdog: round budget + wall-clock deadline. Either
     // valve finishes the pending set with the guaranteed-termination
-    // sequential cleanup instead of speculating further.
+    // sequential first-fit instead of speculating further; its summaries
+    // are rebuilt from c[] first (conflict removal leaves stale bits).
     if (!w.empty()) {
       const bool capped = round >= options.max_rounds;
       const bool late = options.deadline_seconds > 0.0 &&
@@ -227,7 +212,10 @@ ColoringResult speculative_color(const V& view, const ColoringOptions& options,
                            static_cast<std::uint64_t>(round));
         GCOL_TRACE_BEGIN(tracer, V::kNames.cleanup,
                          static_cast<std::uint64_t>(w.size()));
-        sequential_cleanup(view, c, w, workspaces.front().forbidden);
+        detail::reset_summaries(view, c, summaries, threads);
+        KernelCounters cleanup;
+        detail::first_fit_fill(view, c, w, summaries, workspaces.front(),
+                               cleanup);
         GCOL_TRACE_END(tracer, V::kNames.cleanup);
         result.sequential_fallback = true;
         result.degraded = true;
@@ -255,8 +243,7 @@ ColoringResult speculative_color(const V& view, const ColoringOptions& options,
 /// Deterministic sequential greedy (first-fit over `order`): the
 /// Table II / Table V baselines. Never needs conflict removal. It runs
 /// the same summary-backed Alg. 4 as the vertex kernels, so speedups
-/// compare like with like; every vertex starts uncolored, so the zeroed
-/// summaries never need a rebuild.
+/// compare like with like.
 template <class V>
 ColoringResult sequential_color(const V& view,
                                 const std::vector<vid_t>& order) {
@@ -272,23 +259,13 @@ ColoringResult sequential_color(const V& view,
              summaries.max_large_per_vertex());
 
   WallTimer total;
-  if (summaries.enabled())
-    detail::reset_summaries(view, nullptr, summaries, 1);
+  detail::reset_summaries(view, nullptr, summaries, 1);
   IterationStats stats;
   stats.round = 1;
   stats.queue_size = static_cast<std::size_t>(n);
-  detail::PolicyState st;
-  KernelCounters local;
-  const std::vector<vid_t>& base = order.empty() ? natural_order(n) : order;
-  for (const vid_t w : base) {
-    (void)detail::color_one_vertex(
-        view, result.colors.data(), w, summaries, ws, st, local,
-        detail::BalanceTag<BalancePolicy::kNone>{});
-    GCOL_COUNT(++local.colored);
-  }
-  GCOL_COUNT(stats.color_counters.edges_visited = local.edges_visited);
-  GCOL_COUNT(stats.color_counters.color_probes = local.color_probes);
-  GCOL_COUNT(stats.color_counters.colored = local.colored);
+  detail::first_fit_fill(view, result.colors.data(),
+                         order.empty() ? natural_order(n) : order, summaries,
+                         ws, stats.color_counters);
   stats.color_seconds = total.seconds();
   result.total_seconds = stats.color_seconds;
   result.rounds = 1;

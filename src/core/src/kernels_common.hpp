@@ -117,27 +117,6 @@ inline color_t exchange_uncolor(color_t* c, vid_t v) {
       .exchange(kNoColor, std::memory_order_relaxed);
 }
 
-/// Lookahead distance (adjacency entries) for prefetching neighbor
-/// color words in the gather loops. Deep enough to cover an L2 miss at
-/// one entry per iteration, shallow enough not to thrash on short
-/// adjacency lists (which skip the prefetch entirely).
-inline constexpr std::size_t kColorPrefetchDist = 8;
-
-/// Hint the cache that c[v] is about to be read. Kept here — the one
-/// seam allowed to touch the raw color array — so the kernels' gather
-/// loops stay free of direct c[] arithmetic (lint R002). Compiles to
-/// nothing on toolchains without the builtin; never faults (prefetch
-/// of any address is architecturally a no-op).
-inline void prefetch_color(const color_t* c, vid_t v) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(c + static_cast<std::size_t>(v), /*rw=*/0,
-                     /*locality=*/1);
-#else
-  (void)c;
-  (void)v;
-#endif
-}
-
 // --- Net color summaries ---------------------------------------------------
 //
 // A large net keeps one bit per color below the summary cap, set for the
@@ -268,10 +247,6 @@ struct SummarySet {
 [[gnu::always_inline]] inline void forbid_colors_scalar(
     color_t* c, const vid_t* ids, std::size_t n, vid_t self, MarkerSet& f) {
   for (std::size_t j = 0; j < n; ++j) {
-    // The distance-2 gather is the random-access hot spot: hint the
-    // color word a few entries ahead so the load below hits.
-    if (j + kColorPrefetchDist < n)
-      prefetch_color(c, ids[j + kColorPrefetchDist]);
     const vid_t u = ids[j];
     if (u == self) continue;
     const color_t cu = load_color(c, u);
@@ -289,8 +264,6 @@ struct ClashScan {
 [[gnu::always_inline]] inline ClashScan first_lower_clash_scalar(
     color_t* c, const vid_t* ids, std::size_t n, vid_t w, color_t cw) {
   for (std::size_t j = 0; j < n; ++j) {
-    if (j + kColorPrefetchDist < n)
-      prefetch_color(c, ids[j + kColorPrefetchDist]);
     const vid_t u = ids[j];
     if (u == w) continue;
     // Tie-break (Alg. 3 line 4): the larger id loses.

@@ -6,11 +6,11 @@
 // stamped MarkerSet in its ThreadWorkspace.
 //
 // A view with kCenter adds one step per kernel, compiled in by
-// `if constexpr`: the vertex kernels (and forbid_nets, which the
-// sequential paths share) test the net's center v itself (one counted
-// visit) before walking others(v), and the net kernels
-// take the center first (uncounted) and start reverse first-fit one
-// slot higher, at |others(v)| (Alg. 9/10). With that the closed view
+// `if constexpr`: the vertex kernels (and forbid_nets, which DSATUR,
+// Jones-Plassmann and balanced recoloring share) test the net's center
+// v itself (one counted visit) before walking others(v), and the net
+// kernels take the center first (uncounted) and start reverse
+// first-fit one slot higher, at |others(v)| (Alg. 9/10). With that the closed view
 // reproduces the D2GC kernels exactly, colors and counters alike.
 //
 // Alg. 4 reads a large net's color summary (NetSummaries) instead of
@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "greedcolor/core/options.hpp"
@@ -200,10 +201,11 @@ class NetSummaries {
 /// Start a vertex-colored round: zero every large net's present and
 /// repeat words (`c` null: every vertex is uncolored) or rebuild them
 /// from c[]. One thread owns each net, so plain relaxed loads and stores
-/// suffice. O(Σ large |net|).
+/// suffice. O(Σ large |net|); nothing when the summaries are disabled.
 template <class V>
 void reset_summaries(const V& view, const color_t* c, const NetSummaries& s,
                      int threads) {
+  if (!s.enabled()) return;
   s.clear_live_words();
   const std::vector<vid_t>& large = s.large_nets();
   const auto nl = static_cast<std::int64_t>(large.size());
@@ -328,6 +330,27 @@ void color_vertex(const V& view, const std::vector<vid_t>& w, color_t* c,
   slots.merge_into(counters);
 }
 
+/// Sequential first-fit (Alg. 4 with the kNone pick, on the calling
+/// thread) of every vertex of `order` that is still uncolored: the
+/// Table II / Table V baselines, the watchdog's cleanup, recoloring and
+/// repair's refill. The caller first zeroes `s` (every vertex
+/// uncolored) or rebuilds it from c[] (reset_summaries); the fill's own
+/// picks then keep it exact, so every pick equals the exact walk's,
+/// probe for probe. `ws` holds color_bound + 2 colors and
+/// s.max_large_per_vertex() summary pointers.
+template <class V>
+void first_fit_fill(const V& view, color_t* c, std::span<const vid_t> order,
+                    const NetSummaries& s, ThreadWorkspace& ws,
+                    KernelCounters& counters) {
+  PolicyState st;
+  for (const vid_t w : order) {
+    if (load_color(c, w) != kNoColor) continue;
+    (void)color_one_vertex(view, c, w, s, ws, st, counters,
+                           BalanceTag<BalancePolicy::kNone>{});
+    GCOL_COUNT(++counters.colored);
+  }
+}
+
 /// Alg. 8 / 9 + policy: two-pass net-based coloring; colors every
 /// vertex that is uncolored or locally duplicated, across all nets.
 template <class V, BalancePolicy B>
@@ -363,8 +386,6 @@ void color_net(const V& view, color_t* c, std::vector<ThreadWorkspace>& ws,
       const auto vs = view.others(v);
       const std::size_t deg = vs.size();
       for (std::size_t j = 0; j < deg; ++j) {
-        if (j + kColorPrefetchDist < deg)
-          prefetch_color(c, vs[j + kColorPrefetchDist]);
         const vid_t u = vs[j];
         GCOL_COUNT(++local.edges_visited);
         const color_t cu = load_color(c, u);
@@ -406,8 +427,6 @@ inline void color_net_v1(const BipartiteView& view, color_t* c,
       const auto deg = static_cast<color_t>(dsz);
       color_t col = reverse ? deg - 1 : 0;  // net-level running cursor
       for (std::size_t j = 0; j < dsz; ++j) {
-        if (j + kColorPrefetchDist < dsz)
-          prefetch_color(c, vs[j + kColorPrefetchDist]);
         const vid_t u = vs[j];
         GCOL_COUNT(++local.edges_visited);
         color_t cu = load_color(c, u);
@@ -533,8 +552,6 @@ void conflict_net(const V& view, color_t* c, std::vector<ThreadWorkspace>& ws,
       const auto vs = view.others(v);
       const std::size_t deg = vs.size();
       for (std::size_t j = 0; j < deg; ++j) {
-        if (j + kColorPrefetchDist < deg)
-          prefetch_color(c, vs[j + kColorPrefetchDist]);
         const vid_t u = vs[j];
         GCOL_COUNT(++local.edges_visited);
         const color_t cu = load_color(c, u);

@@ -1,10 +1,16 @@
+// Iterated-greedy recoloring and verify-and-repair: sequential passes
+// over the engine's first-fit fill (phase_kernels.hpp).
 #include "greedcolor/core/recolor.hpp"
 
 #include <algorithm>
 #include <numeric>
 
+#include "greedcolor/analyze/escaped.hpp"
+#include "greedcolor/core/bgpc.hpp"
+#include "greedcolor/core/d2gc.hpp"
 #include "greedcolor/core/result.hpp"
 #include "greedcolor/graph/net_view.hpp"
+#include "greedcolor/robust/error.hpp"
 #include "greedcolor/util/marker_set.hpp"
 #include "greedcolor/util/prng.hpp"
 #include "phase_kernels.hpp"
@@ -55,21 +61,60 @@ std::vector<vid_t> class_order(const std::vector<color_t>& colors,
   return vertex_order;
 }
 
-/// One greedy first-fit pass over `order` into a fresh color array,
-/// with Alg. 4's exact walk over the view's nets.
-template <class V>
-color_t first_fit_pass(const V& view, const std::vector<vid_t>& order,
-                       std::vector<color_t>& colors) {
-  std::vector<color_t> next(colors.size(), kNoColor);
-  MarkerSet forbidden(static_cast<std::size_t>(view.color_bound(1)) + 2);
-  std::uint64_t probes = 0;
-  for (const vid_t w : order) {
-    forbidden.clear();
-    (void)detail::forbid_nets(view, next.data(), w, forbidden);
-    next[static_cast<std::size_t>(w)] = detail::pick_up(forbidden, 0, probes);
+/// Take a sequential pass's colors into `colors`; returns their count.
+color_t adopt(ColoringResult pass, std::vector<color_t>& colors) {
+  colors = std::move(pass.colors);
+  return pass.num_colors;
+}
+
+/// Reset entries no valid greedy coloring could contain. Any color id
+/// >= cap would force the forbidden-marker arrays (and a malicious
+/// input could force multi-GB ones), so such entries are treated as
+/// damage and recolored rather than trusted.
+vid_t sanitize(std::vector<color_t>& colors, color_t cap) {
+  vid_t reset = 0;
+  for (auto& c : colors) {
+    if (c == kNoColor) continue;
+    if (c < 0 || c >= cap) {
+      c = kNoColor;
+      ++reset;
+    }
   }
-  colors = std::move(next);
-  return count_colors(colors);
+  return reset;
+}
+
+/// One repair over a net view: sanitize, uncolor every escaped conflict
+/// but its color's first holder in the net (center first), then the
+/// sequential first-fit fill in id order over the live colors.
+template <class V>
+RepairStats repair(const V& view, std::vector<color_t>& colors,
+                   const char* what) {
+  const vid_t n = view.num_vertices();
+  if (colors.size() != static_cast<std::size_t>(n))
+    raise(ErrorCode::kInvalidArgument, what, "color array size mismatch");
+  RepairStats stats;
+  // A first-fit coloring never needs more than num_vertices colors; the
+  // cap also bounds marker growth against garbage input.
+  stats.sanitized = sanitize(colors, std::max<color_t>(n, 1));
+  audit::for_each_escaped_conflict(
+      view, colors.data(), [&](vid_t a, vid_t, vid_t, color_t) {
+        colors[static_cast<std::size_t>(a)] = kNoColor;
+        ++stats.conflicted;
+      });
+  stats.repaired = static_cast<vid_t>(
+      std::count(colors.begin(), colors.end(), kNoColor));
+
+  const color_t bound = view.color_bound(1);
+  const detail::NetSummaries summaries(view, bound);
+  ThreadWorkspace ws;
+  ws.prepare(static_cast<std::size_t>(bound) + 2, 0,
+             summaries.max_large_per_vertex());
+  detail::reset_summaries(view, colors.data(), summaries, 1);
+  std::vector<vid_t> ids(static_cast<std::size_t>(n));
+  std::iota(ids.begin(), ids.end(), vid_t{0});
+  KernelCounters unused;
+  detail::first_fit_fill(view, colors.data(), ids, summaries, ws, unused);
+  return stats;
 }
 
 }  // namespace
@@ -79,9 +124,9 @@ color_t recolor_bgpc(const BipartiteGraph& g, std::vector<color_t>& colors) {
 }
 
 color_t recolor_d2gc(const Graph& g, std::vector<color_t>& colors) {
-  return first_fit_pass(ClosedView{g},
-                        class_order(colors, RecolorOrder::kReverseColors, 0),
-                        colors);
+  return adopt(color_d2gc_sequential(
+                   g, class_order(colors, RecolorOrder::kReverseColors, 0)),
+               colors);
 }
 
 color_t recolor_bgpc_to_fixpoint(const BipartiteGraph& g,
@@ -99,8 +144,8 @@ color_t recolor_bgpc_to_fixpoint(const BipartiteGraph& g,
 color_t recolor_bgpc_with(const BipartiteGraph& g,
                           std::vector<color_t>& colors, RecolorOrder order,
                           std::uint64_t seed) {
-  return first_fit_pass(BipartiteView{g}, class_order(colors, order, seed),
-                        colors);
+  return adopt(color_bgpc_sequential(g, class_order(colors, order, seed)),
+               colors);
 }
 
 color_t balanced_recolor_bgpc(const BipartiteGraph& g,
@@ -111,14 +156,12 @@ color_t balanced_recolor_bgpc(const BipartiteGraph& g,
   for (const color_t c : colors)
     if (c >= 0) ++load[static_cast<std::size_t>(c)];
 
-  MarkerSet forbidden;
+  const BipartiteView view{g};
+  MarkerSet forbidden(static_cast<std::size_t>(k));
   for (vid_t w = 0; w < g.num_vertices(); ++w) {
     const color_t old = colors[static_cast<std::size_t>(w)];
     forbidden.clear();
-    for (const vid_t v : g.nets(w))
-      for (const vid_t u : g.vtxs(v))
-        if (u != w && colors[static_cast<std::size_t>(u)] != kNoColor)
-          forbidden.insert(colors[static_cast<std::size_t>(u)]);
+    (void)detail::forbid_nets(view, colors.data(), w, forbidden);
     // Least-loaded allowed color; the current color is always allowed,
     // so the choice set is never empty and k never grows.
     color_t best = old;
@@ -135,6 +178,15 @@ color_t balanced_recolor_bgpc(const BipartiteGraph& g,
     }
   }
   return count_colors(colors);
+}
+
+RepairStats repair_bgpc(const BipartiteGraph& g,
+                        std::vector<color_t>& colors) {
+  return repair(BipartiteView{g}, colors, "repair_bgpc");
+}
+
+RepairStats repair_d2gc(const Graph& g, std::vector<color_t>& colors) {
+  return repair(ClosedView{g}, colors, "repair_d2gc");
 }
 
 }  // namespace gcol

@@ -4,10 +4,10 @@
 
 #include "greedcolor/core/bgpc.hpp"
 #include "greedcolor/core/d2gc.hpp"
+#include "greedcolor/core/recolor.hpp"
 #include "greedcolor/core/verify.hpp"
 #include "greedcolor/obs/trace.hpp"
 #include "greedcolor/robust/error.hpp"
-#include "greedcolor/robust/repair.hpp"
 #include "greedcolor/util/parallel.hpp"
 
 namespace gcol {

@@ -28,7 +28,6 @@
 #include "greedcolor/core/verify.hpp"
 #include "greedcolor/graph/builder.hpp"
 #include "greedcolor/graph/generators.hpp"
-#include "greedcolor/robust/repair.hpp"
 #include "greedcolor/util/prng.hpp"
 
 namespace gcol {

@@ -11,12 +11,12 @@
 
 #include "greedcolor/core/bgpc.hpp"
 #include "greedcolor/core/d2gc.hpp"
+#include "greedcolor/core/recolor.hpp"
 #include "greedcolor/core/verify.hpp"
 #include "greedcolor/graph/builder.hpp"
 #include "greedcolor/graph/generators.hpp"
 #include "greedcolor/robust/error.hpp"
 #include "greedcolor/robust/fault.hpp"
-#include "greedcolor/robust/repair.hpp"
 #include "greedcolor/robust/verified.hpp"
 #include "test_util.hpp"
 

@@ -71,8 +71,7 @@ SEAM_SIMD_INTRINSICS = {
     "_mm512_mask_i32gather_epi32", "_mm512_i32scatter_epi32",
 }
 
-COLOR_SEAM_FUNCS = {"load_color", "store_color", "exchange_uncolor",
-                    "prefetch_color"}
+COLOR_SEAM_FUNCS = {"load_color", "store_color", "exchange_uncolor"}
 
 EFFECT_BITS = ("writes_shared", "reads_shared", "allocates", "blocks_io",
                "touches_color_seam", "calls_unknown")
