@@ -99,8 +99,7 @@ static int run(int argc, char** argv) {
            "                       V-N1 V-N2 N1-N2 N2-N2, 'seq', 'dsatur'\n"
            "                       d1gc: seq spec jp dsatur\n"
            "  --order NAME         natural random largest-first\n"
-           "                       smallest-last smallest-last-relaxed\n"
-           "                       incidence-degree\n"
+           "                       smallest-last incidence-degree\n"
            "  --balance U|B1|B2    balancing heuristic (default U)\n"
            "  --side cols|rows     bgpc: color matrix columns or rows "
            "(default cols)\n"

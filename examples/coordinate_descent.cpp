@@ -21,7 +21,6 @@
 #include "greedcolor/graph/builder.hpp"
 #include "greedcolor/graph/generators.hpp"
 #include "greedcolor/graph/sparse_matrix.hpp"
-#include "greedcolor/sched/color_schedule.hpp"
 #include "greedcolor/util/argparse.hpp"
 #include "greedcolor/util/env.hpp"
 #include "greedcolor/util/prng.hpp"
@@ -73,14 +72,13 @@ int main(int argc, char** argv) {
   }
   const auto cstats = color_class_stats(coloring.colors);
   const ColorSchedule schedule = ColorSchedule::build(coloring.colors);
-  const auto plan = schedule.stats(std::max(1, opt.num_threads));
+  const int cores = std::max(1, opt.num_threads);
   std::cout << "coloring (" << opt.name << "-" << to_string(opt.balance)
             << "): " << cstats.num_colors << " classes, sizes mean "
             << cstats.mean << " sd " << cstats.stddev << " max "
             << cstats.max << "\n"
-            << "schedule: span " << plan.span << ", efficiency "
-            << plan.efficiency << " at " << std::max(1, opt.num_threads)
-            << " thread(s)\n";
+            << "schedule: span " << cstats.span(cores) << ", efficiency "
+            << cstats.efficiency(cores) << " at " << cores << " thread(s)\n";
 
   // 3. Synthetic target b = A * x_true.
   std::vector<double> x_true(static_cast<std::size_t>(a.num_cols()));

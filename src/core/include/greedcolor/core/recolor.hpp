@@ -25,9 +25,10 @@
 namespace gcol {
 
 /// One iterated-greedy pass for BGPC: vertices are re-greedy-colored
-/// grouped by current color, largest color first. The class structure
-/// guarantees the new color count is <= the old one. Returns the new
-/// color count.
+/// grouped by current color, largest color first, uncolored vertices
+/// last. The class structure guarantees the new color count is <= the
+/// old one. Returns the new color count. Throws Error(kInvalidArgument)
+/// when colors.size() != g.num_vertices() or an entry is below kNoColor.
 color_t recolor_bgpc(const BipartiteGraph& g, std::vector<color_t>& colors);
 
 /// Same for D2GC.
@@ -37,19 +38,6 @@ color_t recolor_d2gc(const Graph& g, std::vector<color_t>& colors);
 color_t recolor_bgpc_to_fixpoint(const BipartiteGraph& g,
                                  std::vector<color_t>& colors,
                                  int max_passes = 16);
-
-/// Class-processing order for an iterated-greedy pass. Culberson's
-/// guarantee (colors never increase) holds for ANY order that keeps
-/// each color class contiguous.
-enum class RecolorOrder {
-  kReverseColors,    ///< largest color id first (the default pass)
-  kRandomClasses,    ///< seeded random class permutation
-  kDecreasingSize,   ///< biggest class first (tends to compact hardest)
-};
-
-color_t recolor_bgpc_with(const BipartiteGraph& g,
-                          std::vector<color_t>& colors, RecolorOrder order,
-                          std::uint64_t seed = 0);
 
 /// The "expensive" balancing alternative the paper's Section V declines
 /// to run online: a sequential post-pass that re-assigns every vertex to

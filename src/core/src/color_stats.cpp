@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "greedcolor/core/result.hpp"
 
@@ -17,6 +18,26 @@ std::vector<vid_t> ColorClassStats::sorted_cardinalities() const {
   std::vector<vid_t> sorted = cardinality;
   std::sort(sorted.begin(), sorted.end(), std::greater<>());
   return sorted;
+}
+
+std::uint64_t ColorClassStats::span(int num_threads) const {
+  if (num_threads < 1)
+    throw std::invalid_argument("ColorClassStats::span: threads must be >= 1");
+  const auto p = static_cast<std::uint64_t>(num_threads);
+  std::uint64_t rounds = 0;
+  for (const vid_t card : cardinality)
+    rounds += (static_cast<std::uint64_t>(card) + p - 1) / p;
+  return rounds;
+}
+
+double ColorClassStats::efficiency(int num_threads) const {
+  const std::uint64_t rounds = span(num_threads);
+  if (rounds == 0) return 0.0;
+  std::uint64_t items = 0;
+  for (const vid_t card : cardinality)
+    items += static_cast<std::uint64_t>(card);
+  return static_cast<double>(items) /
+         (static_cast<double>(num_threads) * static_cast<double>(rounds));
 }
 
 ColorClassStats color_class_stats(const std::vector<color_t>& colors) {
@@ -47,6 +68,30 @@ ColorClassStats color_class_stats(const std::vector<color_t>& colors) {
   s.mean = sum / s.num_colors;
   s.stddev = std::sqrt(
       std::max(0.0, sumsq / s.num_colors - s.mean * s.mean));
+  return s;
+}
+
+ColorSchedule ColorSchedule::build(const std::vector<color_t>& colors) {
+  color_t num_classes = 0;
+  for (const color_t c : colors) {
+    if (c < kNoColor)
+      throw std::invalid_argument("ColorSchedule::build: color below kNoColor");
+    num_classes = std::max(num_classes, static_cast<color_t>(c + 1));
+  }
+  // Counting sort with the uncolored items as class num_classes.
+  const auto slot = [num_classes](color_t c) {
+    return static_cast<std::size_t>(c == kNoColor ? num_classes : c);
+  };
+  ColorSchedule s;
+  s.class_ptr_.assign(static_cast<std::size_t>(num_classes) + 2, 0);
+  for (const color_t c : colors) ++s.class_ptr_[slot(c) + 1];
+  for (std::size_t i = 1; i < s.class_ptr_.size(); ++i)
+    s.class_ptr_[i] += s.class_ptr_[i - 1];
+  s.members_.resize(colors.size());
+  std::vector<eid_t> cursor(s.class_ptr_.begin(), s.class_ptr_.end() - 1);
+  for (vid_t v = 0; v < static_cast<vid_t>(colors.size()); ++v)
+    s.members_[static_cast<std::size_t>(
+        cursor[slot(colors[static_cast<std::size_t>(v)])]++)] = v;
   return s;
 }
 

@@ -7,6 +7,7 @@
 // first-fit), 11 (B1) and 12 (B2).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -79,6 +80,27 @@ inline int resolve_threads(int requested) {
   const int threads = requested > 0 ? requested : max_threads();
   GCOL_CONTRACT(threads >= 1, "thread count must be positive");
   return threads;
+}
+
+/// Replaces every color >= n in `colors` by n + its rank among the
+/// distinct ones and returns how many distinct ones there were. Equal
+/// colors stay equal, distinct ones distinct and in the same order, so
+/// every check verdict and every recolor class order is unchanged, and
+/// no color reaches 2n: marker sets and color groupings stay O(|V|)
+/// whatever the color values.
+inline color_t rank_large_colors(std::vector<color_t>& colors, vid_t n) {
+  std::vector<color_t> large;
+  for (const color_t col : colors)
+    if (col >= n) large.push_back(col);
+  std::sort(large.begin(), large.end());
+  large.erase(std::unique(large.begin(), large.end()), large.end());
+  for (color_t& col : colors) {
+    if (col < n) continue;
+    col = n + static_cast<color_t>(
+                  std::lower_bound(large.begin(), large.end(), col) -
+                  large.begin());
+  }
+  return static_cast<color_t>(large.size());
 }
 
 // The optimistic phases read and write colors concurrently without

@@ -3,66 +3,45 @@
 #include "greedcolor/core/recolor.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 
 #include "greedcolor/analyze/escaped.hpp"
 #include "greedcolor/core/bgpc.hpp"
+#include "greedcolor/core/color_stats.hpp"
 #include "greedcolor/core/d2gc.hpp"
 #include "greedcolor/core/result.hpp"
 #include "greedcolor/graph/net_view.hpp"
 #include "greedcolor/robust/error.hpp"
 #include "greedcolor/util/marker_set.hpp"
-#include "greedcolor/util/prng.hpp"
 #include "phase_kernels.hpp"
 
 namespace gcol {
 
 namespace {
 
-/// Vertex order of one pass: vertices stably sorted by their class's
-/// rank under `order`, so each color class stays contiguous. When every
-/// class is re-colored as a block, greedy first-fit can reuse only
-/// colors of previously processed classes, so the count cannot grow
-/// (Culberson's argument). Uncolored vertices come last.
-std::vector<vid_t> class_order(const std::vector<color_t>& colors,
-                               RecolorOrder order, std::uint64_t seed) {
-  const color_t k = count_colors(colors);
-  std::vector<std::uint64_t> rank(
-      static_cast<std::size_t>(std::max<color_t>(k, 1)));
-  switch (order) {
-    case RecolorOrder::kReverseColors:
-      for (color_t c = 0; c < k; ++c)
-        rank[static_cast<std::size_t>(c)] =
-            static_cast<std::uint64_t>(k - c);
-      break;
-    case RecolorOrder::kRandomClasses:
-      for (color_t c = 0; c < k; ++c)
-        rank[static_cast<std::size_t>(c)] =
-            mix64(seed ^ static_cast<std::uint64_t>(c));
-      break;
-    case RecolorOrder::kDecreasingSize: {
-      std::vector<std::uint64_t> size(static_cast<std::size_t>(k), 0);
-      for (const color_t c : colors)
-        if (c >= 0) ++size[static_cast<std::size_t>(c)];
-      for (color_t c = 0; c < k; ++c)
-        rank[static_cast<std::size_t>(c)] = ~size[static_cast<std::size_t>(c)];
-      break;
-    }
-  }
-  const auto rank_of = [&](vid_t v) {
-    const color_t c = colors[static_cast<std::size_t>(v)];
-    return c == kNoColor ? ~std::uint64_t{0}
-                         : rank[static_cast<std::size_t>(c)];
-  };
-  std::vector<vid_t> vertex_order(colors.size());
-  std::iota(vertex_order.begin(), vertex_order.end(), vid_t{0});
-  std::stable_sort(vertex_order.begin(), vertex_order.end(),
-                   [&](vid_t a, vid_t b) { return rank_of(a) < rank_of(b); });
-  return vertex_order;
-}
-
-/// Take a sequential pass's colors into `colors`; returns their count.
-color_t adopt(ColoringResult pass, std::vector<color_t>& colors) {
+/// One iterated-greedy pass: `sequential` re-colors the vertices in
+/// whole color classes, largest color first, then the uncolored ones.
+/// When every class is re-colored as a block, greedy first-fit can
+/// reuse only colors of previously processed classes, so the count
+/// cannot grow (Culberson's argument). Colors >= n are ranked first:
+/// the class order is the same, and the grouping stays O(n).
+template <class Sequential>
+color_t recolor(vid_t n, std::vector<color_t>& colors, const char* what,
+                Sequential&& sequential) {
+  if (colors.size() != static_cast<std::size_t>(n))
+    raise(ErrorCode::kInvalidArgument, what, "color array size mismatch");
+  if (std::ranges::any_of(colors, [](color_t c) { return c < kNoColor; }))
+    raise(ErrorCode::kInvalidArgument, what, "color below kNoColor");
+  std::vector<color_t> ranked = colors;
+  detail::rank_large_colors(ranked, n);
+  const ColorSchedule classes = ColorSchedule::build(ranked);
+  std::vector<vid_t> order;
+  order.reserve(colors.size());
+  for (color_t c = classes.num_classes(); c-- > 0;)
+    std::ranges::copy(classes.class_members(c), std::back_inserter(order));
+  std::ranges::copy(classes.uncolored(), std::back_inserter(order));
+  ColoringResult pass = sequential(order);
   colors = std::move(pass.colors);
   return pass.num_colors;
 }
@@ -120,13 +99,17 @@ RepairStats repair(const V& view, std::vector<color_t>& colors,
 }  // namespace
 
 color_t recolor_bgpc(const BipartiteGraph& g, std::vector<color_t>& colors) {
-  return recolor_bgpc_with(g, colors, RecolorOrder::kReverseColors);
+  return recolor(g.num_vertices(), colors, "recolor_bgpc",
+                 [&](const std::vector<vid_t>& order) {
+                   return color_bgpc_sequential(g, order);
+                 });
 }
 
 color_t recolor_d2gc(const Graph& g, std::vector<color_t>& colors) {
-  return adopt(color_d2gc_sequential(
-                   g, class_order(colors, RecolorOrder::kReverseColors, 0)),
-               colors);
+  return recolor(g.num_vertices(), colors, "recolor_d2gc",
+                 [&](const std::vector<vid_t>& order) {
+                   return color_d2gc_sequential(g, order);
+                 });
 }
 
 color_t recolor_bgpc_to_fixpoint(const BipartiteGraph& g,
@@ -139,13 +122,6 @@ color_t recolor_bgpc_to_fixpoint(const BipartiteGraph& g,
     best = now;
   }
   return best;
-}
-
-color_t recolor_bgpc_with(const BipartiteGraph& g,
-                          std::vector<color_t>& colors, RecolorOrder order,
-                          std::uint64_t seed) {
-  return adopt(color_bgpc_sequential(g, class_order(colors, order, seed)),
-               colors);
 }
 
 color_t balanced_recolor_bgpc(const BipartiteGraph& g,

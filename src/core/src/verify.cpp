@@ -18,26 +18,6 @@ namespace {
 /// thread's whole share behind it.
 constexpr int kNetsPerGrab = 64;
 
-/// Replaces every color >= n in `colors` by n + its rank among the
-/// distinct ones and returns how many distinct ones there were. Equal
-/// colors stay equal and distinct ones distinct, so every verdict is
-/// unchanged, and no color reaches 2n: the marker sets stay O(|V|)
-/// whatever the color values.
-color_t rank_large_colors(std::vector<color_t>& colors, vid_t n) {
-  std::vector<color_t> large;
-  for (const color_t col : colors)
-    if (col >= n) large.push_back(col);
-  std::sort(large.begin(), large.end());
-  large.erase(std::unique(large.begin(), large.end()), large.end());
-  for (color_t& col : colors) {
-    if (col < n) continue;
-    col = n + static_cast<color_t>(
-                  std::lower_bound(large.begin(), large.end(), col) -
-                  large.begin());
-  }
-  return static_cast<color_t>(large.size());
-}
-
 /// The first member of net v, in visiting order (the center first on a
 /// closed neighborhood, then others(v)), whose color an earlier member
 /// already holds; kInvalidVertex when the net's colors are distinct.
@@ -104,7 +84,7 @@ std::optional<ColoringViolation> check_nets(const V& view,
   color_t largest = top.get();
   if (largest >= n) {
     ranked = colors;
-    largest = n + rank_large_colors(ranked, n) - 1;
+    largest = n + detail::rank_large_colors(ranked, n) - 1;
     c = ranked.data();
   }
   const auto capacity = static_cast<std::size_t>(largest) + 1;

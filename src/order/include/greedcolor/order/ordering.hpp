@@ -23,11 +23,6 @@ enum class OrderingKind {
   kLargestFirst,    ///< static distance-2 degree, descending
   kSmallestLast,    ///< Matula–Beck degeneracy order on the d2 degree
   kIncidenceDegree, ///< greedy max-back-degree (ColPack ID)
-  /// Level-peeling relaxation of smallest-last: whole degeneracy levels
-  /// are peeled as batches, the multithreaded-ordering idea of Patwary,
-  /// Gebremedhin & Pothen (paper ref [16]). Slightly weaker quality,
-  /// embarrassingly parallel rounds in a real multicore implementation.
-  kSmallestLastRelaxed,
 };
 
 [[nodiscard]] std::string to_string(OrderingKind k);
@@ -48,18 +43,9 @@ enum class OrderingKind {
                                                OrderingKind kind,
                                                std::uint64_t seed = 0);
 
-/// Classic distance-1 Matula–Beck smallest-last order (exposed for the
-/// ordering unit tests and distance-1 ablations).
-[[nodiscard]] std::vector<vid_t> smallest_last_d1(const Graph& g);
-
 /// Exact smallest-last order on the dynamic distance-2 degree (the
 /// kSmallestLast engine; exposed for tests).
 [[nodiscard]] std::vector<vid_t> smallest_last_d2(const BipartiteGraph& g);
-
-/// Batched degeneracy-level peeling (the kSmallestLastRelaxed engine;
-/// exposed for tests).
-[[nodiscard]] std::vector<vid_t> smallest_last_relaxed_d2(
-    const BipartiteGraph& g);
 
 /// Incidence-degree order on distance-2 neighbors (the kIncidenceDegree
 /// engine; exposed for tests).

@@ -57,8 +57,6 @@ std::string to_string(OrderingKind k) {
       return "smallest-last";
     case OrderingKind::kIncidenceDegree:
       return "incidence-degree";
-    case OrderingKind::kSmallestLastRelaxed:
-      return "smallest-last-relaxed";
   }
   return "?";
 }
@@ -72,8 +70,6 @@ OrderingKind ordering_from_string(const std::string& name) {
     return OrderingKind::kSmallestLast;
   if (name == "incidence-degree" || name == "id")
     return OrderingKind::kIncidenceDegree;
-  if (name == "smallest-last-relaxed" || name == "slr")
-    return OrderingKind::kSmallestLastRelaxed;
   throw std::invalid_argument("unknown ordering: " + name);
 }
 
@@ -90,8 +86,6 @@ std::vector<vid_t> make_ordering(const BipartiteGraph& g, OrderingKind kind,
       return smallest_last_d2(g);
     case OrderingKind::kIncidenceDegree:
       return incidence_degree_d2(g);
-    case OrderingKind::kSmallestLastRelaxed:
-      return smallest_last_relaxed_d2(g);
   }
   throw std::logic_error("unreachable ordering kind");
 }

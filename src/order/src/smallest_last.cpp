@@ -63,41 +63,6 @@ std::vector<vid_t> smallest_last_d2(const BipartiteGraph& g) {
   return order;
 }
 
-std::vector<vid_t> smallest_last_relaxed_d2(const BipartiteGraph& g) {
-  const vid_t n = g.num_vertices();
-  std::vector<eid_t> deg = d2_degrees(g);
-  const eid_t max_key =
-      n == 0 ? 0 : *std::max_element(deg.begin(), deg.end());
-  BucketQueue q(std::move(deg), max_key);
-
-  std::vector<vid_t> order(static_cast<std::size_t>(n));
-  std::vector<eid_t> delta(static_cast<std::size_t>(n), 0);
-  std::vector<vid_t> touched, batch;
-  std::size_t filled = static_cast<std::size_t>(n);
-  while (!q.empty()) {
-    // Peel the whole current degeneracy level: everything at or below
-    // the level key, including cascades the removals create.
-    const eid_t level = q.key(q.find_min());
-    batch.clear();
-    while (!q.empty()) {
-      const vid_t u = q.find_min();
-      if (q.key(u) > level) break;
-      q.remove(u);
-      batch.push_back(u);
-      shared_net_deltas(g, u, q, delta, touched);
-      for (const vid_t w : touched) {
-        q.decrease(w, delta[static_cast<std::size_t>(w)]);
-        delta[static_cast<std::size_t>(w)] = 0;
-      }
-    }
-    // The batch is one parallel round; later levels precede it in the
-    // final order (smallest degrees go last).
-    for (auto it = batch.rbegin(); it != batch.rend(); ++it)
-      order[--filled] = *it;
-  }
-  return order;
-}
-
 std::vector<vid_t> incidence_degree_d2(const BipartiteGraph& g) {
   const vid_t n = g.num_vertices();
   // Keys are "ordered distance-2 neighbors seen so far" (multiplicity);
@@ -128,26 +93,6 @@ std::vector<vid_t> incidence_degree_d2(const BipartiteGraph& g) {
       q.increase(w, delta[static_cast<std::size_t>(w)]);
       delta[static_cast<std::size_t>(w)] = 0;
     }
-  }
-  return order;
-}
-
-std::vector<vid_t> smallest_last_d1(const Graph& g) {
-  const vid_t n = g.num_vertices();
-  std::vector<eid_t> deg(static_cast<std::size_t>(n));
-  for (vid_t v = 0; v < n; ++v)
-    deg[static_cast<std::size_t>(v)] = g.degree(v);
-  const eid_t max_key =
-      n == 0 ? 0 : *std::max_element(deg.begin(), deg.end());
-  BucketQueue q(std::move(deg), max_key);
-
-  std::vector<vid_t> order(static_cast<std::size_t>(n));
-  for (vid_t i = n; i-- > 0;) {
-    const vid_t u = q.find_min();
-    q.remove(u);
-    order[static_cast<std::size_t>(i)] = u;
-    for (const vid_t w : g.neighbors(u))
-      if (q.contains(w)) q.decrease(w, 1);
   }
   return order;
 }

@@ -1,4 +1,4 @@
-#include "greedcolor/sched/color_schedule.hpp"
+#include "greedcolor/core/color_stats.hpp"
 
 #include <gtest/gtest.h>
 
@@ -27,7 +27,13 @@ TEST(ColorSchedule, GroupsByColor) {
 }
 
 TEST(ColorSchedule, RejectsIncompleteColoring) {
-  EXPECT_THROW(ColorSchedule::build({0, kNoColor}), std::invalid_argument);
+  // Uncolored items group last; executing them is refused.
+  const ColorSchedule s = ColorSchedule::build({kNoColor, 0, kNoColor});
+  EXPECT_EQ(s.num_classes(), 1);
+  EXPECT_EQ(std::vector<vid_t>(s.uncolored().begin(), s.uncolored().end()),
+            (std::vector<vid_t>{0, 2}));
+  EXPECT_THROW(s.for_each_parallel([](vid_t) {}), std::invalid_argument);
+  EXPECT_THROW(ColorSchedule::build({0, -2}), std::invalid_argument);
 }
 
 TEST(ColorSchedule, ForEachVisitsEveryItemExactlyOnce) {
@@ -70,21 +76,19 @@ TEST(ColorSchedule, LockFreeNeighborhoodUpdatesAreSafe) {
 
 TEST(ColorScheduleStats, SpanAndEfficiency) {
   // classes of sizes 4 and 2, P=2: span = 2 + 1 = 3; eff = 6/(2*3)=1.0
-  const ColorSchedule s = ColorSchedule::build({0, 0, 0, 0, 1, 1});
-  const auto st = s.stats(2);
-  EXPECT_EQ(st.num_classes, 2);
-  EXPECT_EQ(st.span, 3u);
-  EXPECT_DOUBLE_EQ(st.efficiency, 1.0);
-  EXPECT_EQ(st.largest_class, 4);
-  EXPECT_EQ(st.smallest_class, 2);
+  const auto st = color_class_stats({0, 0, 0, 0, 1, 1});
+  EXPECT_EQ(st.num_colors, 2);
+  EXPECT_EQ(st.span(2), 3u);
+  EXPECT_DOUBLE_EQ(st.efficiency(2), 1.0);
+  EXPECT_EQ(st.max, 4);
+  EXPECT_EQ(st.min, 2);
 }
 
 TEST(ColorScheduleStats, SingletonsWasteParallelism) {
   // 4 singleton classes on 4 threads: span 4, efficiency 0.25.
-  const ColorSchedule s = ColorSchedule::build({0, 1, 2, 3});
-  const auto st = s.stats(4);
-  EXPECT_EQ(st.span, 4u);
-  EXPECT_DOUBLE_EQ(st.efficiency, 0.25);
+  const auto st = color_class_stats({0, 1, 2, 3});
+  EXPECT_EQ(st.span(4), 4u);
+  EXPECT_DOUBLE_EQ(st.efficiency(4), 0.25);
 }
 
 TEST(ColorScheduleStats, BalancedColoringImprovesEfficiency) {
@@ -97,14 +101,15 @@ TEST(ColorScheduleStats, BalancedColoringImprovesEfficiency) {
   const auto b2 = color_bgpc(g, opt);
   ASSERT_TRUE(is_valid_bgpc(g, u.colors));
   ASSERT_TRUE(is_valid_bgpc(g, b2.colors));
-  const auto eff_u = ColorSchedule::build(u.colors).stats(16).efficiency;
-  const auto eff_b2 = ColorSchedule::build(b2.colors).stats(16).efficiency;
+  const auto eff_u = color_class_stats(u.colors).efficiency(16);
+  const auto eff_b2 = color_class_stats(b2.colors).efficiency(16);
   EXPECT_GT(eff_b2, eff_u);  // the Section V claim, quantified
 }
 
 TEST(ColorScheduleStats, RejectsBadThreadCount) {
-  const ColorSchedule s = ColorSchedule::build({0});
-  EXPECT_THROW((void)s.stats(0), std::invalid_argument);
+  const auto st = color_class_stats({0});
+  EXPECT_THROW((void)st.span(0), std::invalid_argument);
+  EXPECT_THROW((void)st.efficiency(0), std::invalid_argument);
 }
 
 }  // namespace

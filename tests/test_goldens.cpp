@@ -170,16 +170,10 @@ const Golden kGoldens[] = {
     {"d2gc/geom/N1-N2/B1/capped", 0xb49871d443e7a3deULL, 1, 0xc869844bb824eb4eULL},
     {"d2gc/hub/N1-N2/B1/capped", 0x7f92ff75a944a2b4ULL, 1, 0x77a4da9939e758e3ULL},
     {"recolor/bgpc/rand/reverse", 0xc32fc212f345ec7aULL, 0, 0x3506a3c5a4e2c039ULL},
-    {"recolor/bgpc/rand/random", 0x2d3da8db45e447caULL, 0, 0x54016aceafd20a5aULL},
-    {"recolor/bgpc/rand/size", 0x669b5c660cfc3f43ULL, 0, 0x8674817deedc0c26ULL},
     {"recolor/bgpc/rand/balanced", 0xdc7999fef02ff9a4ULL, 0, 0xcc93d747ad404f60ULL},
     {"recolor/bgpc/cliq/reverse", 0xd50305ab0a465a83ULL, 0, 0xd321ed38853b08faULL},
-    {"recolor/bgpc/cliq/random", 0x5bfa2a5ae763bf71ULL, 0, 0xcaf82580dcb55a02ULL},
-    {"recolor/bgpc/cliq/size", 0x6f5ca9d22b77593fULL, 0, 0x29a775c852b13b25ULL},
     {"recolor/bgpc/cliq/balanced", 0x18733dc3274dd914ULL, 0, 0x39e861e0e5b60814ULL},
     {"recolor/bgpc/skew/reverse", 0xa7a6fa84dd6f8ed4ULL, 0, 0x2afc94c419f615bfULL},
-    {"recolor/bgpc/skew/random", 0x47771d5817ae8b0dULL, 0, 0x2afc94c419f615bfULL},
-    {"recolor/bgpc/skew/size", 0xd6584f936af4c489ULL, 0, 0x2afc94c419f615bfULL},
     {"recolor/bgpc/skew/balanced", 0x72cb73a41f3aa83aULL, 0, 0x52212384cd6b0ed8ULL},
     {"recolor/d2gc/mesh/reverse", 0x9811fec8d47592a9ULL, 0, 0x714fda022399e2bcULL},
     {"recolor/d2gc/geom/reverse", 0xc13ca727c72eddf1ULL, 0, 0xb91b87a1792597b5ULL},
@@ -467,21 +461,15 @@ ColoringResult single_thread(const Graph& g, const char* preset) {
 // --- Iterated-greedy recoloring ---------------------------------------------
 
 TEST(Goldens, RecolorFromN1N2SingleThread) {
-  constexpr std::pair<RecolorOrder, const char*> kOrders[] = {
-      {RecolorOrder::kReverseColors, "reverse"},
-      {RecolorOrder::kRandomClasses, "random"},
-      {RecolorOrder::kDecreasingSize, "size"}};
   for (const BgpcInput& in : all_bgpc_inputs()) {
     const std::vector<color_t> start = single_thread(in.g, "N1-N2").colors;
-    for (const auto& [order, tag] : kOrders) {
-      std::vector<color_t> colors = start;
-      const color_t k = recolor_bgpc_with(in.g, colors, order, 0x6022);
-      ASSERT_TRUE(is_valid_bgpc(in.g, colors));
-      expect_pass_golden(std::string("recolor/bgpc/") + in.tag + "/" + tag,
-                         colors, {static_cast<std::uint64_t>(k)});
-    }
     std::vector<color_t> colors = start;
-    const color_t k = balanced_recolor_bgpc(in.g, colors);
+    color_t k = recolor_bgpc(in.g, colors);
+    ASSERT_TRUE(is_valid_bgpc(in.g, colors));
+    expect_pass_golden(std::string("recolor/bgpc/") + in.tag + "/reverse",
+                       colors, {static_cast<std::uint64_t>(k)});
+    colors = start;
+    k = balanced_recolor_bgpc(in.g, colors);
     ASSERT_TRUE(is_valid_bgpc(in.g, colors));
     expect_pass_golden(std::string("recolor/bgpc/") + in.tag + "/balanced",
                        colors, {static_cast<std::uint64_t>(k)});

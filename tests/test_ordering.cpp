@@ -1,7 +1,5 @@
 #include "greedcolor/order/ordering.hpp"
 
-#include "greedcolor/core/bgpc.hpp"
-
 #include <gtest/gtest.h>
 
 #include "greedcolor/graph/builder.hpp"
@@ -37,8 +35,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(OrderingKind::kNatural, OrderingKind::kRandom,
                       OrderingKind::kLargestFirst,
                       OrderingKind::kSmallestLast,
-                      OrderingKind::kIncidenceDegree,
-                      OrderingKind::kSmallestLastRelaxed),
+                      OrderingKind::kIncidenceDegree),
     [](const auto& info) {
       std::string n = to_string(info.param);
       std::replace(n.begin(), n.end(), '-', '_');
@@ -76,25 +73,6 @@ TEST(Ordering, LargestFirstSortsByD2Degree) {
             std::find(order.begin(), order.end(), 4));
   EXPECT_LT(std::find(order.begin(), order.end(), 3),
             std::find(order.begin(), order.end(), 5));
-}
-
-TEST(Ordering, SmallestLastD1OnStarPutsCenterNearFront) {
-  // Matula-Beck: leaves (degree 1) are removed first and placed last.
-  // The center survives until its degree drops to 1, at which point it
-  // ties with the final leaf — so it lands in one of the first two
-  // slots, and a leaf is always last.
-  const Graph g = build_graph(testing::star_coo(8));
-  const auto order = smallest_last_d1(g);
-  EXPECT_TRUE(order[0] == 0 || order[1] == 0);
-  EXPECT_NE(order.back(), 0);
-}
-
-TEST(Ordering, SmallestLastD1PathEndsLast) {
-  const Graph g = build_graph(testing::path_coo(6));
-  const auto order = smallest_last_d1(g);
-  // The last position holds a degree-1 endpoint (0 or 5).
-  EXPECT_TRUE(order.back() == 0 || order.back() == 5);
-  EXPECT_TRUE(is_permutation_of(order, 6));
 }
 
 TEST(Ordering, SmallestLastD2DegeneracyProperty) {
@@ -138,53 +116,10 @@ TEST(Ordering, FromStringRoundTrip) {
   for (const auto kind :
        {OrderingKind::kNatural, OrderingKind::kRandom,
         OrderingKind::kLargestFirst, OrderingKind::kSmallestLast,
-        OrderingKind::kIncidenceDegree,
-        OrderingKind::kSmallestLastRelaxed})
+        OrderingKind::kIncidenceDegree})
     EXPECT_EQ(ordering_from_string(to_string(kind)), kind);
   EXPECT_EQ(ordering_from_string("sl"), OrderingKind::kSmallestLast);
-  EXPECT_EQ(ordering_from_string("slr"),
-            OrderingKind::kSmallestLastRelaxed);
   EXPECT_THROW((void)ordering_from_string("bogus"), std::invalid_argument);
-}
-
-TEST(Ordering, RelaxedSlIsDeterministicAndBounded) {
-  // Batch peeling trades quality for parallel rounds: on a *uniform*
-  // mesh nearly everything is one degeneracy level, so the relaxation
-  // can degrade toward arbitrary order — but it must stay within the
-  // greedy bound, be deterministic, and never beat exact SL by much on
-  // skewed instances (where levels are informative).
-  const BipartiteGraph mesh = build_bipartite(gen_mesh2d(24, 24, 2));
-  const auto a = make_ordering(mesh, OrderingKind::kSmallestLastRelaxed);
-  const auto b = make_ordering(mesh, OrderingKind::kSmallestLastRelaxed);
-  EXPECT_EQ(a, b);
-  const auto relaxed = color_bgpc_sequential(mesh, a);
-  EXPECT_TRUE(relaxed.num_colors <= bgpc_color_bound(mesh));
-
-  // Skewed instance: levels are meaningful, relaxed stays close to
-  // exact SL (fixed seeds, deterministic outcome).
-  PowerLawBipartiteParams p;
-  p.rows = 150;
-  p.cols = 500;
-  p.min_deg = 2;
-  p.max_deg = 60;
-  p.alpha = 1.2;
-  p.seed = 13;
-  const BipartiteGraph skew = build_bipartite(gen_powerlaw_bipartite(p));
-  const auto exact = color_bgpc_sequential(
-      skew, make_ordering(skew, OrderingKind::kSmallestLast));
-  const auto rel = color_bgpc_sequential(
-      skew, make_ordering(skew, OrderingKind::kSmallestLastRelaxed));
-  EXPECT_LE(rel.num_colors,
-            static_cast<color_t>(exact.num_colors * 1.25) + 2);
-}
-
-TEST(Ordering, RelaxedSlSingleLevelIsWholeGraph) {
-  // Uniform instance: one degeneracy level, the order is one batch and
-  // still a permutation.
-  const BipartiteGraph g = testing::disjoint_nets(6, 5);
-  const auto order = smallest_last_relaxed_d2(g);
-  EXPECT_TRUE(is_permutation_of(order, g.num_vertices()));
-  EXPECT_EQ(color_bgpc_sequential(g, order).num_colors, 5);
 }
 
 TEST(Ordering, IsPermutationOfRejectsBadVectors) {
